@@ -4,7 +4,9 @@ Everything here is deterministic given (data, seeds): the scaler uses
 population statistics, the SVM is trained by full-batch subgradient
 descent with a fixed 1/t step schedule, folds come from seeded
 per-class shuffles, and both importance analyses reuse one fixed fold
-assignment so their deltas are not confounded by resplitting.
+assignment so their deltas are not confounded by resplitting.  Fold
+fits may run in worker processes (``workers``); each fit is a pure
+function of its inputs, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_2d, check_finite, require
+from .base import ParamsMixin, as_float_2d, check_finite, fork_map, require
 from .features import FEATURE_NAMES
 from .rng import derive_seed, generator
 
@@ -263,59 +265,77 @@ def _svm_from(hp: Optional[SvmHyperParams]) -> LinearHingeSVM:
                           class_weight=hp.class_weight)
 
 
+def _fit_fold(data: Dataset, folds: np.ndarray, f: int,
+              hp: Optional[SvmHyperParams]) -> FoldModel:
+    """Scale on the training rows of fold f only, train, score its validation rows."""
+    val = folds == f
+    train = ~val
+    try:
+        scaler = FeatureScaler().fit(data.X[train])
+        model = _svm_from(hp).fit(scaler.transform(data.X[train]), data.y[train])
+        pred = model.predict(scaler.transform(data.X[val]))
+        score = balanced_accuracy(data.y[val], pred)
+    except ValueError as exc:
+        raise type(exc)(f"fold {f}: {exc}") from exc
+    return FoldModel(f, scaler, model, np.flatnonzero(val), score)
+
+
 def cross_validate(data: Dataset, k: int, seed: int,
                    hp: Optional[SvmHyperParams] = None,
                    folds: Optional[np.ndarray] = None,
-                   keep_models: bool = False) -> CVResult:
-    """Per-fold: scale on the training rows only, train, score validation."""
+                   keep_models: bool = False, workers: int = 1) -> CVResult:
+    """Per-fold: scale on the training rows only, train, score validation.
+
+    The k fold fits are spread over up to `workers` processes.
+    """
     if folds is None:
         folds = stratified_kfold(data.y, k, seed)
-    scores = np.empty(k)
-    fold_models = []
-    for f in range(k):
-        val = folds == f
-        train = ~val
-        try:
-            scaler = FeatureScaler().fit(data.X[train])
-            model = _svm_from(hp).fit(scaler.transform(data.X[train]), data.y[train])
-            pred = model.predict(scaler.transform(data.X[val]))
-            scores[f] = balanced_accuracy(data.y[val], pred)
-        except ValueError as exc:
-            raise type(exc)(f"fold {f}: {exc}") from exc
-        if keep_models:
-            fold_models.append(FoldModel(f, scaler, model, np.flatnonzero(val), scores[f]))
-    return CVResult(scores=scores, folds=folds, fold_models=fold_models)
+    fold_models = list(fork_map(lambda f: _fit_fold(data, folds, f, hp), k, workers))
+    scores = np.array([fm.score for fm in fold_models])
+    return CVResult(scores=scores, folds=folds,
+                    fold_models=fold_models if keep_models else [])
 
 
 def drop_column_importance(data: Dataset, k: int, seed: int,
                            hp: Optional[SvmHyperParams] = None,
-                           folds: Optional[np.ndarray] = None) -> Dict[str, float]:
-    """Full-set CV mean minus CV mean without each feature, same folds throughout."""
+                           folds: Optional[np.ndarray] = None,
+                           cv: Optional[CVResult] = None,
+                           workers: int = 1) -> Dict[str, float]:
+    """Full-set CV mean minus CV mean without each feature, same folds throughout.
+
+    cv, when given, is the full-set result on these folds and is not
+    refitted.  The (feature, fold) fits are spread over up to `workers`
+    processes.
+    """
     require(data.n_features >= 2, "need at least 2 features to drop one")
     if folds is None:
         folds = stratified_kfold(data.y, k, seed)
-    base = cross_validate(data, k, seed, hp, folds=folds).mean
-    out = {}
-    for j, name in enumerate(data.feature_names):
-        dropped = cross_validate(data.drop_feature(j), k, seed, hp, folds=folds).mean
-        out[name] = base - dropped
-    return out
+    if cv is None:
+        cv = cross_validate(data, k, seed, hp, folds=folds, workers=workers)
+    reduced = [data.drop_feature(j) for j in range(data.n_features)]
+    scores = list(fork_map(lambda t: _fit_fold(reduced[t // k], folds, t % k, hp).score,
+                           data.n_features * k, workers))
+    return {name: cv.mean - float(np.mean(scores[j * k:(j + 1) * k]))
+            for j, name in enumerate(data.feature_names)}
 
 
 def permutation_importance(data: Dataset, k: int, seed: int,
                            hp: Optional[SvmHyperParams] = None,
                            repeats: int = 20,
-                           folds: Optional[np.ndarray] = None
+                           folds: Optional[np.ndarray] = None,
+                           cv: Optional[CVResult] = None
                            ) -> Dict[str, Dict[str, float]]:
     """Validation-column permutation drops, pooled over folds and repeats.
 
-    Fold models are trained once on intact features; each repeat
-    shuffles one standardized validation column with its own derived
-    stream and records the decrease in balanced accuracy.
+    Fold models are trained once on intact features (or taken from cv,
+    a keep_models result on these folds); each repeat shuffles one
+    standardized validation column with its own derived stream and
+    records the decrease in balanced accuracy.
     """
     if folds is None:
         folds = stratified_kfold(data.y, k, seed)
-    cv = cross_validate(data, k, seed, hp, folds=folds, keep_models=True)
+    if cv is None:
+        cv = cross_validate(data, k, seed, hp, folds=folds, keep_models=True)
     out = {}
     for j, name in enumerate(data.feature_names):
         drops = []

@@ -21,7 +21,8 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (overrides out_dir)")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--runs", type=int, help="number of runs override")
-    parser.add_argument("--threads", type=int, help="worker threads for the ensemble")
+    parser.add_argument("--threads", type=int,
+                        help="worker processes for the ensemble and the SVM fits")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,8 +33,8 @@ from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, diagnostics_record,
 from .rng import derive_seed
 from .sim import (ConstantAmplitude, LinearRampAmplitude,
                   PiecewiseConstantAmplitude, SimConfig, Trajectory,
-                  UniformSampler, iter_ensemble, run_seed_for, simulate,
-                  write_trajectory_csv)
+                  UniformSampler, draw_d_min, iter_ensemble, run_seed_for,
+                  simulate, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,6 +184,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _validated(config: ExperimentConfig) -> ExperimentConfig:
+    require(config.threads >= 1, "threads must be >= 1")
+    require(config.batch_size >= 1, "batch_size must be >= 1")
     config.sim_config()
     config.detector()
     config.feature_config()
@@ -319,15 +321,23 @@ def exclusion_table(records: Sequence[RunRecord]) -> Dict[str, List[int]]:
 # --------------------------------------------------------------------------
 
 def classify_dataset(data: Dataset, config: ExperimentConfig) -> dict:
-    """CV, importances, and the PCA projection for one dataset."""
+    """CV and both importances for one dataset.
+
+    The full-feature fold models are fitted once and shared by the
+    reported CV, the drop-column baseline and the permutation analysis;
+    fold fits are spread over config.threads worker processes.
+    """
     hp = config.svm_hyperparams()
     fold_seed = derive_seed(config.master_seed, "folds")
     importance_seed = derive_seed(config.master_seed, "importance")
-    folds = stratified_kfold(data.y, config.k_folds, fold_seed)
-    cv = cross_validate(data, config.k_folds, fold_seed, hp, folds=folds)
-    drop = drop_column_importance(data, config.k_folds, fold_seed, hp, folds=folds)
-    perm = permutation_importance(data, config.k_folds, importance_seed, hp,
-                                  repeats=config.permutation_repeats, folds=folds)
+    k, workers = config.k_folds, config.threads
+    folds = stratified_kfold(data.y, k, fold_seed)
+    cv = cross_validate(data, k, fold_seed, hp, folds=folds, keep_models=True,
+                        workers=workers)
+    drop = drop_column_importance(data, k, fold_seed, hp, folds=folds, cv=cv,
+                                  workers=workers)
+    perm = permutation_importance(data, k, importance_seed, hp,
+                                  repeats=config.permutation_repeats, folds=folds, cv=cv)
     return {"cv": {"scores": cv.scores.tolist(), "mean": cv.mean},
             "drop_column": drop, "permutation": perm}
 
@@ -647,7 +657,6 @@ def simulate_one(config: ExperimentConfig, run_index: int = 0,
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = run_seed if run_seed is not None else run_seed_for(config.master_seed, run_index)
-    from .sim import draw_d_min
     d_min = draw_d_min(seed, config.d_min_sampler())
     sched = LinearRampAmplitude(config.d_max, d_min)
     traj = simulate(config.sim_config(schedule=sched), seed)

@@ -5,7 +5,7 @@ Every run owns an independent Philox4x64 counter stream keyed by
 fixed rule u = (raw >> 11) * 2**-53 and to standard normals by the
 cosine branch of the Box-Muller transform, consuming exactly two raws
 per normal.  Draw i is therefore a pure function of (key, position):
-results do not depend on chunk size, batching, or thread count.
+results do not depend on chunk size, batching, or worker count.
 """
 
 from __future__ import annotations

@@ -7,21 +7,20 @@ with the amplitude evaluated at the left endpoint of each step.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
-rng.py), so ensembles are order-independent and thread-safe, and the
-same seed yields bit-identical paths whether a run is simulated alone
-or inside a batch.
+rng.py), so ensembles are order-independent, and the same seed yields
+bit-identical paths whether a run is simulated alone, inside a batch,
+or in a worker process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .base import require
+from .base import fork_map, require
 from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
@@ -36,6 +35,10 @@ class DivergenceError(RuntimeError):
         self.run_index = run_index
         where = f"run {run_index}, " if run_index is not None else ""
         super().__init__(f"state diverged at {where}step {step_index}")
+
+    def __reduce__(self):
+        # args holds the message, so rebuild from the fields when unpickled
+        return type(self), (self.step_index, self.run_index)
 
 
 # --------------------------------------------------------------------------
@@ -327,9 +330,12 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     Each run i uses the seed derived from (master_seed, i).  When a
     d_min sampler is given the schedule must be a linear ramp whose
     d_min is replaced per run by a draw from the run's own stream.
-    per_run, when given, is applied to each trajectory inside the
-    (possibly threaded) batch worker and its result replaces the
-    trajectory, so full paths never accumulate in memory.
+    Batches of batch_size runs are spread over up to `threads` forked
+    worker processes (see base.fork_map); each worker holds one batch
+    path of 8 * (n_steps + 1) * batch_size bytes at a time.  per_run,
+    when given, is applied to each trajectory inside the worker and its
+    result replaces the trajectory, so only those per-run records, not
+    full paths, come back to this process.
     """
     require(n_runs >= 1, "n_runs must be >= 1")
     require(on_divergence in ("raise", "flag"), "on_divergence must be 'raise' or 'flag'")
@@ -380,13 +386,8 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
         return out
 
     bounds = [(lo, min(lo + batch_size, n_runs)) for lo in range(0, n_runs, batch_size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch_out in pool.map(lambda b: do_batch(*b), bounds):
-                yield from batch_out
-    else:
-        for lo, hi in bounds:
-            yield from do_batch(lo, hi)
+    for batch_out in fork_map(lambda b: do_batch(*bounds[b]), len(bounds), threads):
+        yield from batch_out
 
 
 def simulate_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,

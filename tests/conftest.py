@@ -1,4 +1,5 @@
 import math
+import multiprocessing.pool
 
 import numpy as np
 import pytest
@@ -14,6 +15,20 @@ def relaxation_run():
     config = SimConfig(dt=0.01, t_total=225.0 * 11, omega=OMEGA_225,
                        amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     return config, simulate(config, run_seed=0)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of every process pool started while the test runs."""
+    sizes = []
+
+    class RecordingPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    return sizes
 
 
 @pytest.fixture

@@ -315,6 +315,40 @@ def test_importances_deterministic():
     assert a == b
 
 
+def test_fold_fits_independent_of_workers(pool_sizes):
+    X, y = gaussian_two_class(90, derive_seed(2, "workers"), n_features=3)
+    data = make_dataset(X, y)
+    hp = SvmHyperParams(n_iter=300)
+    serial = cross_validate(data, 3, 5, hp, keep_models=True)
+    forked = cross_validate(data, 3, 5, hp, keep_models=True, workers=2)
+    assert serial.scores.tobytes() == forked.scores.tobytes()
+    for a, b in zip(serial.fold_models, forked.fold_models):
+        assert a.model.coef_.tobytes() == b.model.coef_.tobytes()
+        assert a.model.intercept_ == b.model.intercept_
+    assert (drop_column_importance(data, 3, 5, hp)
+            == drop_column_importance(data, 3, 5, hp, workers=2))
+    assert pool_sizes == [2, 2, 2]
+
+
+def test_importances_reuse_given_cv(monkeypatch):
+    X, y = gaussian_two_class(90, derive_seed(2, "reuse"), n_features=3)
+    data = make_dataset(X, y)
+    hp = SvmHyperParams(n_iter=300)
+    folds = stratified_kfold(data.y, 3, 5)
+    cv = cross_validate(data, 3, 5, hp, folds=folds, keep_models=True)
+    expected_drop = drop_column_importance(data, 3, 5, hp, folds=folds)
+    expected_perm = permutation_importance(data, 3, 8, hp, repeats=4, folds=folds)
+    fits = []
+    real_fit = LinearHingeSVM.fit
+    monkeypatch.setattr(LinearHingeSVM, "fit",
+                        lambda self, X, y: fits.append(1) or real_fit(self, X, y))
+    assert drop_column_importance(data, 3, 5, hp, folds=folds, cv=cv) == expected_drop
+    assert len(fits) == 3 * 3  # the dropped-feature fits only
+    assert permutation_importance(data, 3, 8, hp, repeats=4, folds=folds,
+                                  cv=cv) == expected_perm
+    assert len(fits) == 3 * 3
+
+
 # --------------------------------------------------------------------------
 # PCA
 # --------------------------------------------------------------------------

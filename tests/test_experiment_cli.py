@@ -1,13 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
-from cycleews.experiment import (ConfigError, ExperimentConfig, load_config,
-                                 measured_delay_phase, parse_config_text,
+from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
+                                 load_config, measured_delay_phase, parse_config_text,
                                  read_features_csv, run_experiment)
+from cycleews.rng import generator
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
 
@@ -105,6 +111,32 @@ def test_run_experiment_thread_invariance(tmp_path):
             == (tmp_path / "t2" / "report.json").read_bytes())
 
 
+def test_diverged_ensemble_report_independent_of_workers(tmp_path):
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run_experiment(fast_config(out, n_runs=4, batch_size=2, x0=2000.0,
+                                   threads=threads))
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    warnings = json.loads(reports[0])["warnings"]
+    assert warnings[:4] == [f"run {i} diverged and was excluded" for i in range(4)]
+
+
+def test_classification_fits_each_fold_model_once(tmp_path, monkeypatch):
+    rng = generator(5)
+    y = np.arange(60) % 3 == 0
+    X = rng.standard_normal((60, 4)) + y[:, None]
+    data = Dataset(X=X, y=y, run_ids=np.arange(60))
+    fits = []
+    real_fit = LinearHingeSVM.fit
+    monkeypatch.setattr(LinearHingeSVM, "fit",
+                        lambda self, X, y: fits.append(1) or real_fit(self, X, y))
+    config = fast_config(tmp_path, svm_iterations=200, permutation_repeats=3)
+    classify_dataset(data, config)
+    assert len(fits) == config.k_folds * 5  # full set plus each of 4 features dropped
+
+
 def test_features_csv_roundtrip(tmp_path):
     config = fast_config(tmp_path)
     run_experiment(config)
@@ -146,6 +178,41 @@ def test_cli_config_error(tmp_path):
     bad.write_text("nonsense_key = 5\n")
     assert run_cli("experiment", "--config", str(bad)) == 2
     assert run_cli("experiment", "--config", str(tmp_path / "nope.cfg")) == 2
+
+
+@pytest.mark.parametrize("setting", ["threads = 0", "threads = -4",
+                                     "batch_size = 0", "batch_size = -1"])
+def test_cli_rejects_bad_execution_setting(tmp_path, setting):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"t_total = 450\nn_runs = 4\n{setting}\n")
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_serial_commands_do_not_import_multiprocessing(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("t_total = 450\nn_runs = 4\nmaster_seed = 5\n"
+                   "svm_iterations = 200\npermutation_repeats = 2\n")
+    rng = generator(6)
+    features = tmp_path / "pool.csv"
+    with open(features, "w") as fh:
+        fh.write("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
+                 "label,valid\n")
+        for i in range(30):
+            slopes = ",".join(f"{v:.17g}" for v in rng.standard_normal(4) + (i % 2))
+            fh.write(f"{i},0.5,{slopes},{i % 2},1\n")
+    code = ("import sys; from cycleews.cli import main; "
+            f"args = ['--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]; "
+            "rc = main(['experiment'] + args); "
+            f"rc += main(['classify', '--features', {str(features)!r}] + args); "
+            "print(rc, 'multiprocessing' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["cv"] is not None
 
 
 def test_cli_simulate(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -179,6 +180,43 @@ def test_ensemble_divergence_flag_mode():
                for r in results)
     with pytest.raises(DivergenceError):
         simulate_ensemble(config, 2)
+
+
+def test_divergence_error_pickles():
+    for err in (DivergenceError(12, run_index=3), DivergenceError(5)):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert (back.step_index, back.run_index) == (err.step_index, err.run_index)
+        assert str(back) == str(err)
+
+
+def _diverging_config():
+    return SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
+                     amplitude_schedule=ConstantAmplitude(0.0), sigma=0.3,
+                     x0=2000.0, master_seed=3)
+
+
+def test_ensemble_divergence_raise_independent_of_workers():
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(DivergenceError) as err:
+            list(iter_ensemble(_diverging_config(), 4, batch_size=2, threads=threads))
+        errors.append((str(err.value), err.value.step_index, err.value.run_index))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == 0
+
+
+def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
+    config = _ramp_config()
+    sampler = UniformSampler(0.25, 0.9)
+    serial = simulate_ensemble(config, 4, sampler, batch_size=2)
+    assert pool_sizes == []
+    wide = simulate_ensemble(config, 4, sampler, batch_size=2, threads=64)
+    assert pool_sizes == [2]
+    for (a, da), (b, db) in zip(serial, wide):
+        assert da == db
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.d_a.tobytes() == b.d_a.tobytes()
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
