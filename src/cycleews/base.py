@@ -1,4 +1,4 @@
-"""Estimator parameter plumbing, input validation and the process-pool map."""
+"""Estimator parameter plumbing, input validation, errors and the process-pool map."""
 
 from __future__ import annotations
 
@@ -40,15 +40,13 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative method stopped before meeting its convergence check."""
+
+
 def require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
-
-
-def as_float_1d(x, name: str = "array") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    require(arr.ndim == 1, f"{name} must be 1-dimensional")
-    return arr
 
 
 def as_float_2d(x, name: str = "array") -> np.ndarray:

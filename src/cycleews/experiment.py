@@ -77,10 +77,9 @@ class ExperimentConfig:
     min_cycles: int = 5
     min_jumps: int = 5
     k_folds: int = 5
-    svm_iterations: int = 10_000
-    svm_step_size: float = 2.0
+    svm_iterations: int = 100_000
     svm_lambda: Optional[float] = None
-    svm_tolerance: float = 1.0e-6
+    svm_tolerance: float = 1.0e-10
     svm_class_weight: Optional[str] = "balanced"
     permutation_repeats: int = 20
     batch_size: int = 128
@@ -116,9 +115,7 @@ class ExperimentConfig:
 
     def svm_hyperparams(self) -> SvmHyperParams:
         return SvmHyperParams(lambda_reg=self.svm_lambda, n_iter=self.svm_iterations,
-                              eta0=self.svm_step_size, tol=self.svm_tolerance,
-                              seed=derive_seed(self.master_seed, "svm"),
-                              class_weight=self.svm_class_weight)
+                              tol=self.svm_tolerance, class_weight=self.svm_class_weight)
 
     # execution details with no effect on results; kept out of provenance
     EXECUTION_FIELDS = ("out_dir", "threads", "batch_size")
@@ -148,8 +145,8 @@ _PARSERS = {
     "master_seed": int, "n_runs": int, "x_up": float, "x_low": float,
     "n_min_steps": int, "breakdown_factor": float, "buffer_fraction": float,
     "detrend_degree": int, "phase_window": int, "min_cycles": int, "min_jumps": int,
-    "k_folds": int, "svm_iterations": int, "svm_step_size": float,
-    "svm_lambda": _optional_float, "svm_tolerance": float,
+    "k_folds": int, "svm_iterations": int, "svm_lambda": _optional_float,
+    "svm_tolerance": float,
     "svm_class_weight": lambda v: None if str(v).strip().lower() == "none" else str(v),
     "permutation_repeats": int,
     "batch_size": int, "threads": int, "out_dir": str,
@@ -186,6 +183,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def _validated(config: ExperimentConfig) -> ExperimentConfig:
     require(config.threads >= 1, "threads must be >= 1")
     require(config.batch_size >= 1, "batch_size must be >= 1")
+    require(config.k_folds >= 2, "k_folds must be >= 2")
+    require(config.svm_class_weight in (None, "balanced"),
+            "svm_class_weight must be none or 'balanced'")
+    require(config.svm_iterations >= 1, "svm_iterations must be >= 1")
+    require(math.isfinite(config.svm_tolerance) and config.svm_tolerance > 0.0,
+            "svm_tolerance must be finite and > 0")
+    require(config.svm_lambda is None
+            or (math.isfinite(config.svm_lambda) and config.svm_lambda > 0.0),
+            "svm_lambda must be auto or finite and > 0")
+    require(config.permutation_repeats >= 1, "permutation_repeats must be >= 1")
     config.sim_config()
     config.detector()
     config.feature_config()
@@ -278,20 +285,30 @@ def write_features_csv(records: Sequence[RunRecord], path) -> None:
 
 
 def read_features_csv(path):
-    """Rows of (run_id, d_min, slopes..., label, valid) from a features CSV."""
+    """Rows of (run_id, d_min, slopes..., label, valid) from a features CSV.
+
+    A row that does not hold 8 parseable columns raises ConfigError,
+    naming the file and the line.
+    """
     rows = []
     with open(path) as fh:
         header = fh.readline()
         require(header.startswith("run_id,"), f"{path} is not a features CSV")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            rows.append({
-                "run_id": int(parts[0]),
-                "d_min": float(parts[1]) if parts[1] else None,
-                "slopes": [float(v) for v in parts[2:6]],
-                "label": bool(int(parts[6])),
-                "valid": bool(int(parts[7])),
-            })
+            if len(parts) != 8:
+                raise ConfigError(f"{path} line {lineno}: expected 8 columns, "
+                                  f"got {len(parts)}")
+            try:
+                rows.append({
+                    "run_id": int(parts[0]),
+                    "d_min": float(parts[1]) if parts[1] else None,
+                    "slopes": [float(v) for v in parts[2:6]],
+                    "label": bool(int(parts[6])),
+                    "valid": bool(int(parts[7])),
+                })
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {lineno}: {exc}") from exc
     return rows
 
 
@@ -338,7 +355,10 @@ def classify_dataset(data: Dataset, config: ExperimentConfig) -> dict:
                                   workers=workers)
     perm = permutation_importance(data, k, importance_seed, hp,
                                   repeats=config.permutation_repeats, folds=folds, cv=cv)
-    return {"cv": {"scores": cv.scores.tolist(), "mean": cv.mean},
+    fits = [fm.model for fm in cv.fold_models]
+    return {"cv": {"scores": cv.scores.tolist(), "mean": cv.mean,
+                   "iterations": [fit.n_iter_run_ for fit in fits],
+                   "gaps": [fit.gap_ for fit in fits]},
             "drop_column": drop, "permutation": perm}
 
 
@@ -364,7 +384,7 @@ def pca_block(data: Dataset, config: ExperimentConfig, out_dir: Path,
 
 def write_report(report: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -14,17 +14,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .base import require
+from .base import ConvergenceError, require
 from .features import assign_extremum
 from .sim import ConstantAmplitude, SimConfig, _integrate
 
 FOLD_FORCING_VALUE = 2.0 / 3.0
 _ROOT_RESIDUAL_TOL = 1.0e-10
 _ROOT_MERGE_TOL = 1.0e-7
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,11 @@ def critical_manifold_roots(s: float, d_a: float) -> List[float]:
             continue
         merged.append(x)
     for x in merged:
-        assert abs(x - x ** 3 / 3.0 + c) < _ROOT_RESIDUAL_TOL
+        residual = abs(x - x ** 3 / 3.0 + c)
+        if not residual < _ROOT_RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"critical manifold root {x!r} at s={s!r}, d_a={d_a!r} has "
+                f"residual {residual:.3g}")
     return merged
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from cycleews import (Dataset, FeatureScaler, LinearHingeSVM, PrincipalComponent
                       SvmHyperParams, balanced_accuracy, cross_validate,
                       drop_column_importance, pca_2d, permutation_importance,
                       stratified_kfold)
+from cycleews.base import ConvergenceError
 from cycleews.classify import DegenerateFeatureError, StratificationError
 from cycleews.rng import derive_seed, generator
 
@@ -107,12 +109,88 @@ def test_svm_recovers_bayes_boundary():
     assert angle < 10.0
 
 
-def test_svm_loss_history_non_increasing():
+def svm_terms(model, X, y):
+    """(w, b, a, C, lambda) of a fitted model, with C_i the box bound alpha_i / m."""
+    ys = np.where(y, 1.0, -1.0)
+    m = len(ys)
+    lam = model.lambda_reg if model.lambda_reg is not None else 1.0 / (2.0 * m)
+    if model.class_weight is None:
+        alpha = np.ones(m)
+    else:
+        alpha = np.where(y, m / (2.0 * y.sum()), m / (2.0 * (~y).sum()))
+    return ys, model.coef_, model.intercept_, model.dual_coef_, alpha / m, lam
+
+
+def primal_objective(X, ys, C, lam, w, b):
+    return float(C @ np.maximum(0.0, 1.0 - ys * (X @ w + b)) + lam * (w @ w))
+
+
+def test_svm_optimality_kkt_and_gap():
     X, y = gaussian_two_class(120, derive_seed(2, "loss"), separation=1.0)
     model = LinearHingeSVM().fit(X, y)
-    history = np.asarray(model.loss_history_)
-    assert len(history) >= 2
-    assert np.all(np.diff(history) <= 0.0)
+    ys, w, b, a, C, lam = svm_terms(model, X, y)
+    assert np.all(a >= 0.0) and np.all(a <= C)
+    assert abs(a @ ys) <= 1e-15
+    assert np.allclose(w, (a * ys) @ X / (2.0 * lam), rtol=1e-12, atol=1e-15)
+    primal = primal_objective(X, ys, C, lam, w, b)
+    dual = float(a.sum() - lam * (w @ w))
+    assert model.gap_ <= model.tol
+    assert primal - dual <= model.tol + 1e-14  # rounding of the two sums
+    # complementary slackness: each nonnegative term of the gap is at most tol
+    u = 1.0 - ys * (X @ w + b)
+    terms = C * np.maximum(u, 0.0) - a * u
+    assert terms.min() >= -1e-15 and terms.max() <= model.tol
+    at_zero, at_bound = a == 0.0, a == C
+    assert at_zero.any() and at_bound.any() and (~at_zero & ~at_bound).any()
+
+
+def active_set_optimum(X, ys, C, lam) -> float:
+    """Minimum of the primal by enumerating which samples sit on their margin (E)
+    and which violate it (L); the optimum solves the equality-constrained QP
+    of its own (E, L), whose KKT system is linear."""
+    m, d = X.shape
+    best = math.inf
+    for labels in itertools.product((0, 1, 2), repeat=m):  # 0 rest, 1 L, 2 E
+        E = [i for i in range(m) if labels[i] == 2]
+        L = [i for i in range(m) if labels[i] == 1]
+        if len(E) > d + 1:
+            continue
+        n = d + 1 + len(E)
+        A = np.zeros((n, n))
+        rhs = np.zeros(n)
+        A[:d, :d] = 2.0 * lam * np.eye(d)
+        rhs[:d] = sum((C[i] * ys[i] * X[i] for i in L), np.zeros(d))
+        rhs[d] = sum(C[i] * ys[i] for i in L)
+        for k, i in enumerate(E):
+            A[:d, d + 1 + k] = -ys[i] * X[i]
+            A[d, d + 1 + k] = -ys[i]
+            A[d + 1 + k, :d] = ys[i] * X[i]
+            A[d + 1 + k, d] = ys[i]
+            rhs[d + 1 + k] = 1.0
+        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        if not np.allclose(A @ sol, rhs, atol=1e-9):
+            continue
+        best = min(best, primal_objective(X, ys, C, lam, sol[:d], sol[d]))
+    return best
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_svm_matches_active_set_oracle(case):
+    rng = generator(derive_seed(2, "svm-oracle", case))
+    X = rng.standard_normal((7, 2))
+    y = np.array([True, False] + list(rng.random(5) < 0.5))
+    X[y] += 0.8
+    params = [{}, {"class_weight": None}, {"lambda_reg": 0.02}][case % 3]
+    model = LinearHingeSVM(**params).fit(X, y)
+    ys, w, b, _, C, lam = svm_terms(model, X, y)
+    oracle = active_set_optimum(X, ys, C, lam)
+    assert primal_objective(X, ys, C, lam, w, b) == pytest.approx(oracle, rel=0.0, abs=1e-9)
+
+
+def test_svm_iteration_cap_raises():
+    X, y = gaussian_two_class(120, derive_seed(2, "cap"), separation=1.0)
+    with pytest.raises(ConvergenceError):
+        LinearHingeSVM(n_iter=5).fit(X, y)
 
 
 def test_svm_single_class_rejected():
@@ -399,9 +477,9 @@ def test_pca_degenerate_rejected():
 # --------------------------------------------------------------------------
 
 def test_get_set_params_roundtrip():
-    model = LinearHingeSVM(eta0=3.0)
+    model = LinearHingeSVM(tol=1e-8)
     params = model.get_params()
-    assert params["eta0"] == 3.0 and "n_iter" in params
+    assert params["tol"] == 1e-8 and "n_iter" in params
     model.set_params(n_iter=123)
     assert model.get_params()["n_iter"] == 123
     with pytest.raises(ValueError):

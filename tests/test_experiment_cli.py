@@ -12,7 +12,7 @@ from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
                                  load_config, measured_delay_phase, parse_config_text,
-                                 read_features_csv, run_experiment)
+                                 read_features_csv, run_experiment, write_report)
 from cycleews.rng import generator
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
@@ -187,6 +187,54 @@ def test_cli_rejects_bad_execution_setting(tmp_path, setting):
     cfg.write_text(f"t_total = 450\nn_runs = 4\n{setting}\n")
     assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path)) == 2
     assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "k_folds = 1", "k_folds = 0", "svm_class_weight = bogus", "svm_iterations = 0",
+    "svm_tolerance = 0", "svm_tolerance = -1e-9", "svm_tolerance = nan",
+    "svm_tolerance = inf", "svm_lambda = 0", "svm_lambda = -0.5", "svm_lambda = nan",
+    "svm_lambda = inf", "permutation_repeats = 0", "svm_step_size = 2.0",
+])
+def test_cli_rejects_bad_classification_setting(tmp_path, setting):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"t_total = 450\nn_runs = 4\n{setting}\n")
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "features.csv").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reports_are_strict_json(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("t_total = 2500\nn_runs = 30\nmaster_seed = 3\nk_folds = 2\n"
+                   "permutation_repeats = 1\n")
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["cv"] is not None
+    assert run_cli("classify", "--config", str(cfg), "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["cv"] is not None
+    assert len(report["cv"]["iterations"]) == len(report["cv"]["gaps"]) == 2
+
+
+def test_write_report_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        write_report({"cv": float("nan")}, tmp_path / "report.json")
+
+
+def test_cli_classify_rejects_truncated_row(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,"
+                        "slope_phase_std,label,valid\n"
+                        "0,0.5,0.1,0.2,0.3,0.4,1,1\n"
+                        "1,0.5,0.1,0.2\n")
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert str(features) in err and "line 3" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_serial_commands_do_not_import_multiprocessing(tmp_path):

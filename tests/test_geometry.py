@@ -7,6 +7,8 @@ from cycleews import (ConstantAmplitude, SimConfig, critical_manifold_roots,
                       floquet_multiplier, fold_info, fold_sweep_rate,
                       hazard_window_width, jump_phase_decomposition,
                       predicted_delay_phase)
+from cycleews import geometry
+from cycleews.base import ConvergenceError
 from cycleews.geometry import FOLD_FORCING_VALUE
 from cycleews.rng import generator
 
@@ -43,6 +45,13 @@ def test_roots_at_quarter_phase():
         assert roots[0] == pytest.approx(-math.sqrt(3.0), abs=1e-9)
         assert roots[1] == pytest.approx(0.0, abs=1e-9)
         assert roots[2] == pytest.approx(math.sqrt(3.0), abs=1e-9)
+
+
+def test_root_residual_check_survives_optimization(monkeypatch):
+    # a raised error, not an assert, so python -O keeps the check
+    monkeypatch.setattr(geometry, "_ROOT_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ConvergenceError):
+        critical_manifold_roots(0.3, 1.2)
 
 
 def test_roots_at_fold_tangency():
