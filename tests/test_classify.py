@@ -361,8 +361,13 @@ def test_drop_column_pure_noise_feature():
     X, y = gaussian_two_class(240, derive_seed(2, "drop-noise-data"))
     X = np.column_stack([X, rng.standard_normal(len(X))])
     data = make_dataset(X, y)
-    deltas = drop_column_importance(data, 5, 6, SvmHyperParams(n_iter=2000))
-    assert abs(deltas["f2"]) <= 0.02
+    # one 5-fold split moves the importance of a noise column by about
+    # 0.009 (sd over split seeds); averaging ten splits of the same data
+    # leaves the spread between data draws, which a 0.01 bound covers
+    repeats = [drop_column_importance(data, 5, seed, SvmHyperParams(n_iter=2000))
+               for seed in range(10)]
+    assert abs(np.mean([d["f2"] for d in repeats])) <= 0.01
+    assert np.mean([d["f0"] for d in repeats]) > 0.2  # the informative column counts
 
 
 def test_permutation_importance_informative_column_collapses():
