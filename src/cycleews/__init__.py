@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .sim import (  # noqa: E402,F401
     ConstantAmplitude, DivergenceError, LinearRampAmplitude,
     PiecewiseConstantAmplitude, PointSampler, SimConfig, Trajectory,
-    UniformSampler, amplitude_at, drift, simulate, simulate_ensemble,
+    UniformSampler, amplitude_at, drift, simulate,
 )
 from .events import (  # noqa: F401
     DetectorConfig, JumpDetector, SegmentSet, detect_jumps, label_breakdown,

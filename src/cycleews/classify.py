@@ -361,7 +361,7 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
             raise StratificationError(
-                f"class {cls!r} has {len(idx)} members, fewer than k={k}")
+                f"class {cls.item()!r} has {len(idx)} members, fewer than k={k}")
         perm = idx[rng.permutation(len(idx))]
         folds[perm] = np.arange(len(perm)) % k
     return folds

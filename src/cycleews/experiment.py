@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, diagnostics_record,
                        floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
 from .sim import (ConstantAmplitude, LinearRampAmplitude,
-                  PiecewiseConstantAmplitude, SimConfig, Trajectory,
+                  PiecewiseConstantAmplitude, RunResult, SimConfig, Trajectory,
                   UniformSampler, draw_d_min, iter_ensemble, run_seed_for,
                   simulate, write_trajectory_csv)
 
@@ -112,6 +112,16 @@ class ExperimentConfig:
 
     def d_min_sampler(self) -> UniformSampler:
         return UniformSampler(self.d_min_low, self.d_min_high)
+
+    def figure_sim_configs(self):
+        """Sim configs of the figure protocols: (deep ramp, amplitude levels)."""
+        ramp = self.sim_config(LinearRampAmplitude(self.d_max, self.figure_d_min))
+        level_duration = self.figure_level_periods * self.forcing_period
+        levels = tuple(self.figure_levels)
+        schedule = PiecewiseConstantAmplitude(levels, level_duration)
+        piece = replace(self.sim_config(schedule), t_total=level_duration * len(levels),
+                        master_seed=derive_seed(self.master_seed, "figure-levels"))
+        return ramp, piece
 
     def svm_hyperparams(self) -> SvmHyperParams:
         return SvmHyperParams(lambda_reg=self.svm_lambda, n_iter=self.svm_iterations,
@@ -193,7 +203,9 @@ def _validated(config: ExperimentConfig) -> ExperimentConfig:
             or (math.isfinite(config.svm_lambda) and config.svm_lambda > 0.0),
             "svm_lambda must be auto or finite and > 0")
     require(config.permutation_repeats >= 1, "permutation_repeats must be >= 1")
+    require(config.figure_runs >= 1, "figure_runs must be >= 1")
     config.sim_config()
+    config.figure_sim_configs()
     config.detector()
     config.feature_config()
     config.d_min_sampler()
@@ -230,23 +242,17 @@ def _log(message: str) -> None:
 # per-run pipeline
 # --------------------------------------------------------------------------
 
-@dataclass
-class RunRecord:
-    run_id: int
-    seed: int
-    d_min: Optional[float]
-    features: Optional[FeatureVector]
-    error: Optional[str] = None
-
-
 def segment_run(traj: Trajectory, det: DetectorConfig, t_f: float):
     """Detect, label, and truncate one trajectory; returns (full, truncated)."""
     segset = label_breakdown(detect_jumps(traj, det), t_f, det)
     return segset, truncate_at_onset(segset)
 
 
-def run_feature_pipeline(config: ExperimentConfig) -> List[RunRecord]:
-    """Simulate the ensemble and reduce every run to its feature record."""
+def run_feature_pipeline(config: ExperimentConfig) -> Iterator[RunResult]:
+    """Stream the ensemble in run order, each run reduced to its FeatureVector.
+
+    A diverged run comes back with value None and its error set.
+    """
     det = config.detector()
     fcfg = config.feature_config()
     t_f = config.forcing_period
@@ -256,32 +262,35 @@ def run_feature_pipeline(config: ExperimentConfig) -> List[RunRecord]:
         _, truncated = segment_run(traj, det, t_f)
         return extract_features(traj, truncated, fcfg, omega)
 
-    records = []
-    for res in iter_ensemble(config.sim_config(), config.n_runs, config.d_min_sampler(),
-                             batch_size=config.batch_size, threads=config.threads,
-                             on_divergence="flag", per_run=per_run):
-        if res.error is not None:
-            records.append(RunRecord(res.run_index, res.seed, res.d_min, None,
-                                     error=str(res.error)))
+    return iter_ensemble(config.sim_config(), config.n_runs, config.d_min_sampler(),
+                         batch_size=config.batch_size, threads=config.threads,
+                         on_divergence="flag", per_run=per_run)
+
+
+def feature_rows(results: Iterable[RunResult]) -> List[dict]:
+    """features.csv rows of ensemble results, in the form read_features_csv returns."""
+    rows = []
+    for res in results:
+        fv = res.value
+        if fv is None:
+            slopes, label, valid = [math.nan] * 4, False, False
         else:
-            records.append(RunRecord(res.run_index, res.seed, res.d_min, res.value))
-    return records
+            slopes = [fv.slope_var, fv.slope_ac1, fv.slope_jump_phase, fv.slope_phase_std]
+            label, valid = fv.label, fv.valid
+        rows.append({"run_id": res.run_index, "d_min": res.d_min, "slopes": slopes,
+                     "label": label, "valid": valid})
+    return rows
 
 
-def write_features_csv(records: Sequence[RunRecord], path) -> None:
+def write_features_csv(rows: Sequence[dict], path) -> None:
     with open(path, "w") as fh:
         fh.write("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
                  "label,valid\n")
-        for rec in records:
-            fv = rec.features
-            d_min = "" if rec.d_min is None else f"{rec.d_min:.17g}"
-            if fv is None:
-                fh.write(f"{rec.run_id},{d_min},nan,nan,nan,nan,0,0\n")
-                continue
-            slopes = ",".join(
-                f"{v:.17g}" for v in (fv.slope_var, fv.slope_ac1,
-                                      fv.slope_jump_phase, fv.slope_phase_std))
-            fh.write(f"{rec.run_id},{d_min},{slopes},{int(fv.label)},{int(fv.valid)}\n")
+        for row in rows:
+            d_min = "" if row["d_min"] is None else f"{row['d_min']:.17g}"
+            slopes = ",".join(f"{v:.17g}" for v in row["slopes"])
+            fh.write(f"{row['run_id']},{d_min},{slopes},{int(row['label'])},"
+                     f"{int(row['valid'])}\n")
 
 
 def read_features_csv(path):
@@ -312,24 +321,23 @@ def read_features_csv(path):
     return rows
 
 
-def dataset_from_records(records: Sequence[RunRecord]) -> Dataset:
-    rows = [r for r in records if r.features is not None and r.features.valid]
-    X = np.array([[r.features.slope_var, r.features.slope_ac1,
-                   r.features.slope_jump_phase, r.features.slope_phase_std]
-                  for r in rows], dtype=float).reshape(len(rows), 4)
-    y = np.array([r.features.label for r in rows], dtype=bool)
-    ids = np.array([r.run_id for r in rows], dtype=np.int64)
+def dataset_from_rows(rows: Sequence[dict]) -> Dataset:
+    """The valid runs among features.csv rows (see feature_rows, read_features_csv)."""
+    rows = [r for r in rows if r["valid"]]
+    X = np.array([r["slopes"] for r in rows], dtype=float).reshape(len(rows), 4)
+    y = np.array([r["label"] for r in rows], dtype=bool)
+    ids = np.array([r["run_id"] for r in rows], dtype=np.int64)
     return Dataset(X=X, y=y, run_ids=ids)
 
 
-def exclusion_table(records: Sequence[RunRecord]) -> Dict[str, List[int]]:
+def exclusion_table(results: Sequence[RunResult]) -> Dict[str, List[int]]:
     """Invalid runs partitioned by the first failing requirement."""
     table = {"divergence": [], "too_few_cycles": [], "too_few_jumps": []}
-    for rec in records:
-        if rec.error is not None:
-            table["divergence"].append(rec.run_id)
-        elif rec.features is not None and not rec.features.valid:
-            table[rec.features.exclusion_reason].append(rec.run_id)
+    for res in results:
+        if res.error is not None:
+            table["divergence"].append(res.run_index)
+        elif not res.value.valid:
+            table[res.value.exclusion_reason].append(res.run_index)
     return table
 
 
@@ -382,6 +390,30 @@ def pca_block(data: Dataset, config: ExperimentConfig, out_dir: Path,
     return block
 
 
+def add_classification(report: dict, data: Dataset, config: ExperimentConfig,
+                       out_dir: Path) -> None:
+    """Fill report's cv, drop_column, permutation and pca entries.
+
+    With fewer than 2 valid runs all four stay null; when a class has
+    fewer than k_folds members only the PCA (without decision line) is
+    filled.  Either reason is appended to report["warnings"].
+    """
+    report.update(cv=None, drop_column=None, permutation=None, pca=None)
+    if data.n_samples < 2:
+        reason = "fewer than 2 valid runs"
+    else:
+        try:
+            report.update(classify_dataset(data, config))
+            reason = None
+        except StratificationError as exc:
+            reason = str(exc)
+        report["pca"] = pca_block(data, config, out_dir,
+                                  with_decision_line=reason is None)
+    if reason is not None:
+        report["warnings"].append(f"classification skipped: {reason}")
+        _log(f"warning: classification skipped: {reason}")
+
+
 def write_report(report: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
@@ -394,12 +426,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     _log(f"simulating {config.n_runs} runs "
          f"({config.n_runs * config.sim_config().n_steps} steps total)")
-    records = run_feature_pipeline(config)
-    write_features_csv(records, out_dir / "features.csv")
+    results = list(run_feature_pipeline(config))
+    rows = feature_rows(results)
+    write_features_csv(rows, out_dir / "features.csv")
 
-    data = dataset_from_records(records)
+    data = dataset_from_rows(rows)
     n_break = int(data.y.sum())
-    warnings = []
+    exclusions = exclusion_table(results)
     report = {
         "provenance": {
             "package": "cycleews",
@@ -415,28 +448,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "n_valid": data.n_samples,
         "class_counts": {"breakdown": n_break,
                          "no_breakdown": data.n_samples - n_break},
-        "exclusions": exclusion_table(records),
+        "exclusions": exclusions,
         "features_path": "features.csv",
-        "cv": None, "drop_column": None, "permutation": None, "pca": None,
-        "warnings": warnings,
+        "warnings": [f"run {run_id} diverged and was excluded"
+                     for run_id in exclusions["divergence"]],
     }
-    for run_id in report["exclusions"]["divergence"]:
-        warnings.append(f"run {run_id} diverged and was excluded")
-
-    classified = False
-    if data.n_samples >= 2:
-        try:
-            results = classify_dataset(data, config)
-            report.update(results)
-            classified = True
-        except StratificationError as exc:
-            warnings.append(f"classification skipped: {exc}")
-            _log(f"warning: classification skipped: {exc}")
-        report["pca"] = pca_block(data, config, out_dir, with_decision_line=classified)
-    else:
-        warnings.append("classification skipped: fewer than 2 valid runs")
-        _log("warning: classification skipped: fewer than 2 valid runs")
-
+    add_classification(report, data, config, out_dir)
     write_report(report, out_dir / "report.json")
     _log(f"wrote {out_dir / 'report.json'}")
     return report
@@ -446,65 +463,37 @@ def run_experiment(config: ExperimentConfig) -> dict:
 # auxiliary feature exports (cycle and phase series)
 # --------------------------------------------------------------------------
 
-def run_features_command(config: ExperimentConfig) -> List[RunRecord]:
+def run_features_command(config: ExperimentConfig) -> List[RunResult]:
     """features.csv plus auxiliary per-run cycle and phase series CSVs."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    det = config.detector()
-    fcfg = config.feature_config()
-    t_f = config.forcing_period
-    omega = config.omega
-
-    def per_run(traj: Trajectory):
-        _, truncated = segment_run(traj, det, t_f)
-        fv = extract_features(traj, truncated, fcfg, omega)
-        cycles = cycle_stats(truncated, traj, fcfg)
-        phases = jump_phases(truncated, omega)
-        return fv, cycles, phases
-
-    records = []
+    results = []
     with open(out_dir / "cycles.csv", "w") as cyc, \
             open(out_dir / "phases.csv", "w") as pha:
         cyc.write("run_id,cycle_index,var,ac1,sample_count\n")
         pha.write("run_id,jump_ordinal,jump_index,phi,delta\n")
-        for res in iter_ensemble(config.sim_config(), config.n_runs,
-                                 config.d_min_sampler(), batch_size=config.batch_size,
-                                 threads=config.threads, on_divergence="flag",
-                                 per_run=per_run):
+        for res in run_feature_pipeline(config):
+            results.append(res)
             if res.error is not None:
-                records.append(RunRecord(res.run_index, res.seed, res.d_min, None,
-                                         error=str(res.error)))
                 continue
-            fv, cycles, phases = res.value
-            records.append(RunRecord(res.run_index, res.seed, res.d_min, fv))
-            for c in cycles:
+            for c in res.value.cycles:
                 cyc.write(f"{res.run_index},{c.cycle_index},{c.var:.17g},"
                           f"{c.ac1:.17g},{c.sample_count}\n")
+            phases = res.value.phases
             for j in range(phases.n_jumps):
                 pha.write(f"{res.run_index},{j},{int(phases.jump_index[j])},"
                           f"{phases.phi[j]:.17g},{phases.delta[j]:.17g}\n")
-    write_features_csv(records, out_dir / "features.csv")
-    return records
+    write_features_csv(feature_rows(results), out_dir / "features.csv")
+    return results
 
 
 def classify_from_csv(config: ExperimentConfig, features_path) -> dict:
     """Classification stage driven by a previously written features CSV."""
-    rows = [r for r in read_features_csv(features_path) if r["valid"]]
+    data = dataset_from_rows(read_features_csv(features_path))
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    X = np.array([r["slopes"] for r in rows], dtype=float).reshape(len(rows), 4)
-    data = Dataset(X=X, y=np.array([r["label"] for r in rows], dtype=bool),
-                   run_ids=np.array([r["run_id"] for r in rows], dtype=np.int64))
-    report = {"n_valid": data.n_samples, "warnings": [],
-              "cv": None, "drop_column": None, "permutation": None, "pca": None}
-    classified = False
-    try:
-        report.update(classify_dataset(data, config))
-        classified = True
-    except StratificationError as exc:
-        report["warnings"].append(f"classification skipped: {exc}")
-        _log(f"warning: classification skipped: {exc}")
-    report["pca"] = pca_block(data, config, out_dir, with_decision_line=classified)
+    report = {"n_valid": data.n_samples, "warnings": []}
+    add_classification(report, data, config, out_dir)
     write_report(report, out_dir / "report.json")
     return report
 
@@ -528,8 +517,7 @@ def run_figures(config: ExperimentConfig) -> None:
     omega = config.omega
 
     # (a) single-run breakdown time series under a deep ramp
-    ramp = LinearRampAmplitude(config.d_max, config.figure_d_min)
-    onset_cfg = config.sim_config(schedule=ramp)
+    onset_cfg, piece_cfg = config.figure_sim_configs()
     seed = derive_seed(config.master_seed, "figure-breakdown")
     traj = simulate(onset_cfg, seed)
     segset, _ = segment_run(traj, det, t_f)
@@ -543,12 +531,8 @@ def run_figures(config: ExperimentConfig) -> None:
                  out_dir / "fig_breakdown_meta.json")
 
     # (b, c) piecewise-constant level protocol
-    level_duration = config.figure_level_periods * t_f
-    levels = tuple(config.figure_levels)
-    schedule = PiecewiseConstantAmplitude(levels, level_duration)
-    t_total = level_duration * len(levels)
-    piece_cfg = replace(config.sim_config(schedule=schedule), t_total=t_total,
-                        master_seed=derive_seed(config.master_seed, "figure-levels"))
+    levels = piece_cfg.amplitude_schedule.levels
+    level_duration = piece_cfg.amplitude_schedule.level_duration
 
     def per_run(traj: Trajectory):
         segs = detect_jumps(traj, det)
@@ -596,9 +580,9 @@ def run_figures(config: ExperimentConfig) -> None:
                      f"{circular_std(deltas):.17g},{len(deltas)}\n")
 
     # (d, e) class-conditional feature distributions and PCA scatter
-    records = run_feature_pipeline(config)
-    write_features_csv(records, out_dir / "features.csv")
-    data = dataset_from_records(records)
+    rows = feature_rows(run_feature_pipeline(config))
+    write_features_csv(rows, out_dir / "features.csv")
+    data = dataset_from_rows(rows)
     with open(out_dir / "fig_class_distributions.csv", "w") as fh:
         fh.write("feature,label,run_id,value\n")
         for j, name in enumerate(FEATURE_NAMES):

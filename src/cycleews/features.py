@@ -11,8 +11,8 @@ four OLS trend slopes (variance, AC1, jump phase, phase dispersion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class FeatureVector:
     exclusion_reason: Optional[str] = None
     n_cycles: int = 0
     n_jumps: int = 0
+    # the per-cycle and per-jump series the slopes were fitted to
+    cycles: Tuple[CycleStats, ...] = field(default=(), compare=False, repr=False)
+    phases: Optional[PhaseSeries] = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +242,7 @@ def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
     requirement is recorded.
     """
     label = segset.breakdown
-    cycles = cycle_stats(segset, traj, fcfg)
+    cycles = tuple(cycle_stats(segset, traj, fcfg))
     phases = jump_phases(segset, omega)
     n_cycles = len(cycles)
     n_jumps = phases.n_jumps
@@ -247,7 +250,8 @@ def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
     def invalid(reason):
         return FeatureVector(math.nan, math.nan, math.nan, math.nan,
                              label=label, valid=False, exclusion_reason=reason,
-                             n_cycles=n_cycles, n_jumps=n_jumps)
+                             n_cycles=n_cycles, n_jumps=n_jumps,
+                             cycles=cycles, phases=phases)
 
     if n_cycles < fcfg.min_cycles:
         return invalid("too_few_cycles")
@@ -263,7 +267,7 @@ def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
         slope_jump_phase=ols_slope(phases.delta),
         slope_phase_std=ols_slope(rolled),
         label=label, valid=True,
-        n_cycles=n_cycles, n_jumps=n_jumps)
+        n_cycles=n_cycles, n_jumps=n_jumps, cycles=cycles, phases=phases)
 
 
 class TrendFeatureExtractor(ParamsMixin):

@@ -390,16 +390,6 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
         yield from batch_out
 
 
-def simulate_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
-                      batch_size: int = 128, threads: int = 1):
-    """Materialized ensemble: list of (Trajectory, d_min used) in run order."""
-    results = []
-    for res in iter_ensemble(config, n_runs, d_min_sampler,
-                             batch_size=batch_size, threads=threads):
-        results.append((res.value, res.d_min))
-    return results
-
-
 # --------------------------------------------------------------------------
 # CSV export
 # --------------------------------------------------------------------------

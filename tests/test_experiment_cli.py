@@ -202,6 +202,19 @@ def test_cli_rejects_bad_classification_setting(tmp_path, setting):
     assert not (tmp_path / "features.csv").exists()
 
 
+@pytest.mark.parametrize("command,output", [("figures", "fig_breakdown_timeseries.csv"),
+                                            ("experiment", "features.csv")])
+@pytest.mark.parametrize("setting", [
+    "figure_runs = 0", "figure_level_periods = 0", "figure_levels = 1.0,-0.5",
+    "figure_d_min = 5.0", "figure_d_min = -1",
+])
+def test_cli_rejects_bad_figure_setting(tmp_path, setting, command, output):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"t_total = 450\nn_runs = 4\n{setting}\n")
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / output).exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -235,6 +248,59 @@ def test_cli_classify_rejects_truncated_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(features) in err and "line 3" in err
     assert not (tmp_path / "report.json").exists()
+
+
+FEATURES_HEADER = ("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
+                   "label,valid\n")
+
+
+@pytest.mark.parametrize("body,n_valid", [
+    ("", 0),
+    ("0,0.5,0.1,0.2,0.3,0.4,1,1\n1,0.6,nan,nan,nan,nan,0,0\n", 1),
+], ids=["header_only", "one_valid_row"])
+def test_cli_classify_fewer_than_two_valid_rows(tmp_path, body, n_valid):
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURES_HEADER + body)
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == {"n_valid": n_valid,
+                      "warnings": ["classification skipped: fewer than 2 valid runs"],
+                      "cv": None, "drop_column": None, "permutation": None, "pca": None}
+    assert not (tmp_path / "pca_coords.csv").exists()
+
+
+def test_cli_classify_stratification_warning_text(tmp_path):
+    rng = generator(8)
+    features = tmp_path / "features.csv"
+    with open(features, "w") as fh:
+        fh.write(FEATURES_HEADER)
+        for i in range(10):
+            slopes = ",".join(f"{v:.17g}" for v in rng.standard_normal(4))
+            fh.write(f"{i},0.5,{slopes},{int(i < 3)},1\n")
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["warnings"] == [
+        "classification skipped: class True has 3 members, fewer than k=5"]
+    assert report["cv"] is None and report["drop_column"] is None
+    assert report["pca"] is not None and "decision_line" not in report["pca"]
+
+
+def test_commands_agree_on_one_ensemble(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("t_total = 2500\nn_runs = 40\nmaster_seed = 3\nk_folds = 2\n"
+                   "permutation_repeats = 3\n")
+    exp, feat, cls = tmp_path / "experiment", tmp_path / "features", tmp_path / "classify"
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(exp)) == 0
+    assert run_cli("features", "--config", str(cfg), "--out", str(feat)) == 0
+    assert run_cli("classify", "--config", str(cfg), "--out", str(cls),
+                   "--features", str(exp / "features.csv")) == 0
+    assert (feat / "features.csv").read_bytes() == (exp / "features.csv").read_bytes()
+    assert (cls / "pca_coords.csv").read_bytes() == (exp / "pca_coords.csv").read_bytes()
+    full = json.loads((exp / "report.json").read_text())
+    alone = json.loads((cls / "report.json").read_text())
+    assert full["cv"] is not None
+    for key in ("n_valid", "cv", "drop_column", "permutation", "pca", "warnings"):
+        assert alone[key] == full[key], key
 
 
 def test_serial_commands_do_not_import_multiprocessing(tmp_path):

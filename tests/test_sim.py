@@ -6,8 +6,7 @@ import pytest
 
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       PiecewiseConstantAmplitude, PointSampler, SimConfig,
-                      UniformSampler, amplitude_at, drift, simulate,
-                      simulate_ensemble)
+                      UniformSampler, amplitude_at, drift, simulate)
 from cycleews.rng import RunStream, derive_seed
 from cycleews.sim import (draw_d_min, iter_ensemble, read_trajectory_csv,
                           run_seed_for, write_trajectory_csv)
@@ -133,12 +132,18 @@ def _ramp_config(t_total=20.0, seed=7):
                      sigma=0.3, x0=1.0, master_seed=seed)
 
 
+def _paths(config, n_runs, d_min_sampler=None, **kwargs):
+    """(trajectory, d_min used) of every run, in run order."""
+    return [(res.value, res.d_min)
+            for res in iter_ensemble(config, n_runs, d_min_sampler, **kwargs)]
+
+
 def test_ensemble_deterministic_and_order_independent():
     config = _ramp_config()
     sampler = UniformSampler(0.25, 0.9)
-    runs1 = simulate_ensemble(config, 5, sampler, batch_size=2)
-    runs2 = simulate_ensemble(config, 5, sampler, batch_size=5)
-    runs3 = simulate_ensemble(config, 5, sampler, batch_size=3, threads=2)
+    runs1 = _paths(config, 5, sampler, batch_size=2)
+    runs2 = _paths(config, 5, sampler, batch_size=5)
+    runs3 = _paths(config, 5, sampler, batch_size=3, threads=2)
     for (a, da), (b, db), (c, dc) in zip(runs1, runs2, runs3):
         assert da == db == dc
         assert np.array_equal(a.x, b.x)
@@ -147,7 +152,7 @@ def test_ensemble_deterministic_and_order_independent():
 
 def test_ensemble_matches_standalone_simulate():
     config = _ramp_config()
-    runs = simulate_ensemble(config, 3, PointSampler(0.7))
+    runs = _paths(config, 3, PointSampler(0.7))
     solo_schedule = LinearRampAmplitude(1.2, 0.7)
     for i, (traj, d_min) in enumerate(runs):
         assert d_min == 0.7
@@ -160,7 +165,7 @@ def test_ensemble_matches_standalone_simulate():
 
 def test_point_mass_keeps_amplitude_floor():
     config = _ramp_config()
-    for traj, d_min in simulate_ensemble(config, 4, PointSampler(0.9)):
+    for traj, d_min in _paths(config, 4, PointSampler(0.9)):
         assert d_min == 0.9
         assert traj.d_a.min() >= 0.9 - 1e-12
 
@@ -179,7 +184,7 @@ def test_ensemble_divergence_flag_mode():
     assert all(r.error is not None and r.error.run_index == r.run_index
                for r in results)
     with pytest.raises(DivergenceError):
-        simulate_ensemble(config, 2)
+        list(iter_ensemble(config, 2))
 
 
 def test_divergence_error_pickles():
@@ -209,9 +214,9 @@ def test_ensemble_divergence_raise_independent_of_workers():
 def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
     config = _ramp_config()
     sampler = UniformSampler(0.25, 0.9)
-    serial = simulate_ensemble(config, 4, sampler, batch_size=2)
+    serial = _paths(config, 4, sampler, batch_size=2)
     assert pool_sizes == []
-    wide = simulate_ensemble(config, 4, sampler, batch_size=2, threads=64)
+    wide = _paths(config, 4, sampler, batch_size=2, threads=64)
     assert pool_sizes == [2]
     for (a, da), (b, db) in zip(serial, wide):
         assert da == db
