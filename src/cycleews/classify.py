@@ -11,7 +11,7 @@ function of its inputs, so results do not depend on the worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -380,17 +380,11 @@ class FoldModel:
 class CVResult:
     scores: np.ndarray
     folds: np.ndarray
-    fold_models: List[FoldModel] = field(default_factory=list)
+    fold_models: List[FoldModel]
 
     @property
     def mean(self) -> float:
         return float(self.scores.mean())
-
-
-def _svm_from(hp: Optional[SvmHyperParams]) -> LinearHingeSVM:
-    hp = hp or SvmHyperParams()
-    return LinearHingeSVM(lambda_reg=hp.lambda_reg, n_iter=hp.n_iter, tol=hp.tol,
-                          class_weight=hp.class_weight)
 
 
 def _fit_fold(data: Dataset, folds: np.ndarray, f: int,
@@ -400,7 +394,8 @@ def _fit_fold(data: Dataset, folds: np.ndarray, f: int,
     train = ~val
     try:
         scaler = FeatureScaler().fit(data.X[train])
-        model = _svm_from(hp).fit(scaler.transform(data.X[train]), data.y[train])
+        model = LinearHingeSVM(**asdict(hp or SvmHyperParams()))
+        model.fit(scaler.transform(data.X[train]), data.y[train])
         pred = model.predict(scaler.transform(data.X[val]))
         score = balanced_accuracy(data.y[val], pred)
     except ValueError as exc:
@@ -408,62 +403,45 @@ def _fit_fold(data: Dataset, folds: np.ndarray, f: int,
     return FoldModel(f, scaler, model, np.flatnonzero(val), score)
 
 
-def cross_validate(data: Dataset, k: int, seed: int,
-                   hp: Optional[SvmHyperParams] = None,
-                   folds: Optional[np.ndarray] = None,
-                   keep_models: bool = False, workers: int = 1) -> CVResult:
+def cross_validate(data: Dataset, folds: np.ndarray,
+                   hp: Optional[SvmHyperParams] = None, workers: int = 1) -> CVResult:
     """Per-fold: scale on the training rows only, train, score validation.
 
-    The k fold fits are spread over up to `workers` processes.
+    folds holds a fold id in {0..k-1} per sample (see stratified_kfold);
+    the k fold fits are spread over up to `workers` processes.
     """
-    if folds is None:
-        folds = stratified_kfold(data.y, k, seed)
+    k = int(folds.max()) + 1
     fold_models = list(fork_map(lambda f: _fit_fold(data, folds, f, hp), k, workers))
-    scores = np.array([fm.score for fm in fold_models])
-    return CVResult(scores=scores, folds=folds,
-                    fold_models=fold_models if keep_models else [])
+    return CVResult(scores=np.array([fm.score for fm in fold_models]), folds=folds,
+                    fold_models=fold_models)
 
 
-def drop_column_importance(data: Dataset, k: int, seed: int,
+def drop_column_importance(data: Dataset, cv: CVResult,
                            hp: Optional[SvmHyperParams] = None,
-                           folds: Optional[np.ndarray] = None,
-                           cv: Optional[CVResult] = None,
                            workers: int = 1) -> Dict[str, float]:
-    """Full-set CV mean minus CV mean without each feature, same folds throughout.
+    """Full-set CV mean minus CV mean without each feature, on cv's folds.
 
-    cv, when given, is the full-set result on these folds and is not
-    refitted.  The (feature, fold) fits are spread over up to `workers`
-    processes.
+    cv is the full-set result (see cross_validate) and is not refitted;
+    hp should be the one it was fitted with.  The (feature, fold) fits
+    are spread over up to `workers` processes.
     """
     require(data.n_features >= 2, "need at least 2 features to drop one")
-    if folds is None:
-        folds = stratified_kfold(data.y, k, seed)
-    if cv is None:
-        cv = cross_validate(data, k, seed, hp, folds=folds, workers=workers)
+    k = len(cv.fold_models)
     reduced = [data.drop_feature(j) for j in range(data.n_features)]
-    scores = list(fork_map(lambda t: _fit_fold(reduced[t // k], folds, t % k, hp).score,
+    scores = list(fork_map(lambda t: _fit_fold(reduced[t // k], cv.folds, t % k, hp).score,
                            data.n_features * k, workers))
     return {name: cv.mean - float(np.mean(scores[j * k:(j + 1) * k]))
             for j, name in enumerate(data.feature_names)}
 
 
-def permutation_importance(data: Dataset, k: int, seed: int,
-                           hp: Optional[SvmHyperParams] = None,
-                           repeats: int = 20,
-                           folds: Optional[np.ndarray] = None,
-                           cv: Optional[CVResult] = None
-                           ) -> Dict[str, Dict[str, float]]:
+def permutation_importance(data: Dataset, cv: CVResult, seed: int,
+                           repeats: int = 20) -> Dict[str, Dict[str, float]]:
     """Validation-column permutation drops, pooled over folds and repeats.
 
-    Fold models are trained once on intact features (or taken from cv,
-    a keep_models result on these folds); each repeat shuffles one
-    standardized validation column with its own derived stream and
-    records the decrease in balanced accuracy.
+    Uses cv's fold models, trained on intact features; each repeat
+    shuffles one standardized validation column with its own stream
+    derived from seed and records the decrease in balanced accuracy.
     """
-    if folds is None:
-        folds = stratified_kfold(data.y, k, seed)
-    if cv is None:
-        cv = cross_validate(data, k, seed, hp, folds=folds, keep_models=True)
     out = {}
     for j, name in enumerate(data.feature_names):
         drops = []

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .base import require
-from .classify import (Dataset, FeatureScaler, StratificationError, SvmHyperParams,
-                       _svm_from, cross_validate, drop_column_importance,
+from .classify import (Dataset, FeatureScaler, LinearHingeSVM, StratificationError,
+                       SvmHyperParams, cross_validate, drop_column_importance,
                        pca_2d, permutation_importance, stratified_kfold)
 from .events import (DetectorConfig, detect_jumps, label_breakdown,
                      truncate_at_onset, write_events_csv)
@@ -191,16 +191,23 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _validated(config: ExperimentConfig) -> ExperimentConfig:
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float):
+            require(math.isfinite(value), f"{f.name} must be finite")
+    require(all(math.isfinite(v) for v in config.figure_levels),
+            "figure_levels must be finite")
+    require(config.n_runs >= 1, "n_runs must be >= 1")
+    require(config.forcing_period > 0.0, "forcing_period must be > 0")
+    require(config.d_min_high <= config.d_max, "d_min_high must be <= d_max")
     require(config.threads >= 1, "threads must be >= 1")
     require(config.batch_size >= 1, "batch_size must be >= 1")
     require(config.k_folds >= 2, "k_folds must be >= 2")
     require(config.svm_class_weight in (None, "balanced"),
             "svm_class_weight must be none or 'balanced'")
     require(config.svm_iterations >= 1, "svm_iterations must be >= 1")
-    require(math.isfinite(config.svm_tolerance) and config.svm_tolerance > 0.0,
-            "svm_tolerance must be finite and > 0")
-    require(config.svm_lambda is None
-            or (math.isfinite(config.svm_lambda) and config.svm_lambda > 0.0),
+    require(config.svm_tolerance > 0.0, "svm_tolerance must be finite and > 0")
+    require(config.svm_lambda is None or config.svm_lambda > 0.0,
             "svm_lambda must be auto or finite and > 0")
     require(config.permutation_repeats >= 1, "permutation_repeats must be >= 1")
     require(config.figure_runs >= 1, "figure_runs must be >= 1")
@@ -353,16 +360,12 @@ def classify_dataset(data: Dataset, config: ExperimentConfig) -> dict:
     fold fits are spread over config.threads worker processes.
     """
     hp = config.svm_hyperparams()
-    fold_seed = derive_seed(config.master_seed, "folds")
-    importance_seed = derive_seed(config.master_seed, "importance")
-    k, workers = config.k_folds, config.threads
-    folds = stratified_kfold(data.y, k, fold_seed)
-    cv = cross_validate(data, k, fold_seed, hp, folds=folds, keep_models=True,
-                        workers=workers)
-    drop = drop_column_importance(data, k, fold_seed, hp, folds=folds, cv=cv,
-                                  workers=workers)
-    perm = permutation_importance(data, k, importance_seed, hp,
-                                  repeats=config.permutation_repeats, folds=folds, cv=cv)
+    folds = stratified_kfold(data.y, config.k_folds,
+                             derive_seed(config.master_seed, "folds"))
+    cv = cross_validate(data, folds, hp, workers=config.threads)
+    drop = drop_column_importance(data, cv, hp, workers=config.threads)
+    perm = permutation_importance(data, cv, derive_seed(config.master_seed, "importance"),
+                                  repeats=config.permutation_repeats)
     fits = [fm.model for fm in cv.fold_models]
     return {"cv": {"scores": cv.scores.tolist(), "mean": cv.mean,
                    "iterations": [fit.n_iter_run_ for fit in fits],
@@ -383,7 +386,7 @@ def pca_block(data: Dataset, config: ExperimentConfig, out_dir: Path,
     block = {"coords_path": coords_path.name,
              "explained_variance": explained.tolist()}
     if with_decision_line:
-        model = _svm_from(config.svm_hyperparams()).fit(X_std, data.y)
+        model = LinearHingeSVM(**asdict(config.svm_hyperparams())).fit(X_std, data.y)
         coef_pc = components @ model.coef_
         intercept = float(model.intercept_ + model.coef_ @ X_std.mean(axis=0))
         block["decision_line"] = {"coef_pc": coef_pc.tolist(), "intercept": intercept}
@@ -415,9 +418,9 @@ def add_classification(report: dict, data: Dataset, config: ExperimentConfig,
 
 
 def write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    """Write strict JSON; a NaN or inf raises ValueError before the file is opened."""
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -502,11 +505,6 @@ def classify_from_csv(config: ExperimentConfig, features_path) -> dict:
 # figure protocols
 # --------------------------------------------------------------------------
 
-def _level_index(times, level_duration: float, n_levels: int) -> np.ndarray:
-    idx = np.floor(np.asarray(times, dtype=float) / level_duration).astype(int)
-    return np.clip(idx, 0, n_levels - 1)
-
-
 def run_figures(config: ExperimentConfig) -> None:
     """Emit figure data: breakdown series, per-level trends, class splits, PCA."""
     out_dir = Path(config.out_dir)
@@ -531,8 +529,8 @@ def run_figures(config: ExperimentConfig) -> None:
                  out_dir / "fig_breakdown_meta.json")
 
     # (b, c) piecewise-constant level protocol
-    levels = piece_cfg.amplitude_schedule.levels
-    level_duration = piece_cfg.amplitude_schedule.level_duration
+    schedule = piece_cfg.amplitude_schedule
+    levels = schedule.levels
 
     def per_run(traj: Trajectory):
         segs = detect_jumps(traj, det)
@@ -554,12 +552,12 @@ def run_figures(config: ExperimentConfig) -> None:
                                  threads=config.threads, per_run=per_run):
             cycles, mids, deltas, jump_times = res.value
             for c, mid in zip(cycles, mids):
-                lv = int(_level_index(mid, level_duration, len(levels)))
+                lv = int(schedule.level_index(mid))
                 level_cycles[lv]["var"].append(c.var)
                 level_cycles[lv]["ac1"].append(c.ac1)
                 cyc.write(f"{res.run_index},{lv},{levels[lv]:.17g},"
                           f"{c.cycle_index},{c.var:.17g},{c.ac1:.17g}\n")
-            jl = _level_index(jump_times, level_duration, len(levels))
+            jl = schedule.level_index(jump_times)
             for j, (lv, delta) in enumerate(zip(jl, deltas)):
                 level_deltas[int(lv)].append(float(delta))
                 pha.write(f"{res.run_index},{int(lv)},{levels[int(lv)]:.17g},"

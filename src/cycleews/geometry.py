@@ -9,14 +9,14 @@ multiplier of the deterministic periodic orbit over one forcing period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .base import ConvergenceError, require
 from .features import assign_extremum
-from .sim import ConstantAmplitude, SimConfig, _integrate
+from .sim import ConstantAmplitude, DivergenceError, SimConfig, simulate
 
 FOLD_FORCING_VALUE = 2.0 / 3.0
 _ROOT_RESIDUAL_TOL = 1.0e-10
@@ -167,9 +167,10 @@ def floquet_multiplier(config: SimConfig, transient_periods: int = 5,
     Integrates the noise-free system period by period until the path is
     periodic to within tol (sup norm over the grid), then evaluates
     mu = exp(integral of 1 - x(t)^2 over one period) by trapezoidal
-    quadrature on the same grid.  The forcing table of the first period
-    is reused each period, so periodicity holds by construction in the
-    phase argument.
+    quadrature on the same grid.  Each period is one simulate call on
+    the grid of the first period, started from the previous period's
+    end state, so periodicity holds by construction in the phase
+    argument.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),
@@ -181,15 +182,15 @@ def floquet_multiplier(config: SimConfig, transient_periods: int = 5,
     require(abs(t_f / config.dt - steps) < 1.0e-6 and steps >= 2,
             "forcing period must be a whole number of steps")
 
-    t_period = np.arange(steps + 1) * config.dt
-    amp_cos = config.amplitude_schedule.value * np.cos(config.omega * t_period)
+    one_period = replace(config, t_total=steps * config.dt)
     x = config.x0
     prev = None
     for period in range(1, max_periods + 1):
-        xs, diverged = _integrate(np.array([x]), steps, config.dt, 0.0, amp_cos)
-        if diverged:
-            raise ConvergenceError("state diverged while seeking the periodic orbit")
-        cur = xs[:, 0]
+        try:
+            cur = simulate(replace(one_period, x0=x), run_seed=0).x
+        except DivergenceError as exc:
+            raise ConvergenceError(
+                "state diverged while seeking the periodic orbit") from exc
         if period > transient_periods and prev is not None:
             if float(np.max(np.abs(cur - prev))) < tol:
                 integrand = 1.0 - cur * cur

@@ -7,16 +7,17 @@ with the amplitude evaluated at the left endpoint of each step.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
-rng.py), so ensembles are order-independent, and the same seed yields
-bit-identical paths whether a run is simulated alone, inside a batch,
-or in a worker process.
+rng.py), so ensembles are order-independent.  A run simulated alone,
+inside a batch, or in a worker process yields the same bits by
+construction: simulate and iter_ensemble both go through one batch
+kernel, whose arithmetic is elementwise per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -53,9 +54,6 @@ class ConstantAmplitude:
         require(math.isfinite(self.value) and self.value >= 0.0,
                 "constant amplitude must be finite and >= 0")
 
-    def value_at(self, t: float, t_total: float) -> float:
-        return self.value
-
     def array(self, t: np.ndarray, t_total: float) -> np.ndarray:
         return np.full(len(t), self.value)
 
@@ -74,9 +72,6 @@ class LinearRampAmplitude:
     def rate(self, t_total: float) -> float:
         return (self.d_max - self.d_min) / t_total
 
-    def value_at(self, t: float, t_total: float) -> float:
-        return self.d_max - (self.d_max - self.d_min) * t / t_total
-
     def array(self, t: np.ndarray, t_total: float) -> np.ndarray:
         return self.d_max - (self.d_max - self.d_min) * t / t_total
 
@@ -94,15 +89,13 @@ class PiecewiseConstantAmplitude:
                 "piecewise levels must be finite and >= 0")
         require(self.level_duration > 0.0, "level_duration must be > 0")
 
-    def _index(self, t):
+    def level_index(self, t):
+        """Index of the level in force at time(s) t."""
         idx = np.floor(np.asarray(t, dtype=float) / self.level_duration).astype(int)
         return np.clip(idx, 0, len(self.levels) - 1)
 
-    def value_at(self, t: float, t_total: float) -> float:
-        return float(np.asarray(self.levels)[self._index(t)])
-
     def array(self, t: np.ndarray, t_total: float) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)[self._index(t)]
+        return np.asarray(self.levels, dtype=float)[self.level_index(t)]
 
 
 AmplitudeSchedule = Union[ConstantAmplitude, LinearRampAmplitude, PiecewiseConstantAmplitude]
@@ -111,7 +104,7 @@ AmplitudeSchedule = Union[ConstantAmplitude, LinearRampAmplitude, PiecewiseConst
 def amplitude_at(schedule: AmplitudeSchedule, t: float, t_total: float) -> float:
     """Amplitude of the forcing at time t; t must lie in [0, t_total]."""
     require(0.0 <= t <= t_total, f"t={t} outside [0, {t_total}]")
-    return float(schedule.value_at(t, t_total))
+    return float(schedule.array(np.array([t]), t_total)[0])
 
 
 # --------------------------------------------------------------------------
@@ -218,20 +211,8 @@ def drift(x, t, d_a, omega):
 # integration engine
 # --------------------------------------------------------------------------
 
-def _forcing_tables(schedule, t, t_total, cos_wt):
-    """Precompute per-step forcing terms, amplitude at the left endpoint.
-
-    Linear ramps are represented as amp_cos[n] - rate * time_cos[n] so the
-    single-run and per-run-ramp ensemble paths share the exact same float
-    arithmetic; other schedules collapse to one scalar table.
-    """
-    if isinstance(schedule, LinearRampAmplitude):
-        return schedule.d_max * cos_wt, t * cos_wt, schedule.rate(t_total)
-    return schedule.array(t, t_total) * cos_wt, None, None
-
-
-def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos=None, rates=None,
-               streams=None, guard=STATE_GUARD):
+def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams,
+               guard=STATE_GUARD):
     """Explicit Euler-Maruyama over a batch; returns (xs, diverged).
 
     xs has shape (n_steps + 1, batch) and diverged maps a batch-local run
@@ -281,25 +262,6 @@ def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos=None, rates=None,
     return xs, diverged
 
 
-def simulate(config: SimConfig, run_seed: int) -> Trajectory:
-    """Simulate one path; bit-identical for identical (config, run_seed)."""
-    n = config.n_steps
-    t = config.time_grid()
-    cos_wt = np.cos(config.omega * t)
-    amp_cos, time_cos, rate = _forcing_tables(
-        config.amplitude_schedule, t, config.t_total, cos_wt)
-    stream = RunStream(run_seed)
-    stream.uniforms(2)  # auxiliary block, see rng.RunStream
-    rates = None if rate is None else np.array([rate])
-    xs, diverged = _integrate(
-        np.array([config.x0]), n, config.dt, config.sigma,
-        amp_cos, time_cos, rates, [stream])
-    if diverged:
-        raise DivergenceError(diverged[0])
-    d_a = config.amplitude_schedule.array(t, config.t_total)
-    return Trajectory(t=t, x=np.ascontiguousarray(xs[:, 0]), d_a=d_a, seed=int(run_seed))
-
-
 @dataclass
 class RunResult:
     """One ensemble entry, assembled in run-index order."""
@@ -319,6 +281,57 @@ def draw_d_min(run_seed: int, sampler) -> float:
     """The d_min a given run would use (first auxiliary uniform of its stream)."""
     u = RunStream(run_seed).uniforms(2)[0]
     return float(sampler.from_uniform(u))
+
+
+def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
+                    on_divergence: str = "raise",
+                    per_run: Optional[Callable] = None) -> List[RunResult]:
+    """Integrate the runs with the given seeds together; one RunResult each.
+
+    The one integration path of the package: simulate is its one-run
+    case and iter_ensemble hands it one batch at a time.  Every stream
+    first draws its 2-uniform auxiliary block; with a d_min sampler the
+    first uniform sets the run's ramp floor.  A diverged run raises its
+    DivergenceError, or with on_divergence="flag" comes back with value
+    None and the error set.  per_run, when given, replaces each
+    trajectory by its result as soon as the trajectory is built.
+    """
+    t = config.time_grid()
+    cos_wt = np.cos(config.omega * t)
+    sched = config.amplitude_schedule
+    streams = [RunStream(seed) for seed in seeds]
+    aux = [s.uniforms(2) for s in streams]  # auxiliary block, see rng.RunStream
+    d_mins = [None if d_min_sampler is None else float(d_min_sampler.from_uniform(u[0]))
+              for u in aux]
+    schedules = [sched if dm is None else LinearRampAmplitude(sched.d_max, dm)
+                 for dm in d_mins]
+    if isinstance(sched, LinearRampAmplitude):
+        # each run's ramp enters as d_max cos(wt) - rate * t cos(wt)
+        amp_cos, time_cos = sched.d_max * cos_wt, t * cos_wt
+        rates = np.array([s.rate(config.t_total) for s in schedules])
+    else:
+        amp_cos, time_cos, rates = sched.array(t, config.t_total) * cos_wt, None, None
+    xs, diverged = _integrate(
+        np.full(len(seeds), config.x0), config.n_steps, config.dt, config.sigma,
+        amp_cos, time_cos, rates, streams)
+    out = []
+    for r, (i, seed) in enumerate(zip(indices, seeds)):
+        if r in diverged:
+            err = DivergenceError(diverged[r], run_index=i)
+            if on_divergence == "raise":
+                raise err
+            out.append(RunResult(i, seed, d_mins[r], None, err))
+            continue
+        traj = Trajectory(t=t, x=np.ascontiguousarray(xs[:, r]),
+                          d_a=schedules[r].array(t, config.t_total), seed=int(seed))
+        out.append(RunResult(i, seed, d_mins[r],
+                             per_run(traj) if per_run is not None else traj))
+    return out
+
+
+def simulate(config: SimConfig, run_seed: int) -> Trajectory:
+    """Simulate one path; bit-identical for identical (config, run_seed)."""
+    return _simulate_batch(config, [None], [run_seed])[0].value
 
 
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
@@ -342,51 +355,15 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     if d_min_sampler is not None:
         require(isinstance(config.amplitude_schedule, LinearRampAmplitude),
                 "a d_min sampler requires a linear ramp schedule")
-
-    n = config.n_steps
-    t = config.time_grid()
-    cos_wt = np.cos(config.omega * t)
-    amp_cos, time_cos, rate = _forcing_tables(
-        config.amplitude_schedule, t, config.t_total, cos_wt)
-    if isinstance(config.amplitude_schedule, LinearRampAmplitude) and d_min_sampler is not None:
-        d_max = config.amplitude_schedule.d_max
-    else:
-        d_max = None
     seeds = [run_seed_for(config.master_seed, i) for i in range(n_runs)]
-
-    def do_batch(lo: int, hi: int):
-        streams = [RunStream(seeds[i]) for i in range(lo, hi)]
-        aux = [s.uniforms(2) for s in streams]
-        if d_min_sampler is not None:
-            d_mins = [float(d_min_sampler.from_uniform(a[0])) for a in aux]
-            rates = np.array([(d_max - dm) / config.t_total for dm in d_mins])
-        else:
-            d_mins = [None] * (hi - lo)
-            rates = None if rate is None else np.full(hi - lo, rate)
-        xs, diverged = _integrate(
-            np.full(hi - lo, config.x0), n, config.dt, config.sigma,
-            amp_cos, time_cos, rates, streams)
-        out = []
-        for r in range(hi - lo):
-            i = lo + r
-            if r in diverged:
-                err = DivergenceError(diverged[r], run_index=i)
-                if on_divergence == "raise":
-                    raise err
-                out.append(RunResult(i, seeds[i], d_mins[r], None, err))
-                continue
-            if d_mins[r] is not None:
-                sched = LinearRampAmplitude(d_max, d_mins[r])
-            else:
-                sched = config.amplitude_schedule
-            traj = Trajectory(t=t, x=np.ascontiguousarray(xs[:, r]),
-                              d_a=sched.array(t, config.t_total), seed=seeds[i])
-            value = per_run(traj) if per_run is not None else traj
-            out.append(RunResult(i, seeds[i], d_mins[r], value))
-        return out
-
     bounds = [(lo, min(lo + batch_size, n_runs)) for lo in range(0, n_runs, batch_size)]
-    for batch_out in fork_map(lambda b: do_batch(*bounds[b]), len(bounds), threads):
+
+    def do_batch(b: int) -> List[RunResult]:
+        lo, hi = bounds[b]
+        return _simulate_batch(config, range(lo, hi), seeds[lo:hi], d_min_sampler,
+                               on_divergence, per_run)
+
+    for batch_out in fork_map(do_batch, len(bounds), threads):
         yield from batch_out
 
 

@@ -301,7 +301,7 @@ def test_cross_validate_separable():
     X = rng.standard_normal((n, 2))
     X[:, 0] = np.where(y, 10.0, -10.0) + X[:, 0]
     data = make_dataset(X, y)
-    result = cross_validate(data, 5, 1, SvmHyperParams(n_iter=2000))
+    result = cross_validate(data, stratified_kfold(data.y, 5, 1), SvmHyperParams(n_iter=2000))
     assert result.mean == 1.0
 
 
@@ -309,27 +309,27 @@ def test_cross_validate_label_permutation_null():
     rng = generator(derive_seed(2, "cv-null"))
     X, y = gaussian_two_class(200, derive_seed(2, "cv-null-data"), separation=2.0)
     data = make_dataset(X, rng.permutation(y))
-    result = cross_validate(data, 5, 3, SvmHyperParams(n_iter=2000))
+    result = cross_validate(data, stratified_kfold(data.y, 5, 3), SvmHyperParams(n_iter=2000))
     assert abs(result.mean - 0.5) < 0.1
 
 
 def test_cross_validate_bit_reproducible():
     X, y = gaussian_two_class(80, derive_seed(2, "cv-bit"))
     data = make_dataset(X, y)
-    a = cross_validate(data, 4, 9)
-    b = cross_validate(data, 4, 9)
+    a = cross_validate(data, stratified_kfold(data.y, 4, 9))
+    b = cross_validate(data, stratified_kfold(data.y, 4, 9))
     assert np.array_equal(a.scores, b.scores)
 
 
 def test_cross_validate_no_leakage():
     X, y = gaussian_two_class(60, derive_seed(2, "leak"))
     data = make_dataset(X, y)
-    base = cross_validate(data, 3, 5, keep_models=True)
+    base = cross_validate(data, stratified_kfold(data.y, 3, 5))
     mutated = X.copy()
     fold0_val = base.fold_models[0].val_rows
     mutated[fold0_val[0]] += 1000.0  # validation row of fold 0
     data2 = make_dataset(mutated, y)
-    after = cross_validate(data2, 3, 5, folds=base.folds, keep_models=True)
+    after = cross_validate(data2, base.folds)
     assert np.array_equal(after.fold_models[0].scaler.mean_,
                           base.fold_models[0].scaler.mean_)
     assert np.array_equal(after.fold_models[0].scaler.scale_,
@@ -340,7 +340,7 @@ def test_duplicated_label_feature_is_perfect():
     X, y = gaussian_two_class(100, derive_seed(2, "dup-label"), separation=0.0)
     X = np.column_stack([X, np.where(y, 1.0, -1.0) + 0.001 * X[:, 0]])
     data = make_dataset(X, y)
-    assert cross_validate(data, 5, 2).mean == 1.0
+    assert cross_validate(data, stratified_kfold(data.y, 5, 2)).mean == 1.0
 
 
 def test_drop_column_redundant_copies():
@@ -351,7 +351,9 @@ def test_drop_column_redundant_copies():
     X = np.column_stack([informative, informative + 1e-9 * rng.standard_normal(n),
                          rng.standard_normal(n)])
     data = make_dataset(X, y)
-    deltas = drop_column_importance(data, 5, 4, SvmHyperParams(n_iter=2000))
+    hp = SvmHyperParams(n_iter=2000)
+    cv = cross_validate(data, stratified_kfold(data.y, 5, 4), hp)
+    deltas = drop_column_importance(data, cv, hp)
     assert abs(deltas["f0"]) < 0.03  # dropping either copy changes nothing
     assert abs(deltas["f1"]) < 0.03
 
@@ -364,7 +366,9 @@ def test_drop_column_pure_noise_feature():
     # one 5-fold split moves the importance of a noise column by about
     # 0.009 (sd over split seeds); averaging ten splits of the same data
     # leaves the spread between data draws, which a 0.01 bound covers
-    repeats = [drop_column_importance(data, 5, seed, SvmHyperParams(n_iter=2000))
+    hp = SvmHyperParams(n_iter=2000)
+    repeats = [drop_column_importance(
+                   data, cross_validate(data, stratified_kfold(data.y, 5, seed), hp), hp)
                for seed in range(10)]
     assert abs(np.mean([d["f2"] for d in repeats])) <= 0.01
     assert np.mean([d["f0"] for d in repeats]) > 0.2  # the informative column counts
@@ -377,7 +381,8 @@ def test_permutation_importance_informative_column_collapses():
     X = np.column_stack([np.where(y, 3.0, -3.0) + 0.1 * rng.standard_normal(n),
                          rng.standard_normal(n)])
     data = make_dataset(X, y)
-    imp = permutation_importance(data, 5, 8, SvmHyperParams(n_iter=2000), repeats=10)
+    cv = cross_validate(data, stratified_kfold(data.y, 5, 8), SvmHyperParams(n_iter=2000))
+    imp = permutation_importance(data, cv, 8, repeats=10)
     assert 0.35 < imp["f0"]["mean"] < 0.65  # score collapses to chance
     assert abs(imp["f1"]["mean"]) < 0.05
 
@@ -393,8 +398,11 @@ def test_permutation_identity_on_equal_values():
 def test_importances_deterministic():
     X, y = gaussian_two_class(90, derive_seed(2, "imp-det"))
     data = make_dataset(X, y)
-    a = permutation_importance(data, 3, 11, SvmHyperParams(n_iter=500), repeats=5)
-    b = permutation_importance(data, 3, 11, SvmHyperParams(n_iter=500), repeats=5)
+    hp = SvmHyperParams(n_iter=500)
+    a = permutation_importance(data, cross_validate(data, stratified_kfold(data.y, 3, 11), hp),
+                               11, repeats=5)
+    b = permutation_importance(data, cross_validate(data, stratified_kfold(data.y, 3, 11), hp),
+                               11, repeats=5)
     assert a == b
 
 
@@ -402,15 +410,16 @@ def test_fold_fits_independent_of_workers(pool_sizes):
     X, y = gaussian_two_class(90, derive_seed(2, "workers"), n_features=3)
     data = make_dataset(X, y)
     hp = SvmHyperParams(n_iter=300)
-    serial = cross_validate(data, 3, 5, hp, keep_models=True)
-    forked = cross_validate(data, 3, 5, hp, keep_models=True, workers=2)
+    folds = stratified_kfold(data.y, 3, 5)
+    serial = cross_validate(data, folds, hp)
+    forked = cross_validate(data, folds, hp, workers=2)
     assert serial.scores.tobytes() == forked.scores.tobytes()
     for a, b in zip(serial.fold_models, forked.fold_models):
         assert a.model.coef_.tobytes() == b.model.coef_.tobytes()
         assert a.model.intercept_ == b.model.intercept_
-    assert (drop_column_importance(data, 3, 5, hp)
-            == drop_column_importance(data, 3, 5, hp, workers=2))
-    assert pool_sizes == [2, 2, 2]
+    assert (drop_column_importance(data, serial, hp)
+            == drop_column_importance(data, forked, hp, workers=2))
+    assert pool_sizes == [2, 2]
 
 
 def test_importances_reuse_given_cv(monkeypatch):
@@ -418,17 +427,17 @@ def test_importances_reuse_given_cv(monkeypatch):
     data = make_dataset(X, y)
     hp = SvmHyperParams(n_iter=300)
     folds = stratified_kfold(data.y, 3, 5)
-    cv = cross_validate(data, 3, 5, hp, folds=folds, keep_models=True)
-    expected_drop = drop_column_importance(data, 3, 5, hp, folds=folds)
-    expected_perm = permutation_importance(data, 3, 8, hp, repeats=4, folds=folds)
+    cv = cross_validate(data, folds, hp)
+    expected_drop = drop_column_importance(data, cross_validate(data, folds, hp), hp)
+    expected_perm = permutation_importance(data, cross_validate(data, folds, hp), 8,
+                                           repeats=4)
     fits = []
     real_fit = LinearHingeSVM.fit
     monkeypatch.setattr(LinearHingeSVM, "fit",
                         lambda self, X, y: fits.append(1) or real_fit(self, X, y))
-    assert drop_column_importance(data, 3, 5, hp, folds=folds, cv=cv) == expected_drop
+    assert drop_column_importance(data, cv, hp) == expected_drop
     assert len(fits) == 3 * 3  # the dropped-feature fits only
-    assert permutation_importance(data, 3, 8, hp, repeats=4, folds=folds,
-                                  cv=cv) == expected_perm
+    assert permutation_importance(data, cv, 8, repeats=4) == expected_perm
     assert len(fits) == 3 * 3
 
 

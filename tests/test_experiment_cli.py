@@ -215,6 +215,19 @@ def test_cli_rejects_bad_figure_setting(tmp_path, setting, command, output):
     assert not (tmp_path / output).exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_runs", "0"), ("n_runs", "-3"), ("forcing_period", "0"), ("d_min_high", "2"),
+    ("d_max", "inf"), ("sigma", "inf"), ("x_up", "inf"), ("breakdown_factor", "inf"),
+    ("x_low", "-inf"),
+])
+def test_cli_rejects_bad_model_setting(tmp_path, key, value):
+    settings = {"t_total": "25", "n_runs": "6", key: value}
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "features.csv").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -236,6 +249,7 @@ def test_reports_are_strict_json(tmp_path):
 def test_write_report_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_report({"cv": float("nan")}, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()  # no truncated file either
 
 
 def test_cli_classify_rejects_truncated_row(tmp_path, capsys):

@@ -224,6 +224,66 @@ def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
         assert a.d_a.tobytes() == b.d_a.tobytes()
 
 
+def _scalar_euler(config, seed, schedule):
+    """One path by a plain Python Euler-Maruyama loop: the integrator's oracle.
+
+    Same grid, forcing and operation order as the batch kernel, with the
+    stream's 2-raw auxiliary block discarded before the step normals.
+    """
+    n, dt, omega = config.n_steps, config.dt, config.omega
+    t = np.arange(n + 1) * dt
+    cos_wt = np.cos(omega * t)
+    stream = RunStream(seed)
+    stream.uniforms(2)
+    xi = stream.normals(n).tolist() if config.sigma > 0.0 else None
+    sig_sqdt = config.sigma * math.sqrt(dt)
+    x = config.x0
+    xs = [x]
+    for k in range(n):
+        c, tk = float(cos_wt[k]), float(t[k])
+        f = x - x * x * x / 3.0
+        if isinstance(schedule, LinearRampAmplitude):
+            rate = (schedule.d_max - schedule.d_min) / config.t_total
+            f = f - rate * (tk * c)
+            f = f + schedule.d_max * c
+        elif isinstance(schedule, ConstantAmplitude):
+            f = f + schedule.value * c
+        else:
+            level = min(math.floor(tk / schedule.level_duration), len(schedule.levels) - 1)
+            f = f + schedule.levels[level] * c
+        x = x + f * dt
+        if xi is not None:
+            x = x + xi[k] * sig_sqdt
+        xs.append(x)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("schedule,sigma", [
+    (LinearRampAmplitude(1.2, 0.25), 0.3),
+    (ConstantAmplitude(0.8), 0.0),
+    (PiecewiseConstantAmplitude((1.0, 0.7, 0.9), 40.0), 0.3),
+], ids=["noisy_ramp", "constant", "piecewise"])
+def test_simulate_matches_scalar_euler(schedule, sigma):
+    # 10,000 steps cross the integrator's 8,192-step noise chunk
+    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA, amplitude_schedule=schedule,
+                       sigma=sigma, x0=1.0, master_seed=4)
+    seed = run_seed_for(4, 0)
+    expected = _scalar_euler(config, seed, schedule)
+    assert simulate(config, seed).x.tobytes() == expected.tobytes()
+
+
+def test_ensemble_matches_scalar_euler_at_drawn_d_min():
+    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+                       amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
+                       sigma=0.3, x0=1.0, master_seed=6)
+    sampler = UniformSampler(0.25, 0.9)
+    for res in iter_ensemble(config, 5, sampler, batch_size=3):
+        d_min = sampler.from_uniform(RunStream(res.seed).uniforms(2)[0])
+        assert res.d_min == d_min
+        expected = _scalar_euler(config, res.seed, LinearRampAmplitude(1.2, d_min))
+        assert res.value.x.tobytes() == expected.tobytes()
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     config = _ramp_config(t_total=2.0)
     traj = simulate(config, 11)
