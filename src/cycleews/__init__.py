@@ -8,13 +8,11 @@ from .sim import (  # noqa: E402,F401
     UniformSampler, amplitude_at, drift, simulate,
 )
 from .events import (  # noqa: F401
-    DetectorConfig, JumpDetector, SegmentSet, detect_jumps, label_breakdown,
-    truncate_at_onset,
+    DetectorConfig, SegmentSet, detect_jumps, label_breakdown, truncate_at_onset,
 )
 from .features import (  # noqa: F401
-    FEATURE_NAMES, FeatureConfig, FeatureVector, TrendFeatureExtractor,
-    circular_std, cycle_stats, extract_features, jump_phases, ols_slope,
-    rolling_circ_std, wrap_angle,
+    FEATURE_NAMES, FeatureConfig, FeatureVector, circular_std, cycle_stats,
+    extract_features, jump_phases, ols_slope, rolling_circ_std, wrap_angle,
 )
 from .geometry import (  # noqa: F401
     FloquetEstimate, FoldInfo, critical_manifold_roots, floquet_multiplier,

@@ -1,43 +1,10 @@
-"""Estimator parameter plumbing, input validation, errors and the process-pool map."""
+"""Input validation, the convergence error and the process-pool map."""
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Iterator
 
 import numpy as np
-
-
-class ParamsMixin:
-    """scikit-learn style get_params/set_params based on __init__ keywords.
-
-    Keeps the estimators in this package composable with sklearn
-    pipelines and clone() without depending on sklearn itself.
-    """
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 class ConvergenceError(RuntimeError):

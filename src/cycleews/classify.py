@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .base import (ConvergenceError, ParamsMixin, as_float_2d, check_finite, fork_map,
-                   require)
+from .base import ConvergenceError, as_float_2d, check_finite, fork_map, require
 from .features import FEATURE_NAMES
 from .rng import derive_seed, generator
 
@@ -53,20 +52,14 @@ class Dataset:
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    def subset(self, rows) -> "Dataset":
-        return replace(self, X=self.X[rows], y=self.y[rows], run_ids=self.run_ids[rows])
-
     def drop_feature(self, index: int) -> "Dataset":
         keep = [j for j in range(self.n_features) if j != index]
         names = tuple(self.feature_names[j] for j in keep)
         return replace(self, X=self.X[:, keep], feature_names=names)
 
 
-class FeatureScaler(ParamsMixin):
+class FeatureScaler:
     """Column-wise standardization with population (1/m) standard deviation."""
-
-    def __init__(self):
-        pass
 
     def fit(self, X, y=None):
         X = as_float_2d(X, "X")
@@ -97,7 +90,7 @@ _TAU = 1.0e-12  # curvature floor for a pair of coinciding samples (Fan et al. 2
 _RANK_RTOL = 1.0e-10  # squared singular values below this share of the largest count as 0
 
 
-class LinearHingeSVM(ParamsMixin):
+class LinearHingeSVM:
     """Exact minimizer of lambda |w|^2 + (1/m) sum_i alpha_i max(0, 1 - y_i (w.x_i + b)).
 
     With class_weight="balanced" each sample's hinge term is scaled by
@@ -190,8 +183,12 @@ class LinearHingeSVM(ParamsMixin):
                 gap = _gap(t, ys, a, C, bias)
                 if gap <= self.tol:
                     break
-                # each t_i is rounded to about eps (1 + |x_i|.|w|)
-                noise = 8.0 * np.finfo(float).eps * (1.0 + np.abs(X) @ np.abs(w)).max()
+                # the recomputed t_i is rounded to about eps (1 + |x_i|.|w|),
+                # and a_k holds the pair steps only to eps a_k, which puts up
+                # to eps scale |x_i|.|x_k| a_k into t_i for each k; the second
+                # bound covers the first, as |w| <= scale |X|^T a
+                absX = np.abs(X)
+                noise = 8.0 * np.finfo(float).eps * (1.0 + scale * absX @ (absX.T @ a)).max()
                 if (t + up).max() - (t + low).min() <= noise:
                     raise ConvergenceError(
                         f"SVM duality gap {gap:.3g} above tol {self.tol:.3g}, but the "
@@ -347,21 +344,23 @@ def balanced_accuracy(y_true, y_pred) -> float:
 
 
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
-    """Deterministic stratified fold ids in {0..k-1}, one per sample.
+    """Deterministic stratified fold ids in {0..k-1}, one per boolean label.
 
     Within each class, indices are shuffled by a seeded stream and dealt
     round-robin, so per-fold class counts differ from the proportional
-    allocation by at most one.
+    allocation by at most one.  Both classes need at least k members,
+    else StratificationError (a class with 0 members included).
     """
     labels = np.asarray(labels)
+    require(labels.dtype == bool, "labels must be boolean")
     require(k >= 2, "k must be >= 2")
     folds = np.empty(len(labels), dtype=np.int64)
     rng = generator(seed, stream=17)
-    for cls in np.unique(labels):
+    for cls in (False, True):
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
             raise StratificationError(
-                f"class {cls.item()!r} has {len(idx)} members, fewer than k={k}")
+                f"class {cls!r} has {len(idx)} members, fewer than k={k}")
         perm = idx[rng.permutation(len(idx))]
         folds[perm] = np.arange(len(perm)) % k
     return folds
@@ -463,7 +462,7 @@ def permutation_importance(data: Dataset, cv: CVResult, seed: int,
 # principal components
 # --------------------------------------------------------------------------
 
-class PrincipalComponents(ParamsMixin):
+class PrincipalComponents:
     """Eigendecomposition of the sample covariance with a fixed sign rule.
 
     Each kept component has its largest-magnitude loading made positive,

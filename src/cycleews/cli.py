@@ -45,10 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--features", help="features CSV (default <out>/features.csv)")
 
-    p = sub.add_parser("experiment", help="full pipeline incl. importances and PCA")
+    p = sub.add_parser("experiment",
+                       help="full pipeline incl. importances, PCA and figure data (d, e)")
     _add_shared(p)
 
-    p = sub.add_parser("figures", help="emit all figure data files")
+    p = sub.add_parser("figures", help="figure data (a)-(c): breakdown run, amplitude levels")
     _add_shared(p)
 
     p = sub.add_parser("diagnose", help="geometry diagnostics over a parameter grid")
@@ -63,6 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _overrides(args) -> dict:
     return {"out_dir": args.out, "master_seed": args.seed,
             "n_runs": args.runs, "threads": args.threads}
+
+
+def _grid(text: str, flag: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -81,9 +89,7 @@ def main(argv=None) -> int:
         elif args.command == "figures":
             run_figures(config)
         elif args.command == "diagnose":
-            d_as = [float(v) for v in args.da.split(",")]
-            periods = [float(v) for v in args.periods.split(",")]
-            run_diagnose(config, d_as, periods)
+            run_diagnose(config, _grid(args.da, "--da"), _grid(args.periods, "--periods"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

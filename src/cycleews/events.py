@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import ParamsMixin, require
+from .base import require
 from .sim import Trajectory
 
 UPPER = 1
@@ -193,31 +193,6 @@ def truncate_at_onset(segset: SegmentSet) -> SegmentSet:
                    wells=segset.wells[:k],
                    breakdown_onset=None,
                    breakdown=segset.breakdown)
-
-
-class JumpDetector(ParamsMixin):
-    """Estimator-style wrapper around the detection pipeline."""
-
-    def __init__(self, x_up: float = 0.4, x_low: float = -0.4, n_min: int = 80,
-                 breakdown_factor: float = 0.75):
-        self.x_up = x_up
-        self.x_low = x_low
-        self.n_min = n_min
-        self.breakdown_factor = breakdown_factor
-
-    def _config(self) -> DetectorConfig:
-        return DetectorConfig(self.x_up, self.x_low, self.n_min, self.breakdown_factor)
-
-    def fit(self, traj=None, y=None):
-        self._config()  # validates parameters
-        return self
-
-    def transform(self, traj: Trajectory, t_f: Optional[float] = None) -> SegmentSet:
-        """Detect jumps; when t_f is given, also label and truncate at breakdown."""
-        segset = detect_jumps(traj, self._config())
-        if t_f is not None:
-            segset = truncate_at_onset(label_breakdown(segset, t_f, self._config()))
-        return segset
 
 
 def write_events_csv(segset: SegmentSet, path) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -149,20 +150,13 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
-_PARSERS = {
-    "dt": float, "t_total": float, "forcing_period": float, "d_max": float,
-    "d_min_low": float, "d_min_high": float, "sigma": float, "x0": float,
-    "master_seed": int, "n_runs": int, "x_up": float, "x_low": float,
-    "n_min_steps": int, "breakdown_factor": float, "buffer_fraction": float,
-    "detrend_degree": int, "phase_window": int, "min_cycles": int, "min_jumps": int,
-    "k_folds": int, "svm_iterations": int, "svm_lambda": _optional_float,
-    "svm_tolerance": float,
-    "svm_class_weight": lambda v: None if str(v).strip().lower() == "none" else str(v),
-    "permutation_repeats": int,
-    "batch_size": int, "threads": int, "out_dir": str,
-    "figure_levels": _float_list, "figure_level_periods": int, "figure_runs": int,
-    "figure_d_min": float,
-}
+# a key's value parses as the type of its default, except where the
+# default's type does not cover the spellings ("auto", "none", a list)
+_PARSERS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_PARSERS.update(
+    svm_lambda=_optional_float,
+    svm_class_weight=lambda v: None if str(v).strip().lower() == "none" else str(v),
+    figure_levels=_float_list)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -190,6 +184,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory: page size times page count."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _validated(config: ExperimentConfig) -> ExperimentConfig:
     for f in fields(config):
         value = getattr(config, f.name)
@@ -211,8 +210,17 @@ def _validated(config: ExperimentConfig) -> ExperimentConfig:
             "svm_lambda must be auto or finite and > 0")
     require(config.permutation_repeats >= 1, "permutation_repeats must be >= 1")
     require(config.figure_runs >= 1, "figure_runs must be >= 1")
-    config.sim_config()
-    config.figure_sim_configs()
+    # the figure ramp is one run as long as an ensemble run, so the
+    # ensemble's bound covers it
+    memory = physical_memory()
+    _, piece = config.figure_sim_configs()
+    for name, sim_cfg, runs in (("ensemble", config.sim_config(), config.n_runs),
+                                ("figure level", piece, config.figure_runs)):
+        n_points = sim_cfg.n_steps + 1
+        batch = min(config.batch_size, runs)
+        require(8 * n_points * batch <= memory,
+                f"one {name} batch path of {batch} runs x {float(n_points):.6g} points "
+                f"(8 bytes each) exceeds the {memory} bytes of physical memory")
     config.detector()
     config.feature_config()
     config.d_min_sampler()
@@ -337,6 +345,15 @@ def dataset_from_rows(rows: Sequence[dict]) -> Dataset:
     return Dataset(X=X, y=y, run_ids=ids)
 
 
+def write_class_distributions(data: Dataset, path) -> None:
+    """Long-form CSV of every valid run's feature values, for class-conditional plots."""
+    with open(path, "w") as fh:
+        fh.write("feature,label,run_id,value\n")
+        for j, name in enumerate(FEATURE_NAMES):
+            for rid, value, lab in zip(data.run_ids, data.X[:, j], data.y):
+                fh.write(f"{name},{int(lab)},{int(rid)},{value:.17g}\n")
+
+
 def exclusion_table(results: Sequence[RunResult]) -> Dict[str, List[int]]:
     """Invalid runs partitioned by the first failing requirement."""
     table = {"divergence": [], "too_few_cycles": [], "too_few_jumps": []}
@@ -424,7 +441,7 @@ def write_report(report: dict, path) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Full pipeline: ensemble, features, classification, importances, PCA."""
+    """Full pipeline: ensemble, features, classification, importances, PCA, figures (d, e)."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _log(f"simulating {config.n_runs} runs "
@@ -434,6 +451,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     write_features_csv(rows, out_dir / "features.csv")
 
     data = dataset_from_rows(rows)
+    write_class_distributions(data, out_dir / "fig_class_distributions.csv")
     n_break = int(data.y.sum())
     exclusions = exclusion_table(results)
     report = {
@@ -506,7 +524,7 @@ def classify_from_csv(config: ExperimentConfig, features_path) -> dict:
 # --------------------------------------------------------------------------
 
 def run_figures(config: ExperimentConfig) -> None:
-    """Emit figure data: breakdown series, per-level trends, class splits, PCA."""
+    """Emit figure data (a)-(c): breakdown series and per-level trends; experiment has (d, e)."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     det = config.detector()
@@ -576,20 +594,6 @@ def run_figures(config: ExperimentConfig) -> None:
                 continue
             fh.write(f"{lv},{levels[lv]:.17g},{circular_mean(deltas):.17g},"
                      f"{circular_std(deltas):.17g},{len(deltas)}\n")
-
-    # (d, e) class-conditional feature distributions and PCA scatter
-    rows = feature_rows(run_feature_pipeline(config))
-    write_features_csv(rows, out_dir / "features.csv")
-    data = dataset_from_rows(rows)
-    with open(out_dir / "fig_class_distributions.csv", "w") as fh:
-        fh.write("feature,label,run_id,value\n")
-        for j, name in enumerate(FEATURE_NAMES):
-            for rid, value, lab in zip(data.run_ids, data.X[:, j], data.y):
-                fh.write(f"{name},{int(lab)},{int(rid)},{value:.17g}\n")
-    if data.n_samples >= 2:
-        with_line = bool(data.y.any() and (~data.y).any())
-        block = pca_block(data, config, out_dir, with_decision_line=with_line)
-        write_report(block, out_dir / "fig_pca_meta.json")
     _log(f"figure data written to {out_dir}")
 
 
@@ -627,27 +631,41 @@ def measured_delay_phase(d_a: float, omega: float, *, dt: float = 0.01,
 
 def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
                  periods: Sequence[float]) -> List[dict]:
-    """Fold info, sweep rate, log Floquet multiplier, and measured delay per grid point."""
+    """Fold info, sweep rate, log Floquet multiplier, and measured delay per grid point.
+
+    Every grid point is checked before any is computed: each d_a must be
+    finite and > 0 and each period a whole number of dt steps, else
+    ConfigError.
+    """
+    grid = []
+    for d_a in d_a_values:
+        for period in periods:
+            try:
+                require(math.isfinite(d_a) and d_a > 0.0, "d_a must be finite and > 0")
+                require(math.isfinite(period) and period > 0.0,
+                        "period must be finite and > 0")
+                grid.append(SimConfig(dt=config.dt, t_total=period, omega=TWO_PI / period,
+                                      amplitude_schedule=ConstantAmplitude(d_a),
+                                      sigma=0.0, x0=config.x0))
+            except ValueError as exc:
+                raise ConfigError(f"diagnose grid point d_a = {d_a}, period = {period}: "
+                                  f"{exc}") from exc
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for d_a in d_a_values:
-        for period in periods:
-            omega = TWO_PI / period
-            log_mu = None
-            if d_a > FOLD_FORCING_VALUE:
-                sim_cfg = SimConfig(dt=config.dt, t_total=period, omega=omega,
-                                    amplitude_schedule=ConstantAmplitude(d_a),
-                                    sigma=0.0, x0=config.x0)
-                try:
-                    log_mu = floquet_multiplier(sim_cfg).log_multiplier
-                except ConvergenceError:
-                    log_mu = None
-            row = diagnostics_record(d_a, omega, log_floquet=log_mu)
-            row["forcing_period"] = period
-            row["measured_delay_phase"] = measured_delay_phase(
-                d_a, omega, dt=config.dt, x0=config.x0, det=config.detector())
-            rows.append(row)
+    for sim_cfg in grid:
+        d_a, period, omega = sim_cfg.amplitude_schedule.value, sim_cfg.t_total, sim_cfg.omega
+        log_mu = None
+        if d_a > FOLD_FORCING_VALUE:
+            try:
+                log_mu = floquet_multiplier(sim_cfg).log_multiplier
+            except ConvergenceError:
+                log_mu = None
+        row = diagnostics_record(d_a, omega, log_floquet=log_mu)
+        row["forcing_period"] = period
+        row["measured_delay_phase"] = measured_delay_phase(
+            d_a, omega, dt=config.dt, x0=config.x0, det=config.detector())
+        rows.append(row)
     write_report({"rows": rows}, out_dir / "diagnostics.json")
     _log(f"wrote {out_dir / 'diagnostics.json'}")
     return rows

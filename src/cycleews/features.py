@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .base import ParamsMixin, require
+from .base import require
 from .events import SegmentSet
 from .sim import Trajectory
 
@@ -269,25 +269,3 @@ def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
         label=label, valid=True,
         n_cycles=n_cycles, n_jumps=n_jumps, cycles=cycles, phases=phases)
 
-
-class TrendFeatureExtractor(ParamsMixin):
-    """Estimator-style wrapper producing FeatureVector records."""
-
-    def __init__(self, p_buf: float = 0.05, detrend_degree: int = 3,
-                 window_w: int = 16, min_cycles: int = 5, min_jumps: int = 5):
-        self.p_buf = p_buf
-        self.detrend_degree = detrend_degree
-        self.window_w = window_w
-        self.min_cycles = min_cycles
-        self.min_jumps = min_jumps
-
-    def _config(self) -> FeatureConfig:
-        return FeatureConfig(self.p_buf, self.detrend_degree, self.window_w,
-                             self.min_cycles, self.min_jumps)
-
-    def fit(self, traj=None, y=None):
-        self._config()
-        return self
-
-    def transform(self, traj: Trajectory, segset: SegmentSet, omega: float) -> FeatureVector:
-        return extract_features(traj, segset, self._config(), omega)

@@ -140,6 +140,7 @@ class PointSampler:
 
 def _whole_steps(t_total: float, dt: float) -> int:
     ratio = t_total / dt
+    require(math.isfinite(ratio), f"t_total/dt = {ratio} is not a whole number of steps")
     n = int(round(ratio))
     tol = 8.0 * np.spacing(max(abs(ratio), 1.0))
     require(n >= 1 and abs(ratio - n) <= tol,
@@ -378,7 +379,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         for t, x, d in zip(traj.t, traj.x, traj.d_a):
             fh.write(f"{t:.17g},{x:.17g},{d:.17g}\n")
 
-
-def read_trajectory_csv(path, seed: int = 0) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Trajectory(t=data[:, 0], x=data[:, 1], d_a=data[:, 2], seed=seed)

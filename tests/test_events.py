@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleews import (DetectorConfig, JumpDetector, detect_jumps, label_breakdown,
-                      truncate_at_onset)
+from cycleews import DetectorConfig, detect_jumps, label_breakdown, truncate_at_onset
 from cycleews.events import LOWER, UPPER, write_events_csv
 from conftest import make_trajectory
 
@@ -165,17 +164,6 @@ def test_breakdown_from_deterministic_ramp(detector):
     truncated = truncate_at_onset(segset)
     assert truncated.n_jumps >= 10  # jumping regime retained before the onset
     assert truncated.breakdown
-
-
-def test_jump_detector_wrapper(relaxation_run):
-    config, traj = relaxation_run
-    det = JumpDetector()
-    assert det.get_params()["x_up"] == 0.4
-    segset = det.transform(traj, t_f=config.forcing_period)
-    assert segset.n_jumps > 10
-    assert det.set_params(x_up=0.5).get_params()["x_up"] == 0.5
-    with pytest.raises(ValueError):
-        det.set_params(bogus=1)
 
 
 def test_events_csv(tmp_path):

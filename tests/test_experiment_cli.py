@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cycleews import experiment
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
@@ -218,13 +219,26 @@ def test_cli_rejects_bad_figure_setting(tmp_path, setting, command, output):
 @pytest.mark.parametrize("key,value", [
     ("n_runs", "0"), ("n_runs", "-3"), ("forcing_period", "0"), ("d_min_high", "2"),
     ("d_max", "inf"), ("sigma", "inf"), ("x_up", "inf"), ("breakdown_factor", "inf"),
-    ("x_low", "-inf"),
+    ("x_low", "-inf"), ("dt", "1e-300"), ("dt", "1e-320"),
 ])
 def test_cli_rejects_bad_model_setting(tmp_path, key, value):
     settings = {"t_total": "25", "n_runs": "6", key: value}
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 50 * 2 ** 20)
+    # ensemble: 128 runs x 250,001 points x 8 bytes = 256 MB
+    with pytest.raises(ConfigError, match="ensemble batch path"):
+        load_config(None)
+    # figure levels: 64 runs x 360,001 points x 8 bytes = 184 MB
+    with pytest.raises(ConfigError, match="figure level batch path"):
+        load_config(None, {"n_runs": 1})
+    assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
+    assert run_cli("experiment", "--out", str(tmp_path)) == 2
     assert not (tmp_path / "features.csv").exists()
 
 
@@ -296,6 +310,24 @@ def test_cli_classify_stratification_warning_text(tmp_path):
     assert report["warnings"] == [
         "classification skipped: class True has 3 members, fewer than k=5"]
     assert report["cv"] is None and report["drop_column"] is None
+    assert report["pca"] is not None and "decision_line" not in report["pca"]
+
+
+@pytest.mark.parametrize("label,missing", [(0, True), (1, False)])
+def test_cli_classify_one_class(tmp_path, label, missing):
+    rng = generator(9)
+    features = tmp_path / "features.csv"
+    with open(features, "w") as fh:
+        fh.write(FEATURES_HEADER)
+        for i in range(12):
+            slopes = ",".join(f"{v:.17g}" for v in rng.standard_normal(4))
+            fh.write(f"{i},0.5,{slopes},{label},1\n")
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["warnings"] == [
+        f"classification skipped: class {missing} has 0 members, fewer than k=5"]
+    assert report["cv"] is None and report["drop_column"] is None
+    assert report["permutation"] is None
     assert report["pca"] is not None and "decision_line" not in report["pca"]
 
 
@@ -385,6 +417,16 @@ def test_cli_diagnose(tmp_path):
                                           * math.sqrt(1 - 4 / (9 * 1.44)))
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--da", "abc"), ("--da", "nan"), ("--da", "-1"), ("--da", "0"), ("--da", "1.2,"),
+    ("--periods", "0"), ("--periods", "-50"), ("--periods", "inf"),
+    ("--periods", "50,0.005"),
+])
+def test_cli_diagnose_rejects_bad_grid(tmp_path, flag, value):
+    assert run_cli("diagnose", flag, value, "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
 def test_cli_figures(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n_runs = 6\nfigure_runs = 4\nfigure_level_periods = 2\n"
@@ -393,8 +435,11 @@ def test_cli_figures(tmp_path):
     for name in ("fig_breakdown_timeseries.csv", "fig_breakdown_events.csv",
                  "fig_breakdown_meta.json", "fig_level_cycle_stats.csv",
                  "fig_level_cycle_means.csv", "fig_level_jump_phases.csv",
-                 "fig_level_phase_stats.csv", "fig_class_distributions.csv"):
+                 "fig_level_phase_stats.csv"):
         assert (tmp_path / name).exists(), name
+    for name in ("features.csv", "pca_coords.csv", "fig_class_distributions.csv",
+                 "fig_pca_meta.json"):
+        assert not (tmp_path / name).exists(), name
     meta = json.loads((tmp_path / "fig_breakdown_meta.json").read_text())
     assert meta["breakdown"] is True
     assert meta["onset_time"] > 0.0
@@ -409,3 +454,6 @@ def test_cli_experiment_end_to_end(tmp_path):
     assert report["n_runs"] == 10
     assert report["provenance"]["master_seed"] == 13
     assert "config_hash" in report["provenance"]
+    lines = (tmp_path / "fig_class_distributions.csv").read_text().splitlines()
+    assert lines[0] == "feature,label,run_id,value"
+    assert len(lines) == 1 + 4 * report["n_valid"]

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycleews import (DetectorConfig, FeatureConfig, TrendFeatureExtractor,
-                      circular_std, cycle_stats, detect_jumps, extract_features,
-                      jump_phases, label_breakdown, ols_slope, rolling_circ_std,
-                      truncate_at_onset, wrap_angle)
+from cycleews import (DetectorConfig, FeatureConfig, circular_std, cycle_stats,
+                      detect_jumps, extract_features, jump_phases, label_breakdown,
+                      ols_slope, rolling_circ_std, truncate_at_onset, wrap_angle)
 from cycleews.features import (assign_extremum, circular_mean, detrend_segment,
                                lag1_autocorrelation, mean_resultant_length,
                                sample_variance)
@@ -287,9 +286,6 @@ def test_extract_features_valid_run(relaxation_run, detector):
     assert fv.valid and not fv.label
     assert np.isfinite([fv.slope_var, fv.slope_ac1, fv.slope_jump_phase,
                         fv.slope_phase_std]).all()
-    ext = TrendFeatureExtractor()
-    fv2 = ext.transform(traj, segset, config.omega)
-    assert fv2 == fv
 
 
 def test_decomposition_consistent_with_jump_phases(detector):
