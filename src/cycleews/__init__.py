@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .sim import (  # noqa: E402,F401
     ConstantAmplitude, DivergenceError, LinearRampAmplitude,
-    PiecewiseConstantAmplitude, PointSampler, SimConfig, Trajectory,
+    PiecewiseConstantAmplitude, SimConfig, Trajectory,
     UniformSampler, amplitude_at, drift, simulate,
 )
 from .events import (  # noqa: F401
@@ -20,7 +20,7 @@ from .geometry import (  # noqa: F401
     predicted_delay_phase,
 )
 from .classify import (  # noqa: F401
-    Dataset, FeatureScaler, LinearHingeSVM, PrincipalComponents, SvmHyperParams,
+    Dataset, FeatureScaler, LinearHingeSVM, SvmHyperParams,
     balanced_accuracy, cross_validate, drop_column_importance, pca_2d,
     permutation_importance, stratified_kfold,
 )

@@ -61,7 +61,7 @@ class Dataset:
 class FeatureScaler:
     """Column-wise standardization with population (1/m) standard deviation."""
 
-    def fit(self, X, y=None):
+    def fit(self, X):
         X = as_float_2d(X, "X")
         self.mean_ = X.mean(axis=0)
         self.scale_ = X.std(axis=0)  # population normalization
@@ -73,9 +73,6 @@ class FeatureScaler:
     def transform(self, X) -> np.ndarray:
         X = as_float_2d(X, "X")
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)
 
 
 @dataclass(frozen=True)
@@ -126,16 +123,6 @@ class LinearHingeSVM:
         self.tol = tol
         self.class_weight = class_weight
 
-    @staticmethod
-    def _signed_labels(y) -> np.ndarray:
-        y = np.asarray(y)
-        if y.dtype == bool:
-            return np.where(y, 1.0, -1.0)
-        vals = np.unique(y)
-        require(set(vals.tolist()) <= {-1, 1, -1.0, 1.0},
-                "labels must be boolean or +/-1")
-        return y.astype(float)
-
     def _sample_weights(self, ys) -> np.ndarray:
         if self.class_weight is None:
             return np.ones(len(ys))
@@ -149,7 +136,9 @@ class LinearHingeSVM:
 
     def fit(self, X, y):
         X = as_float_2d(X, "X")
-        ys = self._signed_labels(y)
+        y = np.asarray(y)
+        require(y.dtype == bool, "labels must be boolean")
+        ys = np.where(y, 1.0, -1.0)
         require(len(np.unique(ys)) == 2, "training data must contain both classes")
         orient = ys[0]
         ys = ys * orient
@@ -462,48 +451,25 @@ def permutation_importance(data: Dataset, cv: CVResult, seed: int,
 # principal components
 # --------------------------------------------------------------------------
 
-class PrincipalComponents:
-    """Eigendecomposition of the sample covariance with a fixed sign rule.
-
-    Each kept component has its largest-magnitude loading made positive,
-    so projections are reproducible and invariant to sample order.
-    """
-
-    def __init__(self, n_components: int = 2):
-        self.n_components = n_components
-
-    def fit(self, X, y=None):
-        X = as_float_2d(X, "X")
-        require(len(X) >= 2, "need at least 2 samples")
-        self.mean_ = X.mean(axis=0)
-        xc = X - self.mean_
-        cov = xc.T @ xc / (len(X) - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.maximum(eigvals[order], 0.0)
-        eigvecs = eigvecs[:, order]
-        total = float(eigvals.sum())
-        if total == 0.0:
-            raise DegenerateFeatureError("covariance has rank 0")
-        comps = eigvecs[:, :self.n_components].T.copy()
-        for row in comps:
-            lead = np.argmax(np.abs(row))
-            if row[lead] < 0.0:
-                row *= -1.0
-        self.components_ = comps
-        self.explained_variance_ratio_ = eigvals[:self.n_components] / total
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        X = as_float_2d(X, "X")
-        return (X - self.mean_) @ self.components_.T
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
 def pca_2d(X_standardized) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coordinates, explained-variance fractions, components) for the top 2 axes."""
-    pca = PrincipalComponents(n_components=2).fit(X_standardized)
-    return (pca.transform(X_standardized), pca.explained_variance_ratio_.copy(),
-            pca.components_.copy())
+    """(coordinates, explained-variance fractions, components) for the top 2 axes.
+
+    Eigendecomposition of the sample covariance with a fixed sign rule:
+    each component has its largest-magnitude loading made positive, so
+    projections are reproducible and invariant to sample order.
+    """
+    X = as_float_2d(X_standardized, "X")
+    require(len(X) >= 2, "need at least 2 samples")
+    xc = X - X.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (len(X) - 1))
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.maximum(eigvals[order], 0.0)
+    total = float(eigvals.sum())
+    if total == 0.0:
+        raise DegenerateFeatureError("covariance has rank 0")
+    comps = eigvecs[:, order[:2]].T.copy()
+    for row in comps:
+        lead = np.argmax(np.abs(row))
+        if row[lead] < 0.0:
+            row *= -1.0
+    return xc @ comps.T, eigvals[:2] / total, comps

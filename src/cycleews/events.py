@@ -1,11 +1,12 @@
 """Hysteresis jump detection, segmentation, and breakdown labeling.
 
 A two-threshold state machine converts a trajectory into an alternating
-sequence of well-to-well jumps.  Grid endpoints are appended as
-artificial segment boundaries, segments shorter than n_min steps are
-treated as threshold chatter and merged away, and a run is labeled a
-breakdown when some between-jump segment lasts strictly longer than
-breakdown_factor times the forcing period.
+sequence of well-to-well jumps.  Grid endpoints are artificial segment
+boundaries.  In the same pass over the crossings, each segment shorter
+than n_min steps is treated as threshold chatter and merged away as it
+closes, so detection is linear in the number of crossings.  A run is
+labeled a breakdown when some between-jump segment lasts strictly longer
+than breakdown_factor times the forcing period.
 """
 
 from __future__ import annotations
@@ -94,91 +95,49 @@ class SegmentSet:
         return out
 
 
-def _raw_jumps(x: np.ndarray, det: DetectorConfig):
-    """Alternating threshold crossings of the hysteresis state machine."""
-    n_last = len(x) - 1
-    state = UPPER if x[0] >= 0.0 else LOWER
-    below = np.flatnonzero(x < det.x_low)
-    above = np.flatnonzero(x > det.x_up)
-    jumps = []
-    pos = 0
-    while True:
-        arr = below if state == UPPER else above
-        j = np.searchsorted(arr, pos + 1)
-        if j >= len(arr) or arr[j] >= n_last:
-            break
-        pos = int(arr[j])
-        jumps.append(pos)
-        state = -state
-    initial = UPPER if x[0] >= 0.0 else LOWER
-    return jumps, initial
-
-
-def _merge_chatter(boundaries, artificial, wells, n_min):
-    """Remove sub-n_min segments, keeping well alternation intact.
-
-    A micro-segment bounded by two real jumps loses both (its neighbors
-    share a well and merge).  At an artificial endpoint only the single
-    real bounding jump is removed and the merged segment adopts the
-    label of the half away from the endpoint, i.e. initial chatter is
-    attributed to the well the path settles into.
-    """
-    b = list(boundaries)
-    art = list(artificial)
-    w = list(wells)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(b) - 1):
-            if b[k + 1] - b[k] >= n_min:
-                continue
-            left_real = not art[k]
-            right_real = not art[k + 1]
-            if left_real and right_real:
-                del b[k:k + 2]
-                del art[k:k + 2]
-                w[k - 1:k + 2] = [w[k - 1]]
-            elif right_real:  # initial segment too short
-                del b[k + 1]
-                del art[k + 1]
-                w[k:k + 2] = [w[k + 1]]
-            elif left_real:  # final segment too short
-                del b[k]
-                del art[k]
-                w[k - 1:k + 1] = [w[k - 1]]
-            else:  # single segment spanning the grid: nothing to merge
-                continue
-            changed = True
-            break
-    return (np.asarray(b, dtype=np.int64), np.asarray(art, dtype=bool),
-            np.asarray(w, dtype=np.int8))
-
-
 def detect_jumps(traj: Trajectory, det: DetectorConfig) -> SegmentSet:
-    """Detect alternating jumps and build the chatter-pruned segment set."""
+    """Detect alternating jumps and drop threshold chatter in one pass.
+
+    The hysteresis state machine walks the threshold crossings in time
+    order, and each segment is judged as it closes.  One shorter than
+    n_min steps is chatter: between two real jumps both jumps go and the
+    segment before it continues; an initial one loses its jump and takes
+    the well the path settles into; a final one loses its left jump.
+    Kept boundaries form a stack, so nothing is rescanned.
+    """
     x = np.asarray(traj.x, dtype=float)
     require(len(x) >= 2, "trajectory must contain at least two samples")
     require(bool(np.isfinite(x).all()), "trajectory contains non-finite states")
 
-    jumps, initial = _raw_jumps(x, det)
     n_last = len(x) - 1
-    boundaries = np.array([0] + jumps + [n_last], dtype=np.int64)
-    artificial = np.array([True] + [False] * len(jumps) + [True])
-    wells = np.array([initial * (-1) ** k for k in range(len(jumps) + 1)], dtype=np.int8)
-    boundaries, artificial, wells = _merge_chatter(boundaries, artificial, wells, det.n_min)
-    return SegmentSet(boundaries=boundaries, artificial=artificial, wells=wells,
-                      dt=traj.dt)
+    exits = {UPPER: np.flatnonzero(x < det.x_low), LOWER: np.flatnonzero(x > det.x_up)}
+    well = UPPER if x[0] >= 0.0 else LOWER
+    boundaries, wells = [0], []
+    pos = 0
+    while pos < n_last:
+        arr = exits[well]
+        j = np.searchsorted(arr, pos + 1)
+        pos = int(arr[j]) if j < len(arr) and arr[j] < n_last else n_last
+        if pos - boundaries[-1] >= det.n_min or (len(boundaries) == 1 and pos == n_last):
+            boundaries.append(pos)
+            wells.append(well)
+        elif pos == n_last:  # final chatter
+            boundaries[-1] = pos
+        elif len(boundaries) > 1:  # chatter between two real jumps
+            boundaries.pop()
+            wells.pop()
+        # initial chatter keeps no boundary; the segment takes the next well
+        well = -well
+    artificial = np.zeros(len(boundaries), dtype=bool)
+    artificial[[0, -1]] = True
+    return SegmentSet(boundaries=np.array(boundaries, dtype=np.int64), artificial=artificial,
+                      wells=np.array(wells, dtype=np.int8), dt=traj.dt)
 
 
 def label_breakdown(segset: SegmentSet, t_f: float, det: DetectorConfig) -> SegmentSet:
     """Mark the first segment strictly longer than breakdown_factor * t_f."""
-    durations = segset.segment_durations()
-    threshold = det.breakdown_factor * t_f
-    onset = None
-    for k, dur in enumerate(durations):
-        if dur > threshold:
-            onset = k
-            break
+    too_long = np.flatnonzero(segset.segment_durations() > det.breakdown_factor * t_f)
+    onset = int(too_long[0]) if len(too_long) else None
     return replace(segset, breakdown_onset=onset, breakdown=onset is not None)
 
 

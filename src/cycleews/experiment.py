@@ -38,6 +38,8 @@ from .sim import (ConstantAmplitude, LinearRampAmplitude,
                   simulate, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
+_DELAY_TRANSIENT_PERIODS = 3
+_DELAY_MEASURE_PERIODS = 2
 
 
 class ConfigError(ValueError):
@@ -297,10 +299,13 @@ def feature_rows(results: Iterable[RunResult]) -> List[dict]:
     return rows
 
 
+FEATURES_HEADER = ("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
+                   "label,valid")
+
+
 def write_features_csv(rows: Sequence[dict], path) -> None:
     with open(path, "w") as fh:
-        fh.write("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
-                 "label,valid\n")
+        fh.write(FEATURES_HEADER + "\n")
         for row in rows:
             d_min = "" if row["d_min"] is None else f"{row['d_min']:.17g}"
             slopes = ",".join(f"{v:.17g}" for v in row["slopes"])
@@ -311,28 +316,39 @@ def write_features_csv(rows: Sequence[dict], path) -> None:
 def read_features_csv(path):
     """Rows of (run_id, d_min, slopes..., label, valid) from a features CSV.
 
-    A row that does not hold 8 parseable columns raises ConfigError,
-    naming the file and the line.
+    An unreadable file, a header other than FEATURES_HEADER, and a row
+    that does not hold 8 parseable columns (label and valid 0 or 1, and
+    finite slopes where valid is 1) raise ConfigError, naming the file
+    and, where there is one, the line.
     """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read features {path}: {exc}") from exc
+    header = lines[0].strip() if lines else ""
+    if header != FEATURES_HEADER:
+        raise ConfigError(f"{path} line 1: expected the features CSV header, got {header!r}")
     rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        require(header.startswith("run_id,"), f"{path} is not a features CSV")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 8:
-                raise ConfigError(f"{path} line {lineno}: expected 8 columns, "
-                                  f"got {len(parts)}")
-            try:
-                rows.append({
-                    "run_id": int(parts[0]),
-                    "d_min": float(parts[1]) if parts[1] else None,
-                    "slopes": [float(v) for v in parts[2:6]],
-                    "label": bool(int(parts[6])),
-                    "valid": bool(int(parts[7])),
-                })
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.strip().split(",")
+        if len(parts) != 8:
+            raise ConfigError(f"{path} line {lineno}: expected 8 columns, "
+                              f"got {len(parts)}")
+        if not {parts[6], parts[7]} <= {"0", "1"}:
+            raise ConfigError(f"{path} line {lineno}: label and valid must be 0 or 1")
+        try:
+            row = {
+                "run_id": int(parts[0]),
+                "d_min": float(parts[1]) if parts[1] else None,
+                "slopes": [float(v) for v in parts[2:6]],
+                "label": parts[6] == "1",
+                "valid": parts[7] == "1",
+            }
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from exc
+        if row["valid"] and not all(math.isfinite(v) for v in row["slopes"]):
+            raise ConfigError(f"{path} line {lineno}: a valid row needs finite slopes")
+        rows.append(row)
     return rows
 
 
@@ -602,8 +618,7 @@ def run_figures(config: ExperimentConfig) -> None:
 # --------------------------------------------------------------------------
 
 def measured_delay_phase(d_a: float, omega: float, *, dt: float = 0.01,
-                         x0: float = 1.0, det: Optional[DetectorConfig] = None,
-                         transient_periods: int = 3, measure_periods: int = 2
+                         x0: float = 1.0, det: Optional[DetectorConfig] = None
                          ) -> Optional[float]:
     """Mean deterministic post-fold delay phase, measured from detected jumps.
 
@@ -615,13 +630,13 @@ def measured_delay_phase(d_a: float, omega: float, *, dt: float = 0.01,
         return None
     det = det or DetectorConfig()
     t_f = TWO_PI / omega
-    n_periods = transient_periods + measure_periods
+    n_periods = _DELAY_TRANSIENT_PERIODS + _DELAY_MEASURE_PERIODS
     steps_period = round(t_f / dt)
     config = SimConfig(dt=dt, t_total=n_periods * steps_period * dt, omega=omega,
                        amplitude_schedule=ConstantAmplitude(d_a), sigma=0.0, x0=x0)
     traj = simulate(config, run_seed=0)
     segset = detect_jumps(traj, det)
-    t_min = transient_periods * t_f
+    t_min = _DELAY_TRANSIENT_PERIODS * t_f
     delays = [jump_phase_decomposition(t_j, d_a, omega).phi_delay
               for t_j in segset.jump_times if t_j >= t_min]
     if not delays:
@@ -673,7 +688,15 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
 
 def simulate_one(config: ExperimentConfig, run_index: int = 0,
                  run_seed: Optional[int] = None) -> Trajectory:
-    """One ensemble member (ramp d_min drawn exactly as the ensemble would)."""
+    """One ensemble member (ramp d_min drawn exactly as the ensemble would).
+
+    A negative run_index, or a run_seed outside [0, 2**64), raises
+    ConfigError before anything is simulated or written.
+    """
+    if run_index < 0:
+        raise ConfigError(f"run index must be >= 0, got {run_index}")
+    if run_seed is not None and not 0 <= run_seed < 2 ** 64:
+        raise ConfigError(f"run seed must lie in [0, 2**64), got {run_seed}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = run_seed if run_seed is not None else run_seed_for(config.master_seed, run_index)

@@ -21,6 +21,9 @@ from .sim import ConstantAmplitude, DivergenceError, SimConfig, simulate
 FOLD_FORCING_VALUE = 2.0 / 3.0
 _ROOT_RESIDUAL_TOL = 1.0e-10
 _ROOT_MERGE_TOL = 1.0e-7
+_FLOQUET_TRANSIENT_PERIODS = 5
+_FLOQUET_TOL = 1.0e-9
+_FLOQUET_MAX_PERIODS = 64
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class FloquetEstimate:
     multiplier: float
     log_multiplier: float
     periods_integrated: int
-    transient_periods: int
 
 
 @dataclass(frozen=True)
@@ -160,12 +162,12 @@ def jump_phase_decomposition(t_jump: float, d_a: float, omega: float) -> JumpDec
 # Floquet multiplier of the deterministic periodic orbit
 # --------------------------------------------------------------------------
 
-def floquet_multiplier(config: SimConfig, transient_periods: int = 5,
-                       tol: float = 1.0e-9, max_periods: int = 64) -> FloquetEstimate:
+def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     """Contraction of the deterministic orbit over one forcing period.
 
-    Integrates the noise-free system period by period until the path is
-    periodic to within tol (sup norm over the grid), then evaluates
+    Integrates the noise-free system period by period until, after the
+    transient periods, the path is periodic to within _FLOQUET_TOL (sup
+    norm over the grid), then evaluates
     mu = exp(integral of 1 - x(t)^2 over one period) by trapezoidal
     quadrature on the same grid.  Each period is one simulate call on
     the grid of the first period, started from the previous period's
@@ -185,24 +187,23 @@ def floquet_multiplier(config: SimConfig, transient_periods: int = 5,
     one_period = replace(config, t_total=steps * config.dt)
     x = config.x0
     prev = None
-    for period in range(1, max_periods + 1):
+    for period in range(1, _FLOQUET_MAX_PERIODS + 1):
         try:
             cur = simulate(replace(one_period, x0=x), run_seed=0).x
         except DivergenceError as exc:
             raise ConvergenceError(
                 "state diverged while seeking the periodic orbit") from exc
-        if period > transient_periods and prev is not None:
-            if float(np.max(np.abs(cur - prev))) < tol:
+        if period > _FLOQUET_TRANSIENT_PERIODS and prev is not None:
+            if float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL:
                 integrand = 1.0 - cur * cur
                 log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
                 return FloquetEstimate(multiplier=math.exp(log_mu),
                                        log_multiplier=float(log_mu),
-                                       periods_integrated=period,
-                                       transient_periods=transient_periods)
+                                       periods_integrated=period)
         prev = cur
         x = float(cur[-1])
     raise ConvergenceError(
-        f"no periodic orbit to tol={tol} within {max_periods} periods")
+        f"no periodic orbit to tol={_FLOQUET_TOL} within {_FLOQUET_MAX_PERIODS} periods")
 
 
 def diagnostics_record(d_a: float, omega: float,

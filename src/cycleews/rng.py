@@ -1,6 +1,7 @@
 """Deterministic random streams for reproducible ensembles.
 
 Every run owns an independent Philox4x64 counter stream keyed by
+(seed, 0); shuffles use Generators over the same family keyed by
 (seed, stream id).  Raw 64-bit outputs are mapped to uniforms by the
 fixed rule u = (raw >> 11) * 2**-53 and to standard normals by the
 cosine branch of the Box-Muller transform, consuming exactly two raws
@@ -52,8 +53,8 @@ class RunStream:
     seed see the same noise sequence.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
-        key = np.array([int(seed) & _MASK_64, int(stream) & _MASK_64], dtype=np.uint64)
+    def __init__(self, seed: int):
+        key = np.array([int(seed) & _MASK_64, 0], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
 
     def raws(self, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ _CHUNK_STEPS = 8192
 
 
 class DivergenceError(RuntimeError):
-    """State left the admissible region (non-finite or |x| > guard)."""
+    """State left the admissible region (non-finite or |x| > STATE_GUARD)."""
 
     def __init__(self, step_index: int, run_index: Optional[int] = None):
         self.step_index = step_index
@@ -123,17 +123,6 @@ class UniformSampler:
         return self.low + (self.high - self.low) * u
 
 
-@dataclass(frozen=True)
-class PointSampler:
-    value: float
-
-    def __post_init__(self):
-        require(self.value > 0.0, "point sampler value must be > 0")
-
-    def from_uniform(self, u: float) -> float:
-        return self.value
-
-
 # --------------------------------------------------------------------------
 # configuration and trajectory containers
 # --------------------------------------------------------------------------
@@ -212,8 +201,7 @@ def drift(x, t, d_a, omega):
 # integration engine
 # --------------------------------------------------------------------------
 
-def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams,
-               guard=STATE_GUARD):
+def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams):
     """Explicit Euler-Maruyama over a batch; returns (xs, diverged).
 
     xs has shape (n_steps + 1, batch) and diverged maps a batch-local run
@@ -253,7 +241,7 @@ def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams,
                     np.multiply(xi[n - c0], sig_sqdt, out=s2)
                     nxt += s2
             block = xs[c0 + 1:c1 + 1]
-            bad = ~np.isfinite(block) | (np.abs(block) > guard)
+            bad = ~np.isfinite(block) | (np.abs(block) > STATE_GUARD)
             if bad.any():
                 for r in np.flatnonzero(bad.any(axis=0)):
                     step = c0 + 1 + int(bad[:, r].argmax())

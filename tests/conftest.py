@@ -3,10 +3,14 @@ import multiprocessing.pool
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cycleews import ConstantAmplitude, DetectorConfig, SimConfig, simulate
 
 OMEGA_225 = 2.0 * math.pi / 225.0
+
+# CI runs with --hypothesis-profile=ci, so a failing example reproduces
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

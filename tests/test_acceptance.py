@@ -271,7 +271,7 @@ def test_criterion_7_oracle_equivalence():
 
         # scaler against explicit column loops
         X = np.asarray(rng.standard_normal((n, 2)) * 2.0 + 1.0)
-        scaled = FeatureScaler().fit_transform(X)
+        scaled = FeatureScaler().fit(X).transform(X)
         for j in range(2):
             col_mean = sum(X[:, j]) / n
             col_std = math.sqrt(sum((v - col_mean) ** 2 for v in X[:, j]) / n)

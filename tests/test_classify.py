@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cycleews import (Dataset, FeatureScaler, LinearHingeSVM, PrincipalComponents,
-                      SvmHyperParams, balanced_accuracy, cross_validate,
-                      drop_column_importance, pca_2d, permutation_importance,
-                      stratified_kfold)
+from cycleews import (Dataset, FeatureScaler, LinearHingeSVM, SvmHyperParams,
+                      balanced_accuracy, cross_validate, drop_column_importance,
+                      pca_2d, permutation_importance, stratified_kfold)
 from cycleews.base import ConvergenceError
 from cycleews.classify import DegenerateFeatureError, StratificationError
 from cycleews.rng import derive_seed, generator
@@ -37,13 +36,14 @@ def gaussian_two_class(n, seed, separation=2.0, n_features=2):
 def test_scaler_self_fit_standardizes():
     rng = generator(derive_seed(2, "scaler"))
     X = rng.standard_normal((200, 3)) * np.array([0.2, 5.0, 1.0]) + 7.0
-    scaled = FeatureScaler().fit_transform(X)
+    scaled = FeatureScaler().fit(X).transform(X)
     assert np.abs(scaled.mean(axis=0)).max() < 1e-12
     assert np.abs(scaled.std(axis=0) - 1.0).max() < 1e-12
 
 
 def test_scaler_two_point_column():
-    scaled = FeatureScaler().fit_transform(np.array([[0.0], [2.0]]))
+    X = np.array([[0.0], [2.0]])
+    scaled = FeatureScaler().fit(X).transform(X)
     assert scaled[:, 0] == pytest.approx([-1.0, 1.0])
 
 
@@ -59,7 +59,7 @@ def test_scaler_uses_train_statistics_only():
     val = np.array([[4.0], [6.0]])
     scaler = FeatureScaler().fit(train)
     projected = scaler.transform(val)
-    self_fit = FeatureScaler().fit_transform(val)
+    self_fit = FeatureScaler().fit(val).transform(val)
     assert not np.allclose(projected, self_fit)
     assert projected[:, 0] == pytest.approx([3.0, 5.0])
 
@@ -70,7 +70,7 @@ def test_scaler_oracle_equivalence():
         n = int(rng.integers(3, 30))
         d = int(rng.integers(1, 5))
         X = np.asarray(rng.standard_normal((n, d)) * 3.0 + rng.uniform(-5, 5))
-        scaled = FeatureScaler().fit_transform(X)
+        scaled = FeatureScaler().fit(X).transform(X)
         for j in range(d):
             col = X[:, j]
             mean = sum(col) / n
@@ -492,11 +492,11 @@ def test_pca_sample_order_invariance():
 def test_pca_sign_convention():
     rng = generator(derive_seed(2, "pca-sign"))
     X = rng.standard_normal((200, 3)) @ np.diag([4.0, 1.0, 0.2])
-    pca = PrincipalComponents(n_components=2).fit(X)
-    for row in pca.components_:
+    _, _, components = pca_2d(X)
+    for row in components:
         assert row[np.argmax(np.abs(row))] > 0.0
 
 
 def test_pca_degenerate_rejected():
     with pytest.raises(DegenerateFeatureError):
-        PrincipalComponents().fit(np.ones((5, 3)))
+        pca_2d(np.ones((5, 3)))

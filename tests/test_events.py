@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleews import DetectorConfig, detect_jumps, label_breakdown, truncate_at_onset
@@ -140,6 +140,82 @@ def test_widening_band_never_adds_jumps(increments, widen):
     wide = detect_jumps(traj, DetectorConfig(x_up=0.4 + widen, x_low=-0.4 - widen,
                                              n_min=2, breakdown_factor=0.75))
     assert wide.n_jumps <= narrow.n_jumps
+
+
+def reference_detect_jumps(x, det):
+    """Two-pass reference: all hysteresis crossings first, then chatter
+    merging that rescans from the first segment after every merge.
+
+    Returns (boundaries, artificial, wells) as detect_jumps builds them.
+    """
+    n_last = len(x) - 1
+    state = UPPER if x[0] >= 0.0 else LOWER
+    below = np.flatnonzero(x < det.x_low)
+    above = np.flatnonzero(x > det.x_up)
+    jumps = []
+    pos = 0
+    while True:
+        arr = below if state == UPPER else above
+        j = np.searchsorted(arr, pos + 1)
+        if j >= len(arr) or arr[j] >= n_last:
+            break
+        pos = int(arr[j])
+        jumps.append(pos)
+        state = -state
+    initial = UPPER if x[0] >= 0.0 else LOWER
+
+    b = [0] + jumps + [n_last]
+    art = [True] + [False] * len(jumps) + [True]
+    w = [initial * (-1) ** k for k in range(len(jumps) + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(b) - 1):
+            if b[k + 1] - b[k] >= det.n_min:
+                continue
+            left_real = not art[k]
+            right_real = not art[k + 1]
+            if left_real and right_real:
+                del b[k:k + 2]
+                del art[k:k + 2]
+                w[k - 1:k + 2] = [w[k - 1]]
+            elif right_real:  # initial segment too short
+                del b[k + 1]
+                del art[k + 1]
+                w[k:k + 2] = [w[k + 1]]
+            elif left_real:  # final segment too short
+                del b[k]
+                del art[k]
+                w[k - 1:k + 1] = [w[k - 1]]
+            else:  # single segment spanning the grid: nothing to merge
+                continue
+            changed = True
+            break
+    return (np.asarray(b, dtype=np.int64), np.asarray(art, dtype=bool),
+            np.asarray(w, dtype=np.int8))
+
+
+THRESHOLD_VALUES = [0.4, -0.4, 0.39, -0.39, 0.41, -0.41, 0.0, 1.0, -1.0]
+dwells = st.tuples(st.one_of(st.sampled_from(THRESHOLD_VALUES), st.floats(-1.5, 1.5)),
+                   st.integers(1, 60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(dwells, min_size=1, max_size=40), st.integers(2, 120))
+def test_one_pass_detection_matches_two_pass_reference(path, n_min):
+    # piecewise-constant paths: values on, just inside and just outside
+    # the thresholds as well as arbitrary floats, held for 1-60 samples,
+    # so chatter of every kind sits next to dwells longer than n_min
+    x = np.repeat([v for v, _ in path], [n for _, n in path])
+    assume(len(x) >= 2)
+    det = small_det(n_min=n_min)
+    segset = detect_jumps(make_trajectory(x), det)
+    boundaries, artificial, wells = reference_detect_jumps(x, det)
+    assert segset.boundaries.dtype == boundaries.dtype
+    assert np.array_equal(segset.boundaries, boundaries)
+    assert np.array_equal(segset.artificial, artificial)
+    assert segset.wells.dtype == wells.dtype
+    assert np.array_equal(segset.wells, wells)
 
 
 def test_deterministic_relaxation_cadence(relaxation_run, detector):

@@ -154,11 +154,14 @@ def test_features_csv_roundtrip(tmp_path):
 def test_zero_breakdown_skips_classification(tmp_path):
     # a shallow ramp never approaches the fold, so no run breaks down and
     # stratification fails; the experiment still completes with a warning
-    config = fast_config(tmp_path, d_min_low=1.0, d_min_high=1.1)
+    config = fast_config(tmp_path, n_runs=6, t_total=2500.0,
+                         d_min_low=1.0, d_min_high=1.1)
     report = run_experiment(config)
+    assert report["n_valid"] == 6
     assert report["class_counts"]["breakdown"] == 0
     assert report["cv"] is None
-    assert any("classification skipped" in w for w in report["warnings"])
+    assert report["warnings"] == [
+        "classification skipped: class True has 0 members, fewer than k=5"]
     assert (tmp_path / "report.json").exists()
 
 
@@ -313,6 +316,28 @@ def test_cli_classify_stratification_warning_text(tmp_path):
     assert report["pca"] is not None and "decision_line" not in report["pca"]
 
 
+@pytest.mark.parametrize("text,line", [
+    (None, None),
+    ("", 1),
+    ("t,x,d_a\n0,1,1.2\n", 1),
+    (FEATURES_HEADER + "0,0.5,0.1,nan,0.3,0.4,1,1\n", 2),
+    (FEATURES_HEADER + "0,0.5,0.1,0.2,0.3,0.4,1,1\n1,0.5,0.1,0.2,0.3,0.4,2,1\n", 3),
+    (FEATURES_HEADER + "0,0.5,0.1,0.2,0.3,0.4,1,2\n", 2),
+], ids=["missing_file", "empty_file", "not_features", "nan_slope_in_valid_row",
+        "label_2", "valid_2"])
+def test_cli_classify_rejects_bad_features_file(tmp_path, capsys, text, line):
+    features = tmp_path / "features.csv"
+    if text is not None:
+        features.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("classify", "--features", str(features), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(features) in err and "Traceback" not in err
+    if line is not None:
+        assert f"line {line}:" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label,missing", [(0, True), (1, False)])
 def test_cli_classify_one_class(tmp_path, label, missing):
     rng = generator(9)
@@ -383,6 +408,15 @@ def test_cli_simulate(tmp_path):
     assert lines[0] == "t,x,d_a"
     assert len(lines) == 45_001 + 1
     assert (tmp_path / "events.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--run-index", "-1"), ("--run-seed", "-3"),
+                                        ("--run-seed", str(2 ** 64))])
+def test_cli_simulate_rejects_seed_out_of_range(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--out", str(out), flag, value) == 2
+    assert "config error: run" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_features_then_classify(tmp_path):

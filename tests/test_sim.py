@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
-                      PiecewiseConstantAmplitude, PointSampler, SimConfig,
-                      UniformSampler, amplitude_at, drift, simulate)
+                      PiecewiseConstantAmplitude, SimConfig, UniformSampler,
+                      amplitude_at, drift, simulate)
 from cycleews.rng import RunStream, derive_seed
 from cycleews.sim import draw_d_min, iter_ensemble, run_seed_for, write_trajectory_csv
 
@@ -151,7 +151,7 @@ def test_ensemble_deterministic_and_order_independent():
 
 def test_ensemble_matches_standalone_simulate():
     config = _ramp_config()
-    runs = _paths(config, 3, PointSampler(0.7))
+    runs = _paths(config, 3, UniformSampler(0.7, 0.7))
     solo_schedule = LinearRampAmplitude(1.2, 0.7)
     for i, (traj, d_min) in enumerate(runs):
         assert d_min == 0.7
@@ -164,7 +164,7 @@ def test_ensemble_matches_standalone_simulate():
 
 def test_point_mass_keeps_amplitude_floor():
     config = _ramp_config()
-    for traj, d_min in _paths(config, 4, PointSampler(0.9)):
+    for traj, d_min in _paths(config, 4, UniformSampler(0.9, 0.9)):
         assert d_min == 0.9
         assert traj.d_a.min() >= 0.9 - 1e-12
 
