@@ -29,8 +29,8 @@ from .events import (DetectorConfig, detect_jumps, label_breakdown,
                      truncate_at_onset, write_events_csv)
 from .features import (FEATURE_NAMES, FeatureConfig, FeatureVector, circular_mean,
                        circular_std, cycle_stats, extract_features, jump_phases)
-from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, diagnostics_record,
-                       floquet_multiplier, jump_phase_decomposition)
+from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
+                       diagnostics_record, floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
 from .sim import (ConstantAmplitude, LinearRampAmplitude,
                   PiecewiseConstantAmplitude, RunResult, SimConfig, Trajectory,
@@ -38,8 +38,6 @@ from .sim import (ConstantAmplitude, LinearRampAmplitude,
                   simulate, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
-_DELAY_TRANSIENT_PERIODS = 3
-_DELAY_MEASURE_PERIODS = 2
 
 
 class ConfigError(ValueError):
@@ -281,7 +279,7 @@ def run_feature_pipeline(config: ExperimentConfig) -> Iterator[RunResult]:
 
     return iter_ensemble(config.sim_config(), config.n_runs, config.d_min_sampler(),
                          batch_size=config.batch_size, threads=config.threads,
-                         on_divergence="flag", per_run=per_run)
+                         per_run=per_run)
 
 
 def feature_rows(results: Iterable[RunResult]) -> List[dict]:
@@ -584,6 +582,8 @@ def run_figures(config: ExperimentConfig) -> None:
         for res in iter_ensemble(piece_cfg, config.figure_runs,
                                  batch_size=config.batch_size,
                                  threads=config.threads, per_run=per_run):
+            if res.error is not None:
+                raise res.error
             cycles, mids, deltas, jump_times = res.value
             for c, mid in zip(cycles, mids):
                 lv = int(schedule.level_index(mid))
@@ -617,31 +617,21 @@ def run_figures(config: ExperimentConfig) -> None:
 # geometry diagnostics
 # --------------------------------------------------------------------------
 
-def measured_delay_phase(d_a: float, omega: float, *, dt: float = 0.01,
-                         x0: float = 1.0, det: Optional[DetectorConfig] = None
-                         ) -> Optional[float]:
-    """Mean deterministic post-fold delay phase, measured from detected jumps.
+def measured_delay_phase(config: SimConfig, floquet: FloquetEstimate,
+                         det: DetectorConfig) -> Optional[float]:
+    """Mean fold-to-jump delay phase over the jumps of two periods of floquet.orbit.
 
-    Simulates the noise-free system at constant amplitude, discards the
-    transient periods, and averages the fold-to-jump phase over the
-    remaining jumps.  None when no fold exists or no jump is observed.
+    The orbit of config, found periodic by floquet_multiplier, is laid on
+    the grid t = i dt; the chatter rules drop a jump within n_min steps
+    of either end of that window.  None when no jump is detected.
     """
-    if d_a <= FOLD_FORCING_VALUE:
-        return None
-    det = det or DetectorConfig()
-    t_f = TWO_PI / omega
-    n_periods = _DELAY_TRANSIENT_PERIODS + _DELAY_MEASURE_PERIODS
-    steps_period = round(t_f / dt)
-    config = SimConfig(dt=dt, t_total=n_periods * steps_period * dt, omega=omega,
-                       amplitude_schedule=ConstantAmplitude(d_a), sigma=0.0, x0=x0)
-    traj = simulate(config, run_seed=0)
-    segset = detect_jumps(traj, det)
-    t_min = _DELAY_TRANSIENT_PERIODS * t_f
-    delays = [jump_phase_decomposition(t_j, d_a, omega).phi_delay
-              for t_j in segset.jump_times if t_j >= t_min]
-    if not delays:
-        return None
-    return float(np.mean(delays))
+    d_a = config.amplitude_schedule.value
+    x = np.concatenate((floquet.orbit[:-1], floquet.orbit))
+    traj = Trajectory(t=np.arange(len(x)) * config.dt, x=x, d_a=np.full(len(x), d_a),
+                      seed=0)
+    delays = [jump_phase_decomposition(t_j, d_a, config.omega).phi_delay
+              for t_j in detect_jumps(traj, det).jump_times]
+    return float(np.mean(delays)) if delays else None
 
 
 def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
@@ -649,8 +639,9 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
     """Fold info, sweep rate, log Floquet multiplier, and measured delay per grid point.
 
     Every grid point is checked before any is computed: each d_a must be
-    finite and > 0 and each period a whole number of dt steps, else
-    ConfigError.
+    finite and > 0, each period a whole number of dt steps, and the
+    two-period delay window, 8 * (2 * steps + 1) bytes, within physical
+    memory, else ConfigError.  A failed Floquet search nulls log_floquet and the delay.
     """
     grid = []
     for d_a in d_a_values:
@@ -662,6 +653,9 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
                 grid.append(SimConfig(dt=config.dt, t_total=period, omega=TWO_PI / period,
                                       amplitude_schedule=ConstantAmplitude(d_a),
                                       sigma=0.0, x0=config.x0))
+                window = 8 * (2 * grid[-1].n_steps + 1)
+                require(window <= physical_memory(),
+                        f"two-period delay window of {window} bytes exceeds physical memory")
             except ValueError as exc:
                 raise ConfigError(f"diagnose grid point d_a = {d_a}, period = {period}: "
                                   f"{exc}") from exc
@@ -670,16 +664,18 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
     rows = []
     for sim_cfg in grid:
         d_a, period, omega = sim_cfg.amplitude_schedule.value, sim_cfg.t_total, sim_cfg.omega
-        log_mu = None
+        log_mu = delay = None
         if d_a > FOLD_FORCING_VALUE:
             try:
-                log_mu = floquet_multiplier(sim_cfg).log_multiplier
+                floquet = floquet_multiplier(sim_cfg)
             except ConvergenceError:
-                log_mu = None
+                pass
+            else:
+                log_mu = floquet.log_multiplier
+                delay = measured_delay_phase(sim_cfg, floquet, config.detector())
         row = diagnostics_record(d_a, omega, log_floquet=log_mu)
         row["forcing_period"] = period
-        row["measured_delay_phase"] = measured_delay_phase(
-            d_a, omega, dt=config.dt, x0=config.x0, det=config.detector())
+        row["measured_delay_phase"] = delay
         rows.append(row)
     write_report({"rows": rows}, out_dir / "diagnostics.json")
     _log(f"wrote {out_dir / 'diagnostics.json'}")

@@ -9,7 +9,7 @@ multiplier of the deterministic periodic orbit over one forcing period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -35,9 +35,12 @@ class FoldInfo:
 
 @dataclass(frozen=True)
 class FloquetEstimate:
+    """Contraction over one period; orbit is the periodic path x(i dt), i = 0 .. steps."""
+
     multiplier: float
     log_multiplier: float
     periods_integrated: int
+    orbit: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     quadrature on the same grid.  Each period is one simulate call on
     the grid of the first period, started from the previous period's
     end state, so periodicity holds by construction in the phase
-    argument.
+    argument.  The last period's path, found periodic, is kept as orbit.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),
@@ -199,7 +202,7 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
                 log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
                 return FloquetEstimate(multiplier=math.exp(log_mu),
                                        log_multiplier=float(log_mu),
-                                       periods_integrated=period)
+                                       periods_integrated=period, orbit=cur)
         prev = cur
         x = float(cur[-1])
     raise ConvergenceError(

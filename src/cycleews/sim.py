@@ -273,17 +273,16 @@ def draw_d_min(run_seed: int, sampler) -> float:
 
 
 def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
-                    on_divergence: str = "raise",
                     per_run: Optional[Callable] = None) -> List[RunResult]:
     """Integrate the runs with the given seeds together; one RunResult each.
 
     The one integration path of the package: simulate is its one-run
     case and iter_ensemble hands it one batch at a time.  Every stream
     first draws its 2-uniform auxiliary block; with a d_min sampler the
-    first uniform sets the run's ramp floor.  A diverged run raises its
-    DivergenceError, or with on_divergence="flag" comes back with value
-    None and the error set.  per_run, when given, replaces each
-    trajectory by its result as soon as the trajectory is built.
+    first uniform sets the run's ramp floor.  A diverged run comes back
+    with value None and its DivergenceError set.  per_run, when given,
+    replaces each trajectory by its result as soon as the trajectory is
+    built.
     """
     t = config.time_grid()
     cos_wt = np.cos(config.omega * t)
@@ -306,10 +305,8 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
     out = []
     for r, (i, seed) in enumerate(zip(indices, seeds)):
         if r in diverged:
-            err = DivergenceError(diverged[r], run_index=i)
-            if on_divergence == "raise":
-                raise err
-            out.append(RunResult(i, seed, d_mins[r], None, err))
+            out.append(RunResult(i, seed, d_mins[r], None,
+                                 DivergenceError(diverged[r], run_index=i)))
             continue
         traj = Trajectory(t=t, x=np.ascontiguousarray(xs[:, r]),
                           d_a=schedules[r].array(t, config.t_total), seed=int(seed))
@@ -319,13 +316,15 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
 
 
 def simulate(config: SimConfig, run_seed: int) -> Trajectory:
-    """Simulate one path; bit-identical for identical (config, run_seed)."""
-    return _simulate_batch(config, [None], [run_seed])[0].value
+    """Simulate one path, bit-identical for identical (config, run_seed), or raise."""
+    res = _simulate_batch(config, [None], [run_seed])[0]
+    if res.error is not None:
+        raise res.error
+    return res.value
 
 
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
                   batch_size: int = 128, threads: int = 1,
-                  on_divergence: str = "raise",
                   per_run: Optional[Callable] = None) -> Iterator[RunResult]:
     """Stream an ensemble run by run, in index order.
 
@@ -337,10 +336,10 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     path of 8 * (n_steps + 1) * batch_size bytes at a time.  per_run,
     when given, is applied to each trajectory inside the worker and its
     result replaces the trajectory, so only those per-run records, not
-    full paths, come back to this process.
+    full paths, come back to this process.  A diverged run comes back
+    with value None and its DivergenceError set.
     """
     require(n_runs >= 1, "n_runs must be >= 1")
-    require(on_divergence in ("raise", "flag"), "on_divergence must be 'raise' or 'flag'")
     if d_min_sampler is not None:
         require(isinstance(config.amplitude_schedule, LinearRampAmplitude),
                 "a d_min sampler requires a linear ramp schedule")
@@ -350,7 +349,7 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     def do_batch(b: int) -> List[RunResult]:
         lo, hi = bounds[b]
         return _simulate_batch(config, range(lo, hi), seeds[lo:hi], d_min_sampler,
-                               on_divergence, per_run)
+                               per_run)
 
     for batch_out in fork_map(do_batch, len(bounds), threads):
         yield from batch_out

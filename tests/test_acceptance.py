@@ -126,7 +126,11 @@ def test_criterion_3_floquet_scaling():
 def test_criterion_4_delay_exponent():
     periods = [100.0, 200.0, 400.0, 800.0]
     omegas = [2 * math.pi / p for p in periods]
-    delays = [measured_delay_phase(1.0, w) for w in omegas]
+    delays = []
+    for period, omega in zip(periods, omegas):
+        cfg = SimConfig(dt=0.01, t_total=period, omega=omega,
+                        amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=1.0)
+        delays.append(measured_delay_phase(cfg, floquet_multiplier(cfg), DetectorConfig()))
     slope = ols_slope_loglog(omegas, delays)
     check(4, "deterministic jump-delay phase vs omega has log-log slope "
              "2/3 +/- 0.15 at amplitude 1.0",

@@ -12,8 +12,8 @@ from cycleews import experiment
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
-                                 load_config, measured_delay_phase, parse_config_text,
-                                 read_features_csv, run_experiment, write_report)
+                                 load_config, parse_config_text, read_features_csv,
+                                 run_diagnose, run_experiment, write_report)
 from cycleews.rng import generator
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
@@ -163,10 +163,6 @@ def test_zero_breakdown_skips_classification(tmp_path):
     assert report["warnings"] == [
         "classification skipped: class True has 0 members, fewer than k=5"]
     assert (tmp_path / "report.json").exists()
-
-
-def test_measured_delay_none_below_fold():
-    assert measured_delay_phase(0.5, 2.0 * math.pi / 100.0) is None
 
 
 # --------------------------------------------------------------------------
@@ -451,10 +447,43 @@ def test_cli_diagnose(tmp_path):
                                           * math.sqrt(1 - 4 / (9 * 1.44)))
 
 
+def test_cli_diagnose_diverging_grid_gives_nulls(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("x0 = 2000\n")
+    assert run_cli("diagnose", "--config", str(cfg), "--out", str(tmp_path),
+                   "--da", "0.5,0.9,1.2", "--periods", "50,100") == 0
+    rows = json.loads((tmp_path / "diagnostics.json").read_text())["rows"]
+    assert len(rows) == 6
+    assert all(r["log_floquet"] is None and r["measured_delay_phase"] is None
+               for r in rows)
+
+
+def test_run_diagnose_integrates_only_the_floquet_search(monkeypatch, tmp_path):
+    def no_simulate(*args, **kwargs):
+        raise AssertionError("diagnose simulated outside the Floquet search")
+
+    monkeypatch.setattr(experiment, "simulate", no_simulate)
+    rows = run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 1.2], [50.0])
+    assert rows[0]["measured_delay_phase"] is None
+    assert rows[1]["measured_delay_phase"] > 0.0
+
+
+def test_diagnose_rejects_delay_window_above_memory(monkeypatch, tmp_path):
+    config = ExperimentConfig(out_dir=str(tmp_path))
+    # period 50 at dt 0.01: two periods hold 2 * 5,000 + 1 points of 8 bytes
+    window = 8 * (2 * 5_000 + 1)
+    monkeypatch.setattr(experiment, "physical_memory", lambda: window - 1)
+    with pytest.raises(ConfigError, match="delay window"):
+        run_diagnose(config, [1.2], [50.0])
+    assert not (tmp_path / "diagnostics.json").exists()
+    monkeypatch.setattr(experiment, "physical_memory", lambda: window)
+    assert run_diagnose(config, [1.2], [50.0])[0]["measured_delay_phase"] > 0.0
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--da", "abc"), ("--da", "nan"), ("--da", "-1"), ("--da", "0"), ("--da", "1.2,"),
     ("--periods", "0"), ("--periods", "-50"), ("--periods", "inf"),
-    ("--periods", "50,0.005"),
+    ("--periods", "50,0.005"), ("--periods", "1e12"),
 ])
 def test_cli_diagnose_rejects_bad_grid(tmp_path, flag, value):
     assert run_cli("diagnose", flag, value, "--out", str(tmp_path)) == 2

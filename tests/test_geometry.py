@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cycleews import (ConstantAmplitude, SimConfig, critical_manifold_roots,
-                      floquet_multiplier, fold_info, fold_sweep_rate,
-                      hazard_window_width, jump_phase_decomposition,
-                      predicted_delay_phase)
+from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig,
+                      critical_manifold_roots, detect_jumps, floquet_multiplier,
+                      fold_info, fold_sweep_rate, hazard_window_width,
+                      jump_phase_decomposition, predicted_delay_phase, simulate)
 from cycleews import geometry
 from cycleews.base import ConvergenceError
+from cycleews.experiment import measured_delay_phase
 from cycleews.geometry import FOLD_FORCING_VALUE
 from cycleews.rng import generator
 
@@ -146,6 +147,8 @@ def _floquet_config(period, d_a=1.2):
 
 def test_floquet_multiplier_contraction():
     est = floquet_multiplier(_floquet_config(225.0))
+    assert len(est.orbit) == 22_501
+    assert abs(est.orbit[-1] - est.orbit[0]) < 1e-9  # the search's periodicity tol
     assert est.multiplier > 0.0
     assert est.log_multiplier < -20.0
     assert est.multiplier < 1e-8
@@ -179,3 +182,26 @@ def test_jump_decomposition_identity_random():
         assert dec.eta in (-1, 1)
         # t_star really is the nearest extremum time
         assert abs(t_j - dec.t_star) <= math.pi / omega / 2.0 + 1e-9
+
+
+def delay_phase_by_resimulation(d_a, omega, dt=0.01, x0=1.0):
+    """Oracle: integrate 5 periods from x0 and average the jumps of the last 2."""
+    t_f = 2.0 * math.pi / omega
+    steps_period = round(t_f / dt)
+    config = SimConfig(dt=dt, t_total=5 * steps_period * dt, omega=omega,
+                       amplitude_schedule=ConstantAmplitude(d_a), sigma=0.0, x0=x0)
+    segset = detect_jumps(simulate(config, run_seed=0), DetectorConfig())
+    delays = [jump_phase_decomposition(t_j, d_a, omega).phi_delay
+              for t_j in segset.jump_times if t_j >= 3 * t_f]
+    return float(np.mean(delays)) if delays else None
+
+
+@pytest.mark.parametrize("d_a", [0.68, 0.75, 1.0, 1.5])
+def test_delay_phase_from_orbit_matches_resimulation(d_a):
+    for period in (25.0, 50.0, 100.0):
+        config = _floquet_config(period, d_a)
+        mine = measured_delay_phase(config, floquet_multiplier(config), DetectorConfig())
+        oracle = delay_phase_by_resimulation(d_a, config.omega)
+        assert (mine is None) == (oracle is None), period
+        if oracle is not None:
+            assert mine == pytest.approx(oracle, rel=1e-12, abs=0.0), period

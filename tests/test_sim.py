@@ -179,11 +179,9 @@ def test_ensemble_divergence_flag_mode():
     config = SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0,
                        x0=1e7, master_seed=3)
-    results = list(iter_ensemble(config, 2, on_divergence="flag"))
-    assert all(r.error is not None and r.error.run_index == r.run_index
-               for r in results)
-    with pytest.raises(DivergenceError):
-        list(iter_ensemble(config, 2))
+    results = list(iter_ensemble(config, 2))
+    assert all(r.value is None and r.error.run_index == r.run_index for r in results)
+    assert all(isinstance(r.error, DivergenceError) for r in results)
 
 
 def test_divergence_error_pickles():
@@ -200,14 +198,14 @@ def _diverging_config():
                      x0=2000.0, master_seed=3)
 
 
-def test_ensemble_divergence_raise_independent_of_workers():
+def test_ensemble_divergence_flags_independent_of_workers():
     errors = []
     for threads in (1, 2):
-        with pytest.raises(DivergenceError) as err:
-            list(iter_ensemble(_diverging_config(), 4, batch_size=2, threads=threads))
-        errors.append((str(err.value), err.value.step_index, err.value.run_index))
+        results = iter_ensemble(_diverging_config(), 4, batch_size=2, threads=threads)
+        errors.append([(str(r.error), r.error.step_index, r.error.run_index)
+                       for r in results])
     assert errors[0] == errors[1]
-    assert errors[0][2] == 0
+    assert [e[2] for e in errors[0]] == [0, 1, 2, 3]
 
 
 def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
