@@ -639,9 +639,10 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
     """Fold info, sweep rate, log Floquet multiplier, and measured delay per grid point.
 
     Every grid point is checked before any is computed: each d_a must be
-    finite and > 0, each period a whole number of dt steps, and the
-    two-period delay window, 8 * (2 * steps + 1) bytes, within physical
-    memory, else ConfigError.  A failed Floquet search nulls log_floquet and the delay.
+    finite and > 0, each period a whole number of dt steps, at least 2,
+    and the two-period delay window, 8 * (2 * steps + 1) bytes, within
+    physical memory, else ConfigError.  A failed Floquet search nulls
+    log_floquet and the delay.
     """
     grid = []
     for d_a in d_a_values:
@@ -653,6 +654,7 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
                 grid.append(SimConfig(dt=config.dt, t_total=period, omega=TWO_PI / period,
                                       amplitude_schedule=ConstantAmplitude(d_a),
                                       sigma=0.0, x0=config.x0))
+                require(grid[-1].n_steps >= 2, "period must span at least 2 steps of dt")
                 window = 8 * (2 * grid[-1].n_steps + 1)
                 require(window <= physical_memory(),
                         f"two-period delay window of {window} bytes exceeds physical memory")

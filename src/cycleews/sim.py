@@ -7,16 +7,20 @@ with the amplitude evaluated at the left endpoint of each step.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
-rng.py), so ensembles are order-independent.  A run simulated alone,
-inside a batch, or in a worker process yields the same bits by
-construction: simulate and iter_ensemble both go through one batch
-kernel, whose arithmetic is elementwise per run.
+rng.py), so ensembles are order-independent.  simulate and iter_ensemble
+both go through one batch kernel.  A batch of two or more runs steps
+with ufuncs on rows, elementwise per run; a batch of one steps on
+Python floats in the same operation order, since numpy's per-call cost
+dominates on one-element rows.  That a run yields the same bits alone,
+inside a batch, or in a worker process is pinned by the parity tests in
+tests/test_sim.py, not by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Union
 
 import numpy as np
@@ -206,7 +210,9 @@ def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams):
 
     xs has shape (n_steps + 1, batch) and diverged maps a batch-local run
     index to the first step where its state left the admissible region
-    (those rows are zeroed from that step on).
+    (those rows are zeroed from that step on).  A batch of one steps on
+    Python floats, one chunk at a time, in the operation order of the
+    ufunc loop, so both give the same bits (see the parity tests).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     batch = len(x0)
@@ -215,6 +221,7 @@ def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams):
     s1 = np.empty(batch)
     s2 = np.empty(batch)
     sig_sqdt = sigma * math.sqrt(dt)
+    rate = float(rates[0]) if rates is not None else None
     diverged = {}
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,6 +231,27 @@ def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams):
                 xi = np.empty((c1 - c0, batch))
                 for r, stream in enumerate(streams):
                     xi[:, r] = stream.normals(c1 - c0)
+            if batch == 1:
+                # Python floats in the operation order of the ufunc loop below
+                x, path = float(xs[c0, 0]), []
+                tcs = time_cos[c0:c1].tolist() if rates is not None else repeat(None)
+                zs = xi[:, 0].tolist() if sigma > 0.0 else repeat(None)
+                for ac, tc, z in zip(amp_cos[c0:c1].tolist(), tcs, zs):
+                    s = x - ((x * x) * x) / 3.0
+                    if tc is not None:
+                        s = s - rate * tc
+                    x = x + (s + ac) * dt
+                    if z is not None:
+                        x = x + z * sig_sqdt
+                    if not -STATE_GUARD <= x <= STATE_GUARD:
+                        diverged[0] = c0 + 1 + len(path)
+                        break
+                    path.append(x)
+                xs[c0 + 1:c0 + 1 + len(path), 0] = path
+                if diverged:
+                    xs[diverged[0]:, 0] = 0.0
+                    break
+                continue
             for n in range(c0, c1):
                 row = xs[n]
                 nxt = xs[n + 1]
@@ -277,12 +305,13 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
     """Integrate the runs with the given seeds together; one RunResult each.
 
     The one integration path of the package: simulate is its one-run
-    case and iter_ensemble hands it one batch at a time.  Every stream
-    first draws its 2-uniform auxiliary block; with a d_min sampler the
-    first uniform sets the run's ramp floor.  A diverged run comes back
-    with value None and its DivergenceError set.  per_run, when given,
-    replaces each trajectory by its result as soon as the trajectory is
-    built.
+    case and iter_ensemble hands it one batch at a time.  A one-run batch
+    steps on Python floats (see _integrate) and gives the bits that run
+    gets inside any larger batch.  Every stream first draws its 2-uniform
+    auxiliary block; with a d_min sampler the first uniform sets the
+    run's ramp floor.  A diverged run comes back with value None and its
+    DivergenceError set.  per_run, when given, replaces each trajectory
+    by its result as soon as the trajectory is built.
     """
     t = config.time_grid()
     cos_wt = np.cos(config.omega * t)

@@ -173,6 +173,22 @@ def run_cli(*args):
     return main(list(args))
 
 
+def test_python_m_cycleews_runs_from_a_checkout(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "cycleews", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("--help")
+    assert done.returncode == 0, done.stderr
+    assert "diagnose" in done.stdout
+    done = run("diagnose", "--periods", "0.01", "--out", str(tmp_path))
+    assert done.returncode == 2 and "at least 2 steps" in done.stderr
+
+
 def test_cli_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 5\n")
@@ -483,7 +499,7 @@ def test_diagnose_rejects_delay_window_above_memory(monkeypatch, tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--da", "abc"), ("--da", "nan"), ("--da", "-1"), ("--da", "0"), ("--da", "1.2,"),
     ("--periods", "0"), ("--periods", "-50"), ("--periods", "inf"),
-    ("--periods", "50,0.005"), ("--periods", "1e12"),
+    ("--periods", "50,0.005"), ("--periods", "1e12"), ("--periods", "0.01"),
 ])
 def test_cli_diagnose_rejects_bad_grid(tmp_path, flag, value):
     assert run_cli("diagnose", flag, value, "--out", str(tmp_path)) == 2

@@ -8,7 +8,8 @@ from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       PiecewiseConstantAmplitude, SimConfig, UniformSampler,
                       amplitude_at, drift, simulate)
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import draw_d_min, iter_ensemble, run_seed_for, write_trajectory_csv
+from cycleews.sim import (_simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
+                          write_trajectory_csv)
 
 OMEGA = 2.0 * math.pi / 225.0
 
@@ -122,7 +123,20 @@ def test_divergence_guard():
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0, x0=1e7)
     with pytest.raises(DivergenceError) as err:
         simulate(config, 0)
-    assert err.value.step_index >= 1
+    assert err.value.step_index == 1
+
+
+def test_divergence_step_alone_matches_batch_past_first_chunk():
+    # the 1e9 level starts at step 9,000, past the first 8,192-step chunk
+    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+                       amplitude_schedule=PiecewiseConstantAmplitude((1.0, 1e9), 90.0),
+                       sigma=0.3, x0=1.0, master_seed=2)
+    seed = run_seed_for(2, 0)
+    with pytest.raises(DivergenceError) as err:
+        simulate(config, seed)
+    batch = _simulate_batch(config, [0, 1], [seed, seed])
+    assert 9_000 < err.value.step_index < 9_100
+    assert [r.error.step_index for r in batch] == [err.value.step_index] * 2
 
 
 def _ramp_config(t_total=20.0, seed=7):
@@ -143,10 +157,12 @@ def test_ensemble_deterministic_and_order_independent():
     runs1 = _paths(config, 5, sampler, batch_size=2)
     runs2 = _paths(config, 5, sampler, batch_size=5)
     runs3 = _paths(config, 5, sampler, batch_size=3, threads=2)
-    for (a, da), (b, db), (c, dc) in zip(runs1, runs2, runs3):
-        assert da == db == dc
+    runs4 = _paths(config, 5, sampler, batch_size=1, threads=2)  # each run alone
+    for (a, da), (b, db), (c, dc), (d, dd) in zip(runs1, runs2, runs3, runs4):
+        assert da == db == dc == dd
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.x, c.x)
+        assert a.x.tobytes() == d.x.tobytes()
 
 
 def test_ensemble_matches_standalone_simulate():
@@ -255,18 +271,35 @@ def _scalar_euler(config, seed, schedule):
     return np.array(xs)
 
 
-@pytest.mark.parametrize("schedule,sigma", [
+_SCHEDULES = pytest.mark.parametrize("schedule,sigma", [
     (LinearRampAmplitude(1.2, 0.25), 0.3),
     (ConstantAmplitude(0.8), 0.0),
     (PiecewiseConstantAmplitude((1.0, 0.7, 0.9), 40.0), 0.3),
 ], ids=["noisy_ramp", "constant", "piecewise"])
-def test_simulate_matches_scalar_euler(schedule, sigma):
+
+
+def _long_config(schedule, sigma):
     # 10,000 steps cross the integrator's 8,192-step noise chunk
-    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA, amplitude_schedule=schedule,
-                       sigma=sigma, x0=1.0, master_seed=4)
+    return SimConfig(dt=0.01, t_total=100.0, omega=OMEGA, amplitude_schedule=schedule,
+                     sigma=sigma, x0=1.0, master_seed=4)
+
+
+@_SCHEDULES
+def test_simulate_matches_scalar_euler(schedule, sigma):
+    config = _long_config(schedule, sigma)
     seed = run_seed_for(4, 0)
     expected = _scalar_euler(config, seed, schedule)
     assert simulate(config, seed).x.tobytes() == expected.tobytes()
+
+
+@_SCHEDULES
+def test_simulate_alone_matches_batch_loop(schedule, sigma):
+    # a batch of one steps on Python floats, a batch of two on ufunc rows
+    config = _long_config(schedule, sigma)
+    seed = run_seed_for(4, 0)
+    pair = _simulate_batch(config, [0, 1], [seed, seed])
+    alone = simulate(config, seed).x.tobytes()
+    assert pair[0].value.x.tobytes() == alone == pair[1].value.x.tobytes()
 
 
 def test_ensemble_matches_scalar_euler_at_drawn_d_min():
