@@ -95,6 +95,84 @@ class SegmentSet:
         return out
 
 
+class JumpStream:
+    """The detector of detect_jumps, fed a path in consecutive chunks.
+
+    n_last is the index of the path's final sample; feeding that sample
+    applies the end rules and sets finished.  boundaries and wells are
+    the stack of kept boundaries and the well of each closed segment.
+    A chatter event can only remove or move the top boundary, and only
+    within n_min steps of it, so every boundary below the top is final
+    (see n_final).
+    """
+
+    def __init__(self, det: DetectorConfig, n_last: int):
+        require(n_last >= 1, "trajectory must contain at least two samples")
+        self.det = det
+        self.n_last = n_last
+        self.boundaries = [0]
+        self.wells = []
+        self.seen = 0  # samples fed so far
+        self.finished = False
+        self._well = UPPER
+        self._pos = 0  # index of the last threshold event
+
+    def feed(self, x) -> None:
+        """Walk the threshold crossings among the next samples of the path."""
+        x = np.asarray(x, dtype=float)
+        if len(x) == 0:
+            return
+        require(not self.finished, "the whole path has been fed")
+        require(bool(np.isfinite(x).all()), "trajectory contains non-finite states")
+        offset = self.seen
+        if offset == 0:
+            self._well = UPPER if x[0] >= 0.0 else LOWER
+        self.seen += len(x)
+        require(self.seen <= self.n_last + 1, "more samples than the path holds")
+        head = x[:self.n_last - offset]  # a crossing at n_last counts as the end
+        exits = {UPPER: np.flatnonzero(head < self.det.x_low) + offset,
+                 LOWER: np.flatnonzero(head > self.det.x_up) + offset}
+        while True:
+            arr = exits[self._well]
+            j = np.searchsorted(arr, self._pos + 1)
+            if j == len(arr):
+                break
+            self._event(int(arr[j]))
+        if self.seen == self.n_last + 1:
+            self._event(self.n_last)
+            self.finished = True
+
+    def _event(self, pos: int) -> None:
+        b = self.boundaries
+        if pos - b[-1] >= self.det.n_min or (len(b) == 1 and pos == self.n_last):
+            b.append(pos)
+            self.wells.append(self._well)
+        elif pos == self.n_last:  # final chatter
+            b[-1] = pos
+        elif len(b) > 1:  # chatter between two real jumps
+            b.pop()
+            self.wells.pop()
+        # initial chatter keeps no boundary; the segment takes the next well
+        self._well = -self._well
+        self._pos = pos
+
+    def n_final(self) -> int:
+        """How many boundaries, from the first, no later sample can change."""
+        top = self.boundaries[-1]
+        if self.finished or len(self.boundaries) == 1 or self.seen - top >= self.det.n_min:
+            return len(self.boundaries)
+        return len(self.boundaries) - 1
+
+    def segments(self, dt: float) -> SegmentSet:
+        """The SegmentSet of the whole path; the path must be finished."""
+        require(self.finished, "segments need the whole path")
+        artificial = np.zeros(len(self.boundaries), dtype=bool)
+        artificial[[0, -1]] = True
+        return SegmentSet(boundaries=np.array(self.boundaries, dtype=np.int64),
+                          artificial=artificial,
+                          wells=np.array(self.wells, dtype=np.int8), dt=dt)
+
+
 def detect_jumps(traj: Trajectory, det: DetectorConfig) -> SegmentSet:
     """Detect alternating jumps and drop threshold chatter in one pass.
 
@@ -107,31 +185,9 @@ def detect_jumps(traj: Trajectory, det: DetectorConfig) -> SegmentSet:
     """
     x = np.asarray(traj.x, dtype=float)
     require(len(x) >= 2, "trajectory must contain at least two samples")
-    require(bool(np.isfinite(x).all()), "trajectory contains non-finite states")
-
-    n_last = len(x) - 1
-    exits = {UPPER: np.flatnonzero(x < det.x_low), LOWER: np.flatnonzero(x > det.x_up)}
-    well = UPPER if x[0] >= 0.0 else LOWER
-    boundaries, wells = [0], []
-    pos = 0
-    while pos < n_last:
-        arr = exits[well]
-        j = np.searchsorted(arr, pos + 1)
-        pos = int(arr[j]) if j < len(arr) and arr[j] < n_last else n_last
-        if pos - boundaries[-1] >= det.n_min or (len(boundaries) == 1 and pos == n_last):
-            boundaries.append(pos)
-            wells.append(well)
-        elif pos == n_last:  # final chatter
-            boundaries[-1] = pos
-        elif len(boundaries) > 1:  # chatter between two real jumps
-            boundaries.pop()
-            wells.pop()
-        # initial chatter keeps no boundary; the segment takes the next well
-        well = -well
-    artificial = np.zeros(len(boundaries), dtype=bool)
-    artificial[[0, -1]] = True
-    return SegmentSet(boundaries=np.array(boundaries, dtype=np.int64), artificial=artificial,
-                      wells=np.array(wells, dtype=np.int8), dt=traj.dt)
+    stream = JumpStream(det, len(x) - 1)
+    stream.feed(x)
+    return stream.segments(traj.dt)
 
 
 def label_breakdown(segset: SegmentSet, t_f: float, det: DetectorConfig) -> SegmentSet:

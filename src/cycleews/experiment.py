@@ -27,12 +27,14 @@ from .classify import (Dataset, FeatureScaler, LinearHingeSVM, StratificationErr
                        pca_2d, permutation_importance, stratified_kfold)
 from .events import (DetectorConfig, detect_jumps, label_breakdown,
                      truncate_at_onset, write_events_csv)
-from .features import (FEATURE_NAMES, FeatureConfig, FeatureVector, circular_mean,
-                       circular_std, cycle_stats, extract_features, jump_phases)
+# extract_features stays importable from here, where perfbench's tracer wraps it
+from .features import (FEATURE_NAMES, FeatureConfig, FeatureStream,  # noqa: F401
+                       circular_mean, circular_std, cycle_stats, extract_features,
+                       jump_phases)
 from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
                        diagnostics_record, floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
-from .sim import (ConstantAmplitude, LinearRampAmplitude,
+from .sim import (CHUNK_BUFFERS, CHUNK_STEPS, ConstantAmplitude, LinearRampAmplitude,
                   PiecewiseConstantAmplitude, RunResult, SimConfig, Trajectory,
                   UniformSampler, draw_d_min, iter_ensemble, run_seed_for,
                   simulate, write_trajectory_csv)
@@ -210,20 +212,32 @@ def _validated(config: ExperimentConfig) -> ExperimentConfig:
             "svm_lambda must be auto or finite and > 0")
     require(config.permutation_repeats >= 1, "permutation_repeats must be >= 1")
     require(config.figure_runs >= 1, "figure_runs must be >= 1")
-    # the figure ramp is one run as long as an ensemble run, so the
-    # ensemble's bound covers it
-    memory = physical_memory()
-    _, piece = config.figure_sim_configs()
-    for name, sim_cfg, runs in (("ensemble", config.sim_config(), config.n_runs),
-                                ("figure level", piece, config.figure_runs)):
-        n_points = sim_cfg.n_steps + 1
-        batch = min(config.batch_size, runs)
-        require(8 * n_points * batch <= memory,
-                f"one {name} batch path of {batch} runs x {float(n_points):.6g} points "
-                f"(8 bytes each) exceeds the {memory} bytes of physical memory")
-    config.detector()
+    det = config.detector()
     config.feature_config()
     config.d_min_sampler()
+    memory = physical_memory()
+    sim_cfg = config.sim_config()
+    # simulate and the figure ramp hold one whole path as long as an ensemble run
+    n_points = sim_cfg.n_steps + 1
+    require(8 * n_points <= memory,
+            f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
+            f"{memory} bytes of physical memory")
+    # an ensemble batch streams: chunk buffers plus each run's FeatureStream
+    batch = min(config.batch_size, config.n_runs)
+    chunk = min(CHUNK_STEPS, sim_cfg.n_steps)
+    held = batch * 8 * (CHUNK_BUFFERS * (chunk + 1) + FeatureStream.held_samples(
+        det, config.forcing_period, config.dt, sim_cfg.n_steps, chunk))
+    require(held <= memory,
+            f"one ensemble batch of {batch} runs holds up to {float(held):.6g} bytes "
+            f"(chunk buffers and per-run state), more than the {memory} bytes of "
+            "physical memory")
+    # the figure level protocol holds whole paths of a batch
+    _, piece = config.figure_sim_configs()
+    n_points = piece.n_steps + 1
+    batch = min(config.batch_size, config.figure_runs)
+    require(8 * n_points * batch <= memory,
+            f"one figure level batch path of {batch} runs x {float(n_points):.6g} points "
+            f"(8 bytes each) exceeds the {memory} bytes of physical memory")
     return config
 
 
@@ -266,20 +280,21 @@ def segment_run(traj: Trajectory, det: DetectorConfig, t_f: float):
 def run_feature_pipeline(config: ExperimentConfig) -> Iterator[RunResult]:
     """Stream the ensemble in run order, each run reduced to its FeatureVector.
 
-    A diverged run comes back with value None and its error set.
+    Each run streams into a FeatureStream, which stops it at its
+    breakdown onset.  A run that diverges before then comes back with
+    value None and its error set.
     """
     det = config.detector()
     fcfg = config.feature_config()
-    t_f = config.forcing_period
-    omega = config.omega
+    sim_cfg = config.sim_config()
 
-    def per_run(traj: Trajectory) -> FeatureVector:
-        _, truncated = segment_run(traj, det, t_f)
-        return extract_features(traj, truncated, fcfg, omega)
+    def consumer() -> FeatureStream:
+        return FeatureStream(det, fcfg, config.forcing_period, config.omega, sim_cfg.dt,
+                             sim_cfg.n_steps)
 
-    return iter_ensemble(config.sim_config(), config.n_runs, config.d_min_sampler(),
+    return iter_ensemble(sim_cfg, config.n_runs, config.d_min_sampler(),
                          batch_size=config.batch_size, threads=config.threads,
-                         per_run=per_run)
+                         consumer=consumer)
 
 
 def feature_rows(results: Iterable[RunResult]) -> List[dict]:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .base import require
-from .events import SegmentSet
+from .events import DetectorConfig, JumpStream, SegmentSet
 from .sim import Trajectory
 
 TWO_PI = 2.0 * math.pi
@@ -124,17 +124,33 @@ def detrend_segment(samples, fcfg: FeatureConfig):
     Drops floor(p_buf * n) samples from each end, fits a least-squares
     polynomial of the configured degree against the local sample index,
     and returns interior - fit.  Returns None when too few interior
-    samples remain (the segment is skipped, not fatal).
+    samples remain (the segment is skipped, not fatal).  The fit is
+    numpy's Polynomial.fit(idx, interior, deg)(idx) without the class,
+    in the same operation order, so the bits match: the index mapped
+    onto [-1, 1], a (deg + 1, n) Vandermonde whose rows are scaled to
+    unit norm, lstsq with rcond = n * eps, and Horner evaluation.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     b = int(fcfg.p_buf * n)
-    interior = samples[b:n - b] if b > 0 else samples
-    if len(interior) < fcfg.detrend_degree + 2:
+    y = samples[b:n - b] if b > 0 else samples
+    n, deg = len(y), fcfg.detrend_degree
+    if n < deg + 2:
         return None
-    idx = np.arange(len(interior), dtype=float)
-    fit = np.polynomial.Polynomial.fit(idx, interior, fcfg.detrend_degree)
-    return interior - fit(idx)
+    u = -1.0 + (2.0 / (n - 1)) * np.arange(n, dtype=float)
+    vander = np.empty((deg + 1, n))
+    vander[0] = u * 0 + 1
+    if deg > 0:
+        vander[1] = u
+    for i in range(2, deg + 1):
+        vander[i] = vander[i - 1] * u
+    scl = np.sqrt(np.square(vander).sum(1))
+    scl[scl == 0] = 1
+    coef = np.linalg.lstsq(vander.T / scl, y + 0.0, n * np.finfo(float).eps)[0] / scl
+    fit = coef[-1] + u * 0
+    for c in coef[-2::-1]:
+        fit = c + fit * u
+    return y - fit
 
 
 def sample_variance(y: np.ndarray) -> float:
@@ -163,17 +179,20 @@ def cycle_stats(segset: SegmentSet, traj: Trajectory,
     for k in range(segset.n_segments):
         i0, i1 = segset.segment_bounds(k)
         residuals.append(detrend_segment(traj.x[i0:i1], fcfg))
-    out = []
-    for ci in range(len(residuals) // 2):
-        a, b = residuals[2 * ci], residuals[2 * ci + 1]
-        if a is None or b is None:
-            continue
-        y = np.concatenate([a, b])
-        var = sample_variance(y)
-        if var == 0.0:
-            continue
-        out.append(CycleStats(ci, var, lag1_autocorrelation(y), len(y)))
-    return out
+    cycles = (_cycle(ci, residuals[2 * ci], residuals[2 * ci + 1])
+              for ci in range(len(residuals) // 2))
+    return [c for c in cycles if c is not None]
+
+
+def _cycle(ci: int, a, b) -> Optional[CycleStats]:
+    """Statistics of cycle ci from its two residual series; None if omitted."""
+    if a is None or b is None:
+        return None
+    y = np.concatenate([a, b])
+    var = sample_variance(y)
+    if var == 0.0:
+        return None
+    return CycleStats(ci, var, lag1_autocorrelation(y), len(y))
 
 
 def ols_slope(values) -> float:
@@ -241,9 +260,13 @@ def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
     windows (the minimum for a defined slope); the first failed
     requirement is recorded.
     """
-    label = segset.breakdown
-    cycles = tuple(cycle_stats(segset, traj, fcfg))
-    phases = jump_phases(segset, omega)
+    return trend_features(tuple(cycle_stats(segset, traj, fcfg)),
+                          jump_phases(segset, omega), segset.breakdown, fcfg)
+
+
+def trend_features(cycles: Tuple[CycleStats, ...], phases: PhaseSeries, label: bool,
+                   fcfg: FeatureConfig) -> FeatureVector:
+    """The FeatureVector of a run's cycle and jump-phase series (see extract_features)."""
     n_cycles = len(cycles)
     n_jumps = phases.n_jumps
 
@@ -269,3 +292,111 @@ def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
         label=label, valid=True,
         n_cycles=n_cycles, n_jumps=n_jumps, cycles=cycles, phases=phases)
 
+
+class FeatureStream:
+    """One run's FeatureVector from its path fed in consecutive chunks.
+
+    Gives the bits of detect_jumps, label_breakdown, truncate_at_onset
+    and extract_features on the whole path, while holding only the
+    samples of segments that are not yet final.  A segment is final once
+    its right boundary is (see events.JumpStream.n_final); it is then
+    checked against the breakdown threshold and, if not longer, detrended
+    and paired into its cycle.  The breakdown onset is the first segment
+    longer than breakdown_factor * t_f.  It is known before the path ends
+    once the open segment starts at a final boundary and already holds
+    more samples than that; since merges only lengthen segments, no
+    later sample can change it.  feed then returns True: the run needs
+    no more samples.
+    """
+
+    def __init__(self, det: DetectorConfig, fcfg: FeatureConfig, t_f: float,
+                 omega: float, dt: float, n_steps: int):
+        self.fcfg = fcfg
+        self.omega = omega
+        self.dt = dt
+        self.threshold = det.breakdown_factor * t_f
+        self.jumps = JumpStream(det, n_steps)
+        self.onset: Optional[int] = None
+        self.done = False
+        self._x = np.empty(0)  # the path from sample _base on
+        self._base = 0
+        self._detrended = 0  # segments detrended so far, all final
+        self._pending = None  # residual of an even segment awaiting its pair
+        self._cycles: List[CycleStats] = []
+
+    @staticmethod
+    def held_samples(det: DetectorConfig, t_f: float, dt: float, n_steps: int,
+                     chunk: int) -> int:
+        """At most how many samples one stream holds while fed chunks of `chunk`.
+
+        Path and pending residual each span at most a segment that is
+        not too long, and the path also the top boundary's n_min steps
+        and one chunk.
+        """
+        ratio = det.breakdown_factor * t_f / dt
+        longest = n_steps + 1 if ratio >= n_steps else math.floor(ratio) + 1
+        return 2 * longest + det.n_min + chunk
+
+    def feed(self, x) -> bool:
+        """Take the next samples of the path; True once the run needs no more."""
+        require(not self.done, "the run's features are complete")
+        keep = self.jumps.boundaries[self._detrended] - self._base
+        self._x = np.concatenate((self._x[keep:], x))
+        self._base += keep
+        self.jumps.feed(self._x[len(self._x) - len(x):])
+        self._advance()
+        return self.done
+
+    def _advance(self) -> None:
+        b = self.jumps.boundaries
+        n_final = self.jumps.n_final()
+        for i in range(self._detrended, len(b) - 1):
+            # a segment can only grow, so one too long now stays too long
+            if (b[i + 1] - b[i]) * self.dt > self.threshold:
+                self._stop(i)
+                return
+            if i + 1 < n_final:
+                self._detrend(i)
+        if self.jumps.finished:
+            self._stop(None)
+        elif n_final == len(b) and (self.jumps.seen - b[-1]) * self.dt > self.threshold:
+            self._stop(len(b) - 1)
+
+    def _detrend(self, i: int) -> None:
+        b = self.jumps.boundaries
+        residual = detrend_segment(self._x[b[i] - self._base:b[i + 1] - self._base],
+                                   self.fcfg)
+        if i % 2 == 0:
+            self._pending = residual
+        else:
+            cycle = _cycle(i // 2, self._pending, residual)
+            if cycle is not None:
+                self._cycles.append(cycle)
+            self._pending = None
+        self._detrended = i + 1
+
+    def _stop(self, onset: Optional[int]) -> None:
+        self.onset = onset
+        kept = len(self.jumps.boundaries) - 1 if onset is None else onset
+        for i in range(self._detrended, kept):
+            self._detrend(i)
+        self._x = self._pending = None
+        self.done = True
+
+    def segments(self) -> SegmentSet:
+        """The truncated SegmentSet: truncate_at_onset(label_breakdown(...))."""
+        require(self.done, "the run's features are not complete")
+        if self.onset is None:
+            return self.jumps.segments(self.dt)
+        k = self.onset
+        artificial = np.zeros(k + 1, dtype=bool)
+        artificial[0] = True
+        return SegmentSet(boundaries=np.array(self.jumps.boundaries[:k + 1], dtype=np.int64),
+                          artificial=artificial,
+                          wells=np.array(self.jumps.wells[:k], dtype=np.int8),
+                          dt=self.dt, breakdown=True)
+
+    def result(self) -> FeatureVector:
+        segset = self.segments()
+        return trend_features(tuple(self._cycles), jump_phases(segset, self.omega),
+                              segset.breakdown, self.fcfg)

@@ -184,8 +184,9 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
             "jumping orbit requires amplitude above the fold value")
     t_f = config.forcing_period
     steps = int(round(t_f / config.dt))
-    require(abs(t_f / config.dt - steps) < 1.0e-6 and steps >= 2,
+    require(abs(t_f / config.dt - steps) < 1.0e-6,
             "forcing period must be a whole number of steps")
+    require(steps >= 2, "period must span at least 2 steps of dt")
 
     one_period = replace(config, t_total=steps * config.dt)
     x = config.x0

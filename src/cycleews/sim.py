@@ -8,11 +8,15 @@ with the amplitude evaluated at the left endpoint of each step.
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
 rng.py), so ensembles are order-independent.  simulate and iter_ensemble
-both go through one batch kernel.  A batch of two or more runs steps
-with ufuncs on rows, elementwise per run; a batch of one steps on
-Python floats in the same operation order, since numpy's per-call cost
-dominates on one-element rows.  That a run yields the same bits alone,
-inside a batch, or in a worker process is pinned by the parity tests in
+both go through one batch kernel, which integrates in CHUNK_STEPS-step
+chunks and hands each run's new samples to a per-run consumer: one that
+keeps the whole path (simulate, the figure protocols, the Floquet
+search) or one that reduces the run as it goes and ends it early (the
+feature pipeline).  A batch of two or more runs steps with ufuncs on
+rows, elementwise per run; a batch of one steps on Python floats in the
+same operation order, since numpy's per-call cost dominates on
+one-element rows.  That a run yields the same bits alone, inside a
+batch, or in a worker process is pinned by the parity tests in
 tests/test_sim.py, not by construction.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Union
 
@@ -29,7 +34,8 @@ from .base import fork_map, require
 from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
-_CHUNK_STEPS = 8192
+CHUNK_STEPS = 8192
+CHUNK_BUFFERS = 3  # _integrate's (chunk + 1) x batch path, noise and ramp-term buffers
 
 
 class DivergenceError(RuntimeError):
@@ -205,78 +211,157 @@ def drift(x, t, d_a, omega):
 # integration engine
 # --------------------------------------------------------------------------
 
-def _integrate(x0, n_steps, dt, sigma, amp_cos, time_cos, rates, streams):
-    """Explicit Euler-Maruyama over a batch; returns (xs, diverged).
+def _forcing(config: SimConfig, c0: int, c1: int):
+    """Forcing tables of steps c0 .. c1 - 1: (amp_cos, time_cos).
 
-    xs has shape (n_steps + 1, batch) and diverged maps a batch-local run
-    index to the first step where its state left the admissible region
-    (those rows are zeroed from that step on).  A batch of one steps on
-    Python floats, one chunk at a time, in the operation order of the
-    ufunc loop, so both give the same bits (see the parity tests).
+    A linear ramp enters a run as d_max cos(wt) - rate * t cos(wt), so
+    amp_cos is d_max cos(wt) and time_cos is t cos(wt); any other
+    schedule gives amp_cos = D(t) cos(wt) and time_cos None.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    batch = len(x0)
-    xs = np.empty((n_steps + 1, batch))
-    xs[0] = x0
+    t = np.arange(c0, c1) * config.dt
+    cos_wt = np.cos(config.omega * t)
+    sched = config.amplitude_schedule
+    if isinstance(sched, LinearRampAmplitude):
+        return sched.d_max * cos_wt, t * cos_wt
+    return sched.array(t, config.t_total) * cos_wt, None
+
+
+class PathConsumer:
+    """Run consumer that keeps the whole path; samples never fed stay 0."""
+
+    def __init__(self, n_steps: int):
+        self.x = np.zeros(n_steps + 1)
+        self._n = 0
+
+    def feed(self, samples) -> bool:
+        self.x[self._n:self._n + len(samples)] = samples
+        self._n += len(samples)
+        return False
+
+
+def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
+    """Explicit Euler-Maruyama over a batch of runs, streamed chunk by chunk.
+
+    Steps go in CHUNK_STEPS blocks through one reused (chunk + 1) x
+    batch buffer.  After each block, every run hands its new samples
+    (the first block starts with x0) to its consumer: consumer.feed
+    returns True once the run needs no more, and the run leaves the
+    batch.  rates holds each ramped run's rate (None for other
+    schedules) and streams each run's RunStream, positioned at its step
+    normals.  A run whose state leaves the admissible region
+    (non-finite or |x| > STATE_GUARD) leaves the batch at that step:
+    its consumer gets only the samples before it.  Returns
+    {batch index: first bad step} of those runs whose consumer was not
+    done by then.  The step arithmetic is elementwise per run, so a
+    run's bits do not depend on its batch.  A batch of one steps on
+    Python floats, in the operation order of the ufunc loop, so both
+    give the same bits (see the parity tests).
+    """
+    n_steps, dt, sigma = config.n_steps, config.dt, config.sigma
+    batch = len(consumers)
+    rows = min(CHUNK_STEPS, n_steps)
+    buf = np.empty((rows + 1, batch))
+    buf[0] = config.x0
+    noise = np.empty((rows, batch)) if sigma > 0.0 else None
+    ramp = np.empty((rows, batch)) if rates is not None else None
     s1 = np.empty(batch)
-    s2 = np.empty(batch)
     sig_sqdt = sigma * math.sqrt(dt)
-    rate = float(rates[0]) if rates is not None else None
+    active = list(range(batch))
     diverged = {}
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for c0 in range(0, n_steps, _CHUNK_STEPS):
-            c1 = min(c0 + _CHUNK_STEPS, n_steps)
+        for c0 in range(0, n_steps, CHUNK_STEPS):
+            c1 = min(c0 + CHUNK_STEPS, n_steps)
+            n, width = c1 - c0, len(active)
+            xs = buf[:n + 1, :width]
+            amp_cos, time_cos = _forcing(config, c0, c1)
+            rt = nz = None
             if sigma > 0.0:
-                xi = np.empty((c1 - c0, batch))
-                for r, stream in enumerate(streams):
-                    xi[:, r] = stream.normals(c1 - c0)
-            if batch == 1:
-                # Python floats in the operation order of the ufunc loop below
-                x, path = float(xs[c0, 0]), []
-                tcs = time_cos[c0:c1].tolist() if rates is not None else repeat(None)
-                zs = xi[:, 0].tolist() if sigma > 0.0 else repeat(None)
-                for ac, tc, z in zip(amp_cos[c0:c1].tolist(), tcs, zs):
-                    s = x - ((x * x) * x) / 3.0
-                    if tc is not None:
-                        s = s - rate * tc
-                    x = x + (s + ac) * dt
-                    if z is not None:
-                        x = x + z * sig_sqdt
-                    if not -STATE_GUARD <= x <= STATE_GUARD:
-                        diverged[0] = c0 + 1 + len(path)
-                        break
-                    path.append(x)
-                xs[c0 + 1:c0 + 1 + len(path), 0] = path
-                if diverged:
-                    xs[diverged[0]:, 0] = 0.0
-                    break
-                continue
-            for n in range(c0, c1):
-                row = xs[n]
-                nxt = xs[n + 1]
-                np.multiply(row, row, out=s1)
-                np.multiply(s1, row, out=s1)
-                np.divide(s1, 3.0, out=s1)
-                np.subtract(row, s1, out=s1)
-                if rates is not None:
-                    np.multiply(rates, time_cos[n], out=s2)
-                    np.subtract(s1, s2, out=s1)
-                s1 += amp_cos[n]
-                np.multiply(s1, dt, out=s1)
-                np.add(row, s1, out=nxt)
-                if sigma > 0.0:
-                    np.multiply(xi[n - c0], sig_sqdt, out=s2)
-                    nxt += s2
-            block = xs[c0 + 1:c1 + 1]
-            bad = ~np.isfinite(block) | (np.abs(block) > STATE_GUARD)
-            if bad.any():
-                for r in np.flatnonzero(bad.any(axis=0)):
-                    step = c0 + 1 + int(bad[:, r].argmax())
-                    if r not in diverged:
-                        diverged[int(r)] = step
-                    xs[diverged[int(r)]:c1 + 1, r] = 0.0
-    return xs, diverged
+                nz = noise[:n, :width]
+                for j, r in enumerate(active):
+                    nz[:, j] = streams[r].normals(n)
+                nz *= sig_sqdt
+            if rates is not None:
+                rt = ramp[:n, :width]
+                np.multiply.outer(time_cos, rates[active], out=rt)
+            if width == 1:
+                done = _step_floats(xs, amp_cos, rt, nz, dt)
+                bad = {} if done == n else {0: c0 + 1 + done}
+            else:
+                _step_rows(xs, amp_cos, rt, nz, dt, s1[:width])
+                bad = _first_bad_steps(xs[1:], c0)
+            start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
+            keep = []
+            for j, r in enumerate(active):
+                stop = bad.get(j, c1 + 1) - c0  # rows before the first bad step
+                finished = stop > start and consumers[r].feed(xs[start:stop, j])
+                if finished:
+                    continue
+                if j in bad:
+                    diverged[r] = bad[j]
+                else:
+                    keep.append(j)
+            if not keep:
+                break
+            xs[0, :len(keep)] = xs[n, keep]
+            active = [active[j] for j in keep]
+    return diverged
+
+
+def _step_rows(xs, amp_cos, rt, nz, dt, s1) -> None:
+    """Fill rows 1.. of xs from row 0 with ufuncs on rows (batch of two or more)."""
+    rows = list(xs)
+    rts = rt if rt is not None else repeat(None)
+    nzs = nz if nz is not None else repeat(None)
+    for row, nxt, ac, r_n, z_n in zip(rows, rows[1:], amp_cos.tolist(), rts, nzs):
+        np.multiply(row, row, out=s1)
+        np.multiply(s1, row, out=s1)
+        np.divide(s1, 3.0, out=s1)
+        np.subtract(row, s1, out=s1)
+        if r_n is not None:
+            np.subtract(s1, r_n, out=s1)
+        s1 += ac
+        np.multiply(s1, dt, out=s1)
+        np.add(row, s1, out=nxt)
+        if z_n is not None:
+            nxt += z_n
+
+
+def _step_floats(xs, amp_cos, rt, nz, dt) -> int:
+    """Fill column 0 of xs on Python floats, in _step_rows' operation order.
+
+    Returns how many steps stayed admissible; stepping stops at the first
+    step that does not.
+    """
+    x, path = float(xs[0, 0]), []
+    rts = rt[:, 0].tolist() if rt is not None else repeat(None)
+    zs = nz[:, 0].tolist() if nz is not None else repeat(None)
+    for ac, r_n, z in zip(amp_cos.tolist(), rts, zs):
+        s = x - ((x * x) * x) / 3.0
+        if r_n is not None:
+            s = s - r_n
+        x = x + (s + ac) * dt
+        if z is not None:
+            x = x + z
+        if not -STATE_GUARD <= x <= STATE_GUARD:
+            break
+        path.append(x)
+    xs[1:1 + len(path), 0] = path
+    return len(path)
+
+
+def _first_bad_steps(block, c0: int) -> dict:
+    """{column: first step whose state is non-finite or beyond STATE_GUARD}.
+
+    block holds steps c0 + 1 .. of each column; NaN fails both bounds.
+    """
+    ok = (block.max(axis=0) <= STATE_GUARD) & (block.min(axis=0) >= -STATE_GUARD)
+    bad = {}
+    for j in np.flatnonzero(~ok):
+        col = block[:, j]
+        out = ~np.isfinite(col) | (np.abs(col) > STATE_GUARD)
+        bad[int(j)] = c0 + 1 + int(out.argmax())
+    return bad
 
 
 @dataclass
@@ -301,20 +386,19 @@ def draw_d_min(run_seed: int, sampler) -> float:
 
 
 def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
-                    per_run: Optional[Callable] = None) -> List[RunResult]:
+                    per_run: Optional[Callable] = None,
+                    consumer: Optional[Callable[[], object]] = None) -> List[RunResult]:
     """Integrate the runs with the given seeds together; one RunResult each.
 
     The one integration path of the package: simulate is its one-run
-    case and iter_ensemble hands it one batch at a time.  A one-run batch
-    steps on Python floats (see _integrate) and gives the bits that run
-    gets inside any larger batch.  Every stream first draws its 2-uniform
-    auxiliary block; with a d_min sampler the first uniform sets the
-    run's ramp floor.  A diverged run comes back with value None and its
-    DivergenceError set.  per_run, when given, replaces each trajectory
-    by its result as soon as the trajectory is built.
+    case and iter_ensemble hands it one batch at a time.  Every stream
+    first draws its 2-uniform auxiliary block; with a d_min sampler the
+    first uniform sets the run's ramp floor.  A diverged run comes back
+    with value None and its DivergenceError set.  Without a consumer
+    factory each run's value is its Trajectory, or per_run of it when
+    given; with one, each run streams into consumer() (see _integrate)
+    and its value is that consumer's result().
     """
-    t = config.time_grid()
-    cos_wt = np.cos(config.omega * t)
     sched = config.amplitude_schedule
     streams = [RunStream(seed) for seed in seeds]
     aux = [s.uniforms(2) for s in streams]  # auxiliary block, see rng.RunStream
@@ -322,25 +406,28 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
               for u in aux]
     schedules = [sched if dm is None else LinearRampAmplitude(sched.d_max, dm)
                  for dm in d_mins]
+    rates = None
     if isinstance(sched, LinearRampAmplitude):
-        # each run's ramp enters as d_max cos(wt) - rate * t cos(wt)
-        amp_cos, time_cos = sched.d_max * cos_wt, t * cos_wt
         rates = np.array([s.rate(config.t_total) for s in schedules])
-    else:
-        amp_cos, time_cos, rates = sched.array(t, config.t_total) * cos_wt, None, None
-    xs, diverged = _integrate(
-        np.full(len(seeds), config.x0), config.n_steps, config.dt, config.sigma,
-        amp_cos, time_cos, rates, streams)
+    make = consumer if consumer is not None else partial(PathConsumer, config.n_steps)
+    consumers = [make() for _ in seeds]
+    diverged = _integrate(config, rates, streams, consumers)
+    t = config.time_grid() if consumer is None else None
     out = []
     for r, (i, seed) in enumerate(zip(indices, seeds)):
         if r in diverged:
             out.append(RunResult(i, seed, d_mins[r], None,
                                  DivergenceError(diverged[r], run_index=i)))
             continue
-        traj = Trajectory(t=t, x=np.ascontiguousarray(xs[:, r]),
-                          d_a=schedules[r].array(t, config.t_total), seed=int(seed))
-        out.append(RunResult(i, seed, d_mins[r],
-                             per_run(traj) if per_run is not None else traj))
+        if consumer is not None:
+            value = consumers[r].result()
+        else:
+            value = Trajectory(t=t, x=consumers[r].x,
+                               d_a=schedules[r].array(t, config.t_total), seed=int(seed))
+            if per_run is not None:
+                value = per_run(value)
+        consumers[r] = None  # a path goes as soon as its run is reduced
+        out.append(RunResult(i, seed, d_mins[r], value))
     return out
 
 
@@ -354,19 +441,25 @@ def simulate(config: SimConfig, run_seed: int) -> Trajectory:
 
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
                   batch_size: int = 128, threads: int = 1,
-                  per_run: Optional[Callable] = None) -> Iterator[RunResult]:
+                  per_run: Optional[Callable] = None,
+                  consumer: Optional[Callable[[], object]] = None) -> Iterator[RunResult]:
     """Stream an ensemble run by run, in index order.
 
     Each run i uses the seed derived from (master_seed, i).  When a
     d_min sampler is given the schedule must be a linear ramp whose
     d_min is replaced per run by a draw from the run's own stream.
     Batches of batch_size runs are spread over up to `threads` forked
-    worker processes (see base.fork_map); each worker holds one batch
-    path of 8 * (n_steps + 1) * batch_size bytes at a time.  per_run,
-    when given, is applied to each trajectory inside the worker and its
-    result replaces the trajectory, so only those per-run records, not
-    full paths, come back to this process.  A diverged run comes back
-    with value None and its DivergenceError set.
+    worker processes (see base.fork_map), and a worker integrates its
+    batch in chunks (see _integrate).  With a consumer factory every run
+    streams into consumer() and its value is the consumer's result():
+    a worker then holds the chunk buffers and each run's consumer state,
+    and a run leaves the batch as soon as its consumer is done.
+    Otherwise a worker holds its batch's whole paths,
+    8 * (n_steps + 1) * batch_size bytes, and each run's value is its
+    Trajectory, or per_run of it when given.  Either way the reduction
+    happens inside the worker, so only per-run records come back to this
+    process.  A diverged run comes back with value None and its
+    DivergenceError set.
     """
     require(n_runs >= 1, "n_runs must be >= 1")
     if d_min_sampler is not None:
@@ -378,7 +471,7 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     def do_batch(b: int) -> List[RunResult]:
         lo, hi = bounds[b]
         return _simulate_batch(config, range(lo, hi), seeds[lo:hi], d_min_sampler,
-                               per_run)
+                               per_run, consumer)
 
     for batch_out in fork_map(do_batch, len(bounds), threads):
         yield from batch_out

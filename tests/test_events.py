@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleews import DetectorConfig, detect_jumps, label_breakdown, truncate_at_onset
-from cycleews.events import LOWER, UPPER, write_events_csv
+from cycleews.events import LOWER, UPPER, JumpStream, write_events_csv
 from conftest import make_trajectory
 
 OMEGA = 2.0 * math.pi / 225.0
@@ -216,6 +216,31 @@ def test_one_pass_detection_matches_two_pass_reference(path, n_min):
     assert np.array_equal(segset.artificial, artificial)
     assert segset.wells.dtype == wells.dtype
     assert np.array_equal(segset.wells, wells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(dwells, min_size=1, max_size=40), st.integers(2, 120),
+       st.lists(st.integers(1, 200), min_size=1, max_size=8))
+def test_chunked_detection_matches_whole_path(path, n_min, sizes):
+    # the stream fed in chunks of the given sizes (cycled) keeps the
+    # boundaries detect_jumps finds on the whole path, and none below
+    # its top boundary ever moves
+    x = np.repeat([v for v, _ in path], [n for _, n in path])
+    assume(len(x) >= 2)
+    det = small_det(n_min=n_min)
+    whole = detect_jumps(make_trajectory(x), det)
+    stream = JumpStream(det, len(x) - 1)
+    pos, k = 0, 0
+    while pos < len(x):
+        stream.feed(x[pos:pos + sizes[k % len(sizes)]])
+        pos += sizes[k % len(sizes)]
+        k += 1
+        final = stream.boundaries[:stream.n_final()]
+        assert final == whole.boundaries[:len(final)].tolist()
+    chunked = stream.segments(1.0)
+    assert np.array_equal(chunked.boundaries, whole.boundaries)
+    assert np.array_equal(chunked.artificial, whole.artificial)
+    assert np.array_equal(chunked.wells, whole.wells)
 
 
 def test_deterministic_relaxation_cadence(relaxation_run, detector):

@@ -246,8 +246,9 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "physical_memory", lambda: 50 * 2 ** 20)
-    # ensemble: 128 runs x 250,001 points x 8 bytes = 256 MB
-    with pytest.raises(ConfigError, match="ensemble batch path"):
+    # ensemble: 128 runs x (3 chunk buffers of 8,193 rows + 42,024 samples
+    # of stream state) x 8 bytes = 68 MB
+    with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
     # figure levels: 64 runs x 360,001 points x 8 bytes = 184 MB
     with pytest.raises(ConfigError, match="figure level batch path"):

@@ -1,18 +1,22 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleews import (DetectorConfig, FeatureConfig, circular_std, cycle_stats,
                       detect_jumps, extract_features, jump_phases, label_breakdown,
                       ols_slope, rolling_circ_std, truncate_at_onset, wrap_angle)
-from cycleews.features import (assign_extremum, circular_mean, detrend_segment,
-                               lag1_autocorrelation, mean_resultant_length,
-                               sample_variance)
+from cycleews.features import (FEATURE_NAMES, FeatureStream, assign_extremum,
+                               circular_mean, detrend_segment, lag1_autocorrelation,
+                               mean_resultant_length, sample_variance)
+from cycleews.experiment import ExperimentConfig
 from cycleews.rng import RunStream, derive_seed, generator
+from cycleews.sim import (DivergenceError, PiecewiseConstantAmplitude, _simulate_batch,
+                          iter_ensemble, run_seed_for)
 from conftest import make_trajectory
 
 OMEGA = 2.0 * math.pi / 225.0
@@ -83,6 +87,20 @@ def test_detrend_buffer_arithmetic():
 
 def test_detrend_skips_short_segments():
     assert detrend_segment(np.arange(4.0), FeatureConfig(detrend_degree=3)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(80, 17_000), st.integers(0, 5),
+       st.sampled_from([0.0, 0.05, 0.2]))
+def test_detrend_matches_polynomial_fit_bits(seed, n, degree, p_buf):
+    # Polynomial.fit and its evaluation are the oracle, bit for bit
+    y = np.cumsum(generator(seed).standard_normal(n)) * 0.05
+    fcfg = FeatureConfig(p_buf=p_buf, detrend_degree=degree)
+    b = int(p_buf * n)
+    interior = y[b:n - b] if b > 0 else y
+    idx = np.arange(len(interior), dtype=float)
+    expected = interior - np.polynomial.Polynomial.fit(idx, interior, degree)(idx)
+    assert detrend_segment(y, fcfg).tobytes() == expected.tobytes()
 
 
 def test_detrend_noise_variance():
@@ -310,3 +328,94 @@ def test_circular_mean_range():
     assert circular_mean([0.1, -0.1]) == pytest.approx(0.0, abs=1e-12)
     assert abs(circular_mean([math.pi - 0.05, -math.pi + 0.05])) == pytest.approx(
         math.pi, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# streamed per-run features
+# --------------------------------------------------------------------------
+
+def _same_features(a, b):
+    slopes = [[getattr(fv, name) for name in FEATURE_NAMES] for fv in (a, b)]
+    assert np.array_equal(*slopes, equal_nan=True)
+    assert (a.label, a.valid, a.exclusion_reason, a.n_cycles, a.n_jumps) == \
+        (b.label, b.valid, b.exclusion_reason, b.n_cycles, b.n_jumps)
+    assert a.cycles == b.cycles
+    assert a.phases.jump_index.tobytes() == b.phases.jump_index.tobytes()
+    assert a.phases.delta.tobytes() == b.phases.delta.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1.0, 1.0, 0.39, 0.0]), st.integers(1, 150)),
+                min_size=1, max_size=30),
+       st.integers(2, 60), st.integers(20, 300), st.integers(1, 500),
+       st.integers(0, 2 ** 32 - 1))
+def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunk, seed):
+    # noisy square waves of alternating sign, some dwells inside the
+    # thresholds, whose segments straddle the breakdown limit of `limit`
+    # samples, fed in chunks: the stream stops at the onset and gives the
+    # whole-path pipeline's features bit for bit
+    x = np.repeat([v * (-1) ** k for k, (v, _) in enumerate(dwells)],
+                  [n for _, n in dwells])
+    assume(len(x) >= 2)
+    x = x + 0.05 * generator(seed).standard_normal(len(x))
+    det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=n_min, breakdown_factor=0.5)
+    fcfg = FeatureConfig(p_buf=0.05, detrend_degree=1, window_w=2, min_cycles=2,
+                         min_jumps=2)
+    t_f, omega = 2.0 * limit, 2.0 * math.pi / 50.0
+    traj = make_trajectory(x)
+    segset = truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
+    expected = extract_features(traj, segset, fcfg, omega)
+
+    stream = FeatureStream(det, fcfg, t_f, omega, 1.0, len(x) - 1)
+    pos = 0
+    while not stream.feed(x[pos:pos + chunk]):
+        pos += chunk
+    _same_features(stream.result(), expected)
+    # a run that stops early has its onset segment already too long
+    if stream.jumps.seen < len(x):
+        assert expected.label and segset.boundaries[-1] + limit < stream.jumps.seen
+    assert stream.segments().boundaries.tolist() == segset.boundaries.tolist()
+
+
+def _stream_factory(config, sim_cfg, made):
+    def consumer():
+        made.append(FeatureStream(config.detector(), config.feature_config(),
+                                  config.forcing_period, config.omega, sim_cfg.dt,
+                                  sim_cfg.n_steps))
+        return made[-1]
+    return consumer
+
+
+def test_streamed_ensemble_matches_whole_paths():
+    config = ExperimentConfig(n_runs=6, master_seed=5)
+    det, fcfg, t_f = config.detector(), config.feature_config(), config.forcing_period
+    sim_cfg = config.sim_config()
+
+    def whole_path(traj):
+        segset = truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
+        return extract_features(traj, segset, fcfg, config.omega)
+
+    made = []
+    streamed = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
+                                  consumer=_stream_factory(config, sim_cfg, made)))
+    whole = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
+                               per_run=whole_path))
+    labels = [res.value.label for res in whole]
+    assert 0 < sum(labels) < 6
+    for a, b, stream in zip(streamed, whole, made):
+        _same_features(a.value, b.value)
+        # a run leaves its batch once its onset is certain
+        assert (stream.jumps.seen < sim_cfg.n_steps + 1) == b.value.label
+
+
+def test_divergence_after_the_onset_keeps_the_run():
+    # two periods jumping, two without a jump (the onset), then a 1e9 level
+    config = ExperimentConfig(n_runs=2, master_seed=9)
+    levels = PiecewiseConstantAmplitude((1.2, 0.3, 1e9), 2 * config.forcing_period)
+    sim_cfg = replace(config.sim_config(levels), t_total=6 * config.forcing_period)
+    seeds = [run_seed_for(9, i) for i in range(2)]
+    paths = _simulate_batch(sim_cfg, [0, 1], seeds)
+    assert all(isinstance(res.error, DivergenceError) for res in paths)
+    streamed = _simulate_batch(sim_cfg, [0, 1], seeds,
+                               consumer=_stream_factory(config, sim_cfg, []))
+    assert all(res.error is None and res.value.label for res in streamed)

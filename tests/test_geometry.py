@@ -169,6 +169,16 @@ def test_floquet_preconditions():
         floquet_multiplier(_floquet_config(25.0, d_a=0.5))
 
 
+def test_floquet_period_step_messages():
+    # a one-step period is whole; it is too short
+    with pytest.raises(ValueError, match="period must span at least 2 steps of dt"):
+        floquet_multiplier(_floquet_config(0.01))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        floquet_multiplier(SimConfig(dt=0.01, t_total=1.0, omega=2.0 * math.pi / 0.015,
+                                     amplitude_schedule=ConstantAmplitude(1.2),
+                                     sigma=0.0, x0=1.0))
+
+
 def test_jump_decomposition_identity_random():
     rng = generator(77)
     for _ in range(200):

@@ -8,8 +8,8 @@ from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       PiecewiseConstantAmplitude, SimConfig, UniformSampler,
                       amplitude_at, drift, simulate)
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import (_simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
-                          write_trajectory_csv)
+from cycleews.sim import (PathConsumer, _integrate, _simulate_batch, draw_d_min,
+                          iter_ensemble, run_seed_for, write_trajectory_csv)
 
 OMEGA = 2.0 * math.pi / 225.0
 
@@ -137,6 +137,24 @@ def test_divergence_step_alone_matches_batch_past_first_chunk():
     batch = _simulate_batch(config, [0, 1], [seed, seed])
     assert 9_000 < err.value.step_index < 9_100
     assert [r.error.step_index for r in batch] == [err.value.step_index] * 2
+
+
+def test_diverged_run_leaves_the_batch_at_its_step():
+    # a 1e9 level over steps 9,000-9,999 only; a batch of two once zeroed
+    # a diverged run just to the end of its 8,192-step chunk and restarted
+    # it from 0 in the next one
+    levels = (1.0,) * 9 + (1e9,) + (1.0,) * 10
+    config = SimConfig(dt=0.01, t_total=200.0, omega=OMEGA,
+                       amplitude_schedule=PiecewiseConstantAmplitude(levels, 10.0),
+                       sigma=0.3, x0=1.0, master_seed=2)
+    streams = [RunStream(run_seed_for(2, i)) for i in range(2)]
+    for stream in streams:
+        stream.uniforms(2)
+    paths = [PathConsumer(config.n_steps) for _ in streams]
+    assert _integrate(config, None, streams, paths) == {0: 9_001, 1: 9_001}
+    for path in paths:
+        assert np.all(np.abs(path.x[:9_001]) < 3.0)
+        assert not path.x[9_001:].any()
 
 
 def _ramp_config(t_total=20.0, seed=7):
