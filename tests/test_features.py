@@ -69,10 +69,16 @@ def test_assign_extremum():
 # --------------------------------------------------------------------------
 
 def test_detrend_reproduces_cubic():
+    # the default cubic, and a polynomial of every degree 0-5 under a
+    # detrend of that degree, leave no residual
     idx = np.linspace(-1.0, 1.0, 400)
     samples = 0.3 - 0.7 * idx + 0.25 * idx ** 2 + 1.1 * idx ** 3
-    resid = detrend_segment(samples, FeatureConfig(p_buf=0.0))
-    assert np.abs(resid).max() < 1e-9
+    assert np.abs(detrend_segment(samples, FeatureConfig(p_buf=0.0))).max() < 1e-9
+    for degree in range(6):
+        coef = [0.3, -0.7, 0.25, 1.1, -0.45, 0.8][:degree + 1]
+        samples = np.polynomial.polynomial.polyval(idx, coef)
+        resid = detrend_segment(samples, FeatureConfig(p_buf=0.0, detrend_degree=degree))
+        assert np.abs(resid).max() < 1e-9, degree
 
 
 def test_detrend_buffer_arithmetic():
@@ -89,18 +95,43 @@ def test_detrend_skips_short_segments():
     assert detrend_segment(np.arange(4.0), FeatureConfig(detrend_degree=3)) is None
 
 
+def _noisy_segment(seed, n, p_buf):
+    """A random-walk segment and its interior after the p_buf buffer."""
+    y = np.cumsum(generator(seed).standard_normal(n)) * 0.05
+    b = int(p_buf * n)
+    return y, (y[b:n - b] if b > 0 else y)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(80, 17_000), st.integers(0, 5),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 17_000), st.integers(0, 5),
        st.sampled_from([0.0, 0.05, 0.2]))
 def test_detrend_matches_polynomial_fit_bits(seed, n, degree, p_buf):
-    # Polynomial.fit and its evaluation are the oracle, bit for bit
-    y = np.cumsum(generator(seed).standard_normal(n)) * 0.05
-    fcfg = FeatureConfig(p_buf=p_buf, detrend_degree=degree)
-    b = int(p_buf * n)
-    interior = y[b:n - b] if b > 0 else y
+    # Polynomial.fit (lstsq on a scaled Vandermonde) is the oracle, to
+    # rounding: the projection sums in another order
+    y, interior = _noisy_segment(seed, n, p_buf)
+    resid = detrend_segment(y, FeatureConfig(p_buf=p_buf, detrend_degree=degree))
+    if len(interior) < degree + 2:
+        assert resid is None
+        return
     idx = np.arange(len(interior), dtype=float)
     expected = interior - np.polynomial.Polynomial.fit(idx, interior, degree)(idx)
-    assert detrend_segment(y, fcfg).tobytes() == expected.tobytes()
+    assert np.abs(resid - expected).max() <= 1e-12 * np.abs(interior).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 17_000), st.integers(0, 5),
+       st.sampled_from([0.0, 0.05, 0.2]))
+def test_detrend_residual_orthogonal_to_monomials(seed, n, degree, p_buf):
+    # the least-squares residual is orthogonal to every fitted basis function
+    y, interior = _noisy_segment(seed, n, p_buf)
+    resid = detrend_segment(y, FeatureConfig(p_buf=p_buf, detrend_degree=degree))
+    assume(resid is not None)
+    m = len(interior)
+    u = -1.0 + (2.0 / (m - 1)) * np.arange(m, dtype=float)
+    for j in range(degree + 1):
+        basis = u ** j
+        assert abs((resid * basis).sum()) <= (
+            1e-12 * np.linalg.norm(interior) * np.linalg.norm(basis))
 
 
 def test_detrend_noise_variance():

@@ -1,10 +1,13 @@
 """Golden fingerprints: SHA-256 of the RNG stream and of an ensemble's outputs.
 
-The digests were recorded before the integrator streamed its runs chunk by
-chunk, so they pin that refactors of the simulation and feature layers
-leave every output byte unchanged.  Bit-determinism holds for one numpy
-build on one CPU feature set; another build may change the last bits of
-cos or log and with them these digests.
+The RNG digest and the phases.csv digest date from before the integrator
+streamed its runs chunk by chunk.  The features.csv and cycles.csv digests
+were re-recorded when segments came to be detrended by projection onto
+discrete orthogonal polynomials instead of lstsq, which moved the last bits
+of each residual and nothing else.  Together they pin that refactors of the
+simulation and feature layers leave every output byte unchanged.
+Bit-determinism holds for one numpy build on one CPU feature set; another
+build may change the last bits of cos or log and with them these digests.
 """
 
 import hashlib
@@ -18,8 +21,8 @@ NORMALS_SHA256 = "28e1cf0522f2f34bd4563e747a120c19a1ea80f9f71fbaed805a12958b837d
 
 # 8 protocol runs (t_total 2500) in batches of 3, master seed 11
 FEATURE_OUTPUTS_SHA256 = {
-    "features.csv": "a0f2d74a62667ca94154171774b4d2f8b1fd55ea539ce92d869457c83e1398b2",
-    "cycles.csv": "dca7e4dd961b8cb3b83d73ce156c83d3ef4baa5f22a0244e829f47a20a824642",
+    "features.csv": "c527db3af49c4a27d76d12143929f40c9f1ee8d8b9268dbfce3f1c0804b4000b",
+    "cycles.csv": "d9f7d5f6fb327c06dc4c0dae8e3499dbbe9af1111af32970b81c7de71db97343",
     "phases.csv": "707591c250b7178cdeb71565610ac20df7efec3efbb93c80d58ae5b4714fa09a",
 }
 
