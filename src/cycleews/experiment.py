@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -25,12 +26,13 @@ from .base import require
 from .classify import (Dataset, FeatureScaler, LinearHingeSVM, StratificationError,
                        SvmHyperParams, cross_validate, drop_column_importance,
                        pca_2d, permutation_importance, stratified_kfold)
-from .events import (DetectorConfig, detect_jumps, label_breakdown,
+# perfbench's tracer wraps iter_ensemble, simulate, detect_jumps, label_breakdown,
+# truncate_at_onset and extract_features where this module looks them up, so
+# each stays importable from here even where this module no longer calls it
+from .events import (DetectorConfig, detect_jumps, label_breakdown,  # noqa: F401
                      truncate_at_onset, write_events_csv)
-# extract_features stays importable from here, where perfbench's tracer wraps it
 from .features import (FEATURE_NAMES, FeatureConfig, FeatureStream,  # noqa: F401
-                       circular_mean, circular_std, cycle_stats, extract_features,
-                       jump_phases)
+                       circular_mean, circular_std, extract_features)
 from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
                        diagnostics_record, floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
@@ -107,6 +109,10 @@ class ExperimentConfig:
     def detector(self) -> DetectorConfig:
         return DetectorConfig(x_up=self.x_up, x_low=self.x_low, n_min=self.n_min_steps,
                               breakdown_factor=self.breakdown_factor)
+
+    def level_detector(self) -> DetectorConfig:
+        """The figure level protocol's: no breakdown limit, so no level run stops early."""
+        return replace(self.detector(), breakdown_factor=math.inf)
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(p_buf=self.buffer_fraction, detrend_degree=self.detrend_degree,
@@ -222,22 +228,19 @@ def _validated(config: ExperimentConfig) -> ExperimentConfig:
     require(8 * n_points <= memory,
             f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
             f"{memory} bytes of physical memory")
-    # an ensemble batch streams: chunk buffers plus each run's FeatureStream
-    batch = min(config.batch_size, config.n_runs)
-    chunk = min(CHUNK_STEPS, sim_cfg.n_steps)
-    held = batch * 8 * (CHUNK_BUFFERS * (chunk + 1) + FeatureStream.held_samples(
-        det, config.forcing_period, config.dt, sim_cfg.n_steps, chunk))
-    require(held <= memory,
-            f"one ensemble batch of {batch} runs holds up to {float(held):.6g} bytes "
-            f"(chunk buffers and per-run state), more than the {memory} bytes of "
-            "physical memory")
-    # the figure level protocol holds whole paths of a batch
+    # a streamed batch holds chunk buffers plus each run's FeatureStream
     _, piece = config.figure_sim_configs()
-    n_points = piece.n_steps + 1
-    batch = min(config.batch_size, config.figure_runs)
-    require(8 * n_points * batch <= memory,
-            f"one figure level batch path of {batch} runs x {float(n_points):.6g} points "
-            f"(8 bytes each) exceeds the {memory} bytes of physical memory")
+    for what, cfg, run_det, n_runs in (
+            ("ensemble", sim_cfg, det, config.n_runs),
+            ("figure level", piece, config.level_detector(), config.figure_runs)):
+        batch = min(config.batch_size, n_runs)
+        chunk = min(CHUNK_STEPS, cfg.n_steps)
+        held = batch * 8 * (CHUNK_BUFFERS * (chunk + 1) + FeatureStream.held_samples(
+            run_det, config.forcing_period, config.dt, cfg.n_steps, chunk))
+        require(held <= memory,
+                f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
+                f"(chunk buffers and per-run state), more than the {memory} bytes of "
+                "physical memory")
     return config
 
 
@@ -271,10 +274,10 @@ def _log(message: str) -> None:
 # per-run pipeline
 # --------------------------------------------------------------------------
 
-def segment_run(traj: Trajectory, det: DetectorConfig, t_f: float):
-    """Detect, label, and truncate one trajectory; returns (full, truncated)."""
-    segset = label_breakdown(detect_jumps(traj, det), t_f, det)
-    return segset, truncate_at_onset(segset)
+def _feature_streams(config: ExperimentConfig, sim_cfg: SimConfig, det: DetectorConfig):
+    """iter_ensemble's consumer factory: a FeatureStream for each run of sim_cfg."""
+    return partial(FeatureStream, det, config.feature_config(), config.forcing_period,
+                   config.omega, sim_cfg.dt, sim_cfg.n_steps)
 
 
 def run_feature_pipeline(config: ExperimentConfig) -> Iterator[RunResult]:
@@ -284,17 +287,10 @@ def run_feature_pipeline(config: ExperimentConfig) -> Iterator[RunResult]:
     breakdown onset.  A run that diverges before then comes back with
     value None and its error set.
     """
-    det = config.detector()
-    fcfg = config.feature_config()
     sim_cfg = config.sim_config()
-
-    def consumer() -> FeatureStream:
-        return FeatureStream(det, fcfg, config.forcing_period, config.omega, sim_cfg.dt,
-                             sim_cfg.n_steps)
-
     return iter_ensemble(sim_cfg, config.n_runs, config.d_min_sampler(),
                          batch_size=config.batch_size, threads=config.threads,
-                         consumer=consumer)
+                         consumer=_feature_streams(config, sim_cfg, config.detector()))
 
 
 def feature_rows(results: Iterable[RunResult]) -> List[dict]:
@@ -474,7 +470,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _log(f"simulating {config.n_runs} runs "
-         f"({config.n_runs * config.sim_config().n_steps} steps total)")
+         f"(at most {config.n_runs * config.sim_config().n_steps} steps total)")
     results = list(run_feature_pipeline(config))
     rows = feature_rows(results)
     write_features_csv(rows, out_dir / "features.csv")
@@ -557,15 +553,12 @@ def run_figures(config: ExperimentConfig) -> None:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     det = config.detector()
-    fcfg = config.feature_config()
-    t_f = config.forcing_period
-    omega = config.omega
 
     # (a) single-run breakdown time series under a deep ramp
     onset_cfg, piece_cfg = config.figure_sim_configs()
     seed = derive_seed(config.master_seed, "figure-breakdown")
     traj = simulate(onset_cfg, seed)
-    segset, _ = segment_run(traj, det, t_f)
+    segset = label_breakdown(detect_jumps(traj, det), config.forcing_period, det)
     write_trajectory_csv(traj, out_dir / "fig_breakdown_timeseries.csv")
     write_events_csv(segset, out_dir / "fig_breakdown_events.csv")
     onset_time = None
@@ -575,19 +568,11 @@ def run_figures(config: ExperimentConfig) -> None:
                   "breakdown": segset.breakdown, "onset_time": onset_time},
                  out_dir / "fig_breakdown_meta.json")
 
-    # (b, c) piecewise-constant level protocol
+    # (b, c) piecewise-constant level protocol; each run's stream keeps
+    # every segment of its path
     schedule = piece_cfg.amplitude_schedule
     levels = schedule.levels
-
-    def per_run(traj: Trajectory):
-        segs = detect_jumps(traj, det)
-        cycles = cycle_stats(segs, traj, fcfg)
-        cycle_mid = [0.5 * (traj.t[segs.boundaries[2 * c.cycle_index]]
-                            + traj.t[segs.boundaries[2 * c.cycle_index + 2]])
-                     for c in cycles]
-        phases = jump_phases(segs, omega)
-        return cycles, cycle_mid, phases.delta, segs.jump_times
-
+    streams = _feature_streams(config, piece_cfg, config.level_detector())
     level_cycles = {lv: {"var": [], "ac1": []} for lv in range(len(levels))}
     level_deltas = {lv: [] for lv in range(len(levels))}
     with open(out_dir / "fig_level_cycle_stats.csv", "w") as cyc, \
@@ -596,18 +581,22 @@ def run_figures(config: ExperimentConfig) -> None:
         pha.write("run_id,level,d_a,jump_ordinal,delta\n")
         for res in iter_ensemble(piece_cfg, config.figure_runs,
                                  batch_size=config.batch_size,
-                                 threads=config.threads, per_run=per_run):
+                                 threads=config.threads, consumer=streams):
             if res.error is not None:
                 raise res.error
-            cycles, mids, deltas, jump_times = res.value
-            for c, mid in zip(cycles, mids):
+            phases = res.value.phases
+            # segment boundary times: the path's two ends and every jump between
+            t_bounds = np.concatenate(([0], phases.jump_index, [piece_cfg.n_steps])) \
+                * piece_cfg.dt
+            for c in res.value.cycles:
+                mid = 0.5 * (t_bounds[2 * c.cycle_index] + t_bounds[2 * c.cycle_index + 2])
                 lv = int(schedule.level_index(mid))
                 level_cycles[lv]["var"].append(c.var)
                 level_cycles[lv]["ac1"].append(c.ac1)
                 cyc.write(f"{res.run_index},{lv},{levels[lv]:.17g},"
                           f"{c.cycle_index},{c.var:.17g},{c.ac1:.17g}\n")
-            jl = schedule.level_index(jump_times)
-            for j, (lv, delta) in enumerate(zip(jl, deltas)):
+            jl = schedule.level_index(t_bounds[1:-1])
+            for j, (lv, delta) in enumerate(zip(jl, phases.delta)):
                 level_deltas[int(lv)].append(float(delta))
                 pha.write(f"{res.run_index},{int(lv)},{levels[int(lv)]:.17g},"
                           f"{j},{delta:.17g}\n")
@@ -717,7 +706,8 @@ def simulate_one(config: ExperimentConfig, run_index: int = 0,
     sched = LinearRampAmplitude(config.d_max, d_min)
     traj = simulate(config.sim_config(schedule=sched), seed)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    segset, _ = segment_run(traj, config.detector(), config.forcing_period)
+    det = config.detector()
+    segset = label_breakdown(detect_jumps(traj, det), config.forcing_period, det)
     write_events_csv(segset, out_dir / "events.csv")
     _log(f"wrote {out_dir / 'trajectory.csv'} (seed {seed}, d_min {d_min:.6g})")
     return traj

@@ -38,8 +38,8 @@ class FeatureConfig:
         require(0.0 <= self.p_buf < 0.5, "p_buf must lie in [0, 0.5)")
         require(self.detrend_degree >= 0, "detrend_degree must be >= 0")
         require(self.window_w >= 2, "window_w must be >= 2")
-        require(self.min_cycles >= 1 and self.min_jumps >= 1,
-                "minimum counts must be >= 1")
+        require(self.min_cycles >= 2, "min_cycles must be >= 2 (a slope needs two cycles)")
+        require(self.min_jumps >= 1, "min_jumps must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,16 @@ Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
 rng.py), so ensembles are order-independent.  simulate and iter_ensemble
 both go through one batch kernel, which integrates in CHUNK_STEPS-step
-chunks and hands each run's new samples to a per-run consumer: one that
-keeps the whole path (simulate, the figure protocols, the Floquet
-search) or one that reduces the run as it goes and ends it early (the
-feature pipeline).  A batch of two or more runs steps with ufuncs on
-rows, elementwise per run; a batch of one steps on Python floats in the
-same operation order, since numpy's per-call cost dominates on
-one-element rows.  That a run yields the same bits alone, inside a
-batch, or in a worker process is pinned by the parity tests in
-tests/test_sim.py, not by construction.
+chunks and hands each run's new samples to a per-run consumer: simulate
+(and the Floquet search through it) keeps the whole path in a
+PathConsumer, and every ensemble run streams into a consumer that
+reduces it as it goes and may end it early (a features.FeatureStream in
+the feature pipeline and the figure level protocol).  A batch of two or
+more runs steps with ufuncs on rows, elementwise per run; a batch of one
+steps on Python floats in the same operation order, since numpy's
+per-call cost dominates on one-element rows.  That a run yields the
+same bits alone, inside a batch, or in a worker process is pinned by the
+parity tests in tests/test_sim.py, not by construction.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ class PathConsumer:
         self._n += len(samples)
         return False
 
+    def result(self) -> np.ndarray:
+        return self.x
+
 
 def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     """Explicit Euler-Maruyama over a batch of runs, streamed chunk by chunk.
@@ -385,19 +389,17 @@ def draw_d_min(run_seed: int, sampler) -> float:
     return float(sampler.from_uniform(u))
 
 
-def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
-                    per_run: Optional[Callable] = None,
-                    consumer: Optional[Callable[[], object]] = None) -> List[RunResult]:
+def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None, *,
+                    consumer: Callable[[], object]) -> List[RunResult]:
     """Integrate the runs with the given seeds together; one RunResult each.
 
     The one integration path of the package: simulate is its one-run
     case and iter_ensemble hands it one batch at a time.  Every stream
     first draws its 2-uniform auxiliary block; with a d_min sampler the
-    first uniform sets the run's ramp floor.  A diverged run comes back
-    with value None and its DivergenceError set.  Without a consumer
-    factory each run's value is its Trajectory, or per_run of it when
-    given; with one, each run streams into consumer() (see _integrate)
-    and its value is that consumer's result().
+    first uniform sets the run's ramp floor.  Each run streams into
+    consumer() (see _integrate) and its value is that consumer's
+    result().  A diverged run comes back with value None and its
+    DivergenceError set.
     """
     sched = config.amplitude_schedule
     streams = [RunStream(seed) for seed in seeds]
@@ -409,40 +411,33 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None,
     rates = None
     if isinstance(sched, LinearRampAmplitude):
         rates = np.array([s.rate(config.t_total) for s in schedules])
-    make = consumer if consumer is not None else partial(PathConsumer, config.n_steps)
-    consumers = [make() for _ in seeds]
+    consumers = [consumer() for _ in seeds]
     diverged = _integrate(config, rates, streams, consumers)
-    t = config.time_grid() if consumer is None else None
     out = []
     for r, (i, seed) in enumerate(zip(indices, seeds)):
         if r in diverged:
             out.append(RunResult(i, seed, d_mins[r], None,
                                  DivergenceError(diverged[r], run_index=i)))
-            continue
-        if consumer is not None:
-            value = consumers[r].result()
         else:
-            value = Trajectory(t=t, x=consumers[r].x,
-                               d_a=schedules[r].array(t, config.t_total), seed=int(seed))
-            if per_run is not None:
-                value = per_run(value)
-        consumers[r] = None  # a path goes as soon as its run is reduced
-        out.append(RunResult(i, seed, d_mins[r], value))
+            out.append(RunResult(i, seed, d_mins[r], consumers[r].result()))
+        consumers[r] = None  # a run's state goes as soon as it is reduced
     return out
 
 
 def simulate(config: SimConfig, run_seed: int) -> Trajectory:
     """Simulate one path, bit-identical for identical (config, run_seed), or raise."""
-    res = _simulate_batch(config, [None], [run_seed])[0]
+    res = _simulate_batch(config, [None], [run_seed],
+                          consumer=partial(PathConsumer, config.n_steps))[0]
     if res.error is not None:
         raise res.error
-    return res.value
+    t = config.time_grid()
+    return Trajectory(t=t, x=res.value, d_a=config.amplitude_schedule.array(t, config.t_total),
+                      seed=int(run_seed))
 
 
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
-                  batch_size: int = 128, threads: int = 1,
-                  per_run: Optional[Callable] = None,
-                  consumer: Optional[Callable[[], object]] = None) -> Iterator[RunResult]:
+                  consumer: Callable[[], object], batch_size: int = 128,
+                  threads: int = 1) -> Iterator[RunResult]:
     """Stream an ensemble run by run, in index order.
 
     Each run i uses the seed derived from (master_seed, i).  When a
@@ -450,16 +445,13 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     d_min is replaced per run by a draw from the run's own stream.
     Batches of batch_size runs are spread over up to `threads` forked
     worker processes (see base.fork_map), and a worker integrates its
-    batch in chunks (see _integrate).  With a consumer factory every run
-    streams into consumer() and its value is the consumer's result():
-    a worker then holds the chunk buffers and each run's consumer state,
-    and a run leaves the batch as soon as its consumer is done.
-    Otherwise a worker holds its batch's whole paths,
-    8 * (n_steps + 1) * batch_size bytes, and each run's value is its
-    Trajectory, or per_run of it when given.  Either way the reduction
-    happens inside the worker, so only per-run records come back to this
-    process.  A diverged run comes back with value None and its
-    DivergenceError set.
+    batch in chunks (see _integrate).  Every run streams into
+    consumer(), and its value is the consumer's result(): a worker holds
+    the chunk buffers and each run's consumer state, and a run leaves
+    the batch as soon as its consumer is done.  The reduction happens
+    inside the worker, so only per-run records come back to this
+    process; a PathConsumer makes each value the run's whole path.  A
+    diverged run comes back with value None and its DivergenceError set.
     """
     require(n_runs >= 1, "n_runs must be >= 1")
     if d_min_sampler is not None:
@@ -471,7 +463,7 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     def do_batch(b: int) -> List[RunResult]:
         lo, hi = bounds[b]
         return _simulate_batch(config, range(lo, hi), seeds[lo:hi], d_min_sampler,
-                               per_run, consumer)
+                               consumer=consumer)
 
     for batch_out in fork_map(do_batch, len(bounds), threads):
         yield from batch_out

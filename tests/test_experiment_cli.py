@@ -234,7 +234,7 @@ def test_cli_rejects_bad_figure_setting(tmp_path, setting, command, output):
 @pytest.mark.parametrize("key,value", [
     ("n_runs", "0"), ("n_runs", "-3"), ("forcing_period", "0"), ("d_min_high", "2"),
     ("d_max", "inf"), ("sigma", "inf"), ("x_up", "inf"), ("breakdown_factor", "inf"),
-    ("x_low", "-inf"), ("dt", "1e-300"), ("dt", "1e-320"),
+    ("x_low", "-inf"), ("dt", "1e-300"), ("dt", "1e-320"), ("min_cycles", "1"),
 ])
 def test_cli_rejects_bad_model_setting(tmp_path, key, value):
     settings = {"t_total": "25", "n_runs": "6", key: value}
@@ -250,8 +250,9 @@ def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     # of stream state) x 8 bytes = 68 MB
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
-    # figure levels: 64 runs x 360,001 points x 8 bytes = 184 MB
-    with pytest.raises(ConfigError, match="figure level batch path"):
+    # figure levels, streamed with no breakdown limit: 64 runs x (3 chunk
+    # buffers of 8,193 rows + 728,274 samples of stream state) x 8 bytes = 385 MB
+    with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
     assert run_cli("experiment", "--out", str(tmp_path)) == 2

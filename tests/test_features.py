@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from cycleews.features import (FEATURE_NAMES, FeatureStream, assign_extremum,
                                mean_resultant_length, sample_variance)
 from cycleews.experiment import ExperimentConfig
 from cycleews.rng import RunStream, derive_seed, generator
-from cycleews.sim import (DivergenceError, PiecewiseConstantAmplitude, _simulate_batch,
-                          iter_ensemble, run_seed_for)
+from cycleews.sim import (DivergenceError, PathConsumer, PiecewiseConstantAmplitude,
+                          _simulate_batch, iter_ensemble, run_seed_for)
 from conftest import make_trajectory
 
 OMEGA = 2.0 * math.pi / 225.0
@@ -271,7 +272,7 @@ def test_cycle_pairing_and_skips():
     segset = detect_jumps(traj, det)
     assert segset.n_segments == 5
     cycles = cycle_stats(segset, traj, FeatureConfig(p_buf=0.0, detrend_degree=1,
-                                                     window_w=2, min_cycles=1,
+                                                     window_w=2, min_cycles=2,
                                                      min_jumps=1))
     assert [c.cycle_index for c in cycles] == [0, 1]  # trailing segment dropped
     assert all(c.var > 0.0 for c in cycles)
@@ -408,6 +409,23 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunk, seed):
     assert stream.segments().boundaries.tolist() == segset.boundaries.tolist()
 
 
+def test_one_cycle_run_is_excluded_not_fatal():
+    # three jumps and then a dwell past the breakdown limit leave one cycle;
+    # a slope needs two, so min_cycles = 1 is rejected (it let such a run
+    # reach ols_slope, which raised) and the run is excluded instead
+    with pytest.raises(ValueError, match="min_cycles"):
+        FeatureConfig(min_cycles=1, min_jumps=1, window_w=2)
+    det = DetectorConfig(n_min=4, breakdown_factor=0.75)
+    fcfg = FeatureConfig(p_buf=0.0, detrend_degree=1, window_w=2, min_cycles=2,
+                         min_jumps=1)
+    x = square_wave([40, 40, 40, 400]) + 0.01 * generator(0).standard_normal(520)
+    stream = FeatureStream(det, fcfg, 100.0, 2.0 * math.pi / 100.0, 1.0, len(x) - 1)
+    assert stream.feed(x)
+    fv = stream.result()
+    assert (fv.n_cycles, fv.n_jumps, fv.label) == (1, 3, True)
+    assert (fv.valid, fv.exclusion_reason) == (False, "too_few_cycles")
+
+
 def _stream_factory(config, sim_cfg, made):
     def consumer():
         made.append(FeatureStream(config.detector(), config.feature_config(),
@@ -422,21 +440,23 @@ def test_streamed_ensemble_matches_whole_paths():
     det, fcfg, t_f = config.detector(), config.feature_config(), config.forcing_period
     sim_cfg = config.sim_config()
 
-    def whole_path(traj):
+    def whole_path(x):
+        traj = make_trajectory(x, sim_cfg.dt)
         segset = truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
         return extract_features(traj, segset, fcfg, config.omega)
 
     made = []
     streamed = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
                                   consumer=_stream_factory(config, sim_cfg, made)))
-    whole = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
-                               per_run=whole_path))
-    labels = [res.value.label for res in whole]
+    paths = iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
+                          consumer=partial(PathConsumer, sim_cfg.n_steps))
+    whole = [whole_path(res.value) for res in paths]
+    labels = [fv.label for fv in whole]
     assert 0 < sum(labels) < 6
     for a, b, stream in zip(streamed, whole, made):
-        _same_features(a.value, b.value)
+        _same_features(a.value, b)
         # a run leaves its batch once its onset is certain
-        assert (stream.jumps.seen < sim_cfg.n_steps + 1) == b.value.label
+        assert (stream.jumps.seen < sim_cfg.n_steps + 1) == b.label
 
 
 def test_divergence_after_the_onset_keeps_the_run():
@@ -445,7 +465,8 @@ def test_divergence_after_the_onset_keeps_the_run():
     levels = PiecewiseConstantAmplitude((1.2, 0.3, 1e9), 2 * config.forcing_period)
     sim_cfg = replace(config.sim_config(levels), t_total=6 * config.forcing_period)
     seeds = [run_seed_for(9, i) for i in range(2)]
-    paths = _simulate_batch(sim_cfg, [0, 1], seeds)
+    paths = _simulate_batch(sim_cfg, [0, 1], seeds,
+                            consumer=partial(PathConsumer, sim_cfg.n_steps))
     assert all(isinstance(res.error, DivergenceError) for res in paths)
     streamed = _simulate_batch(sim_cfg, [0, 1], seeds,
                                consumer=_stream_factory(config, sim_cfg, []))

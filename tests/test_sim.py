@@ -1,5 +1,7 @@
 import math
 import pickle
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -134,7 +136,8 @@ def test_divergence_step_alone_matches_batch_past_first_chunk():
     seed = run_seed_for(2, 0)
     with pytest.raises(DivergenceError) as err:
         simulate(config, seed)
-    batch = _simulate_batch(config, [0, 1], [seed, seed])
+    batch = _simulate_batch(config, [0, 1], [seed, seed],
+                            consumer=partial(PathConsumer, config.n_steps))
     assert 9_000 < err.value.step_index < 9_100
     assert [r.error.step_index for r in batch] == [err.value.step_index] * 2
 
@@ -164,9 +167,11 @@ def _ramp_config(t_total=20.0, seed=7):
 
 
 def _paths(config, n_runs, d_min_sampler=None, **kwargs):
-    """(trajectory, d_min used) of every run, in run order."""
+    """(path, d_min used) of every run, in run order."""
     return [(res.value, res.d_min)
-            for res in iter_ensemble(config, n_runs, d_min_sampler, **kwargs)]
+            for res in iter_ensemble(config, n_runs, d_min_sampler,
+                                     consumer=partial(PathConsumer, config.n_steps),
+                                     **kwargs)]
 
 
 def test_ensemble_deterministic_and_order_independent():
@@ -178,29 +183,33 @@ def test_ensemble_deterministic_and_order_independent():
     runs4 = _paths(config, 5, sampler, batch_size=1, threads=2)  # each run alone
     for (a, da), (b, db), (c, dc), (d, dd) in zip(runs1, runs2, runs3, runs4):
         assert da == db == dc == dd
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.x, c.x)
-        assert a.x.tobytes() == d.x.tobytes()
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+        assert a.tobytes() == d.tobytes()
 
 
 def test_ensemble_matches_standalone_simulate():
     config = _ramp_config()
     runs = _paths(config, 3, UniformSampler(0.7, 0.7))
     solo_schedule = LinearRampAmplitude(1.2, 0.7)
-    for i, (traj, d_min) in enumerate(runs):
+    for i, (path, d_min) in enumerate(runs):
         assert d_min == 0.7
         solo = simulate(
             SimConfig(dt=0.01, t_total=20.0, omega=OMEGA,
                       amplitude_schedule=solo_schedule, sigma=0.3, x0=1.0),
             run_seed_for(config.master_seed, i))
-        assert np.array_equal(traj.x, solo.x)
+        assert np.array_equal(path, solo.x)
 
 
 def test_point_mass_keeps_amplitude_floor():
     config = _ramp_config()
-    for traj, d_min in _paths(config, 4, UniformSampler(0.9, 0.9)):
+    for i, (path, d_min) in enumerate(_paths(config, 4, UniformSampler(0.9, 0.9))):
         assert d_min == 0.9
-        assert traj.d_a.min() >= 0.9 - 1e-12
+        # the run's path is that of its drawn ramp, whose floor is d_min
+        solo = simulate(replace(config, amplitude_schedule=LinearRampAmplitude(1.2, d_min)),
+                        run_seed_for(config.master_seed, i))
+        assert solo.x.tobytes() == path.tobytes()
+        assert solo.d_a.min() >= 0.9 - 1e-12
 
 
 def test_d_min_law_of_large_numbers():
@@ -213,7 +222,7 @@ def test_ensemble_divergence_flag_mode():
     config = SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0,
                        x0=1e7, master_seed=3)
-    results = list(iter_ensemble(config, 2))
+    results = list(iter_ensemble(config, 2, consumer=partial(PathConsumer, config.n_steps)))
     assert all(r.value is None and r.error.run_index == r.run_index for r in results)
     assert all(isinstance(r.error, DivergenceError) for r in results)
 
@@ -235,7 +244,9 @@ def _diverging_config():
 def test_ensemble_divergence_flags_independent_of_workers():
     errors = []
     for threads in (1, 2):
-        results = iter_ensemble(_diverging_config(), 4, batch_size=2, threads=threads)
+        config = _diverging_config()
+        results = iter_ensemble(config, 4, batch_size=2, threads=threads,
+                                consumer=partial(PathConsumer, config.n_steps))
         errors.append([(str(r.error), r.error.step_index, r.error.run_index)
                        for r in results])
     assert errors[0] == errors[1]
@@ -250,9 +261,8 @@ def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
     wide = _paths(config, 4, sampler, batch_size=2, threads=64)
     assert pool_sizes == [2]
     for (a, da), (b, db) in zip(serial, wide):
-        assert da == db
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.d_a.tobytes() == b.d_a.tobytes()
+        assert da == db  # a run's d_a is its ramp down to d_min
+        assert a.tobytes() == b.tobytes()
 
 
 def _scalar_euler(config, seed, schedule):
@@ -315,9 +325,10 @@ def test_simulate_alone_matches_batch_loop(schedule, sigma):
     # a batch of one steps on Python floats, a batch of two on ufunc rows
     config = _long_config(schedule, sigma)
     seed = run_seed_for(4, 0)
-    pair = _simulate_batch(config, [0, 1], [seed, seed])
+    pair = _simulate_batch(config, [0, 1], [seed, seed],
+                           consumer=partial(PathConsumer, config.n_steps))
     alone = simulate(config, seed).x.tobytes()
-    assert pair[0].value.x.tobytes() == alone == pair[1].value.x.tobytes()
+    assert pair[0].value.tobytes() == alone == pair[1].value.tobytes()
 
 
 def test_ensemble_matches_scalar_euler_at_drawn_d_min():
@@ -325,11 +336,12 @@ def test_ensemble_matches_scalar_euler_at_drawn_d_min():
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=6)
     sampler = UniformSampler(0.25, 0.9)
-    for res in iter_ensemble(config, 5, sampler, batch_size=3):
+    for res in iter_ensemble(config, 5, sampler, batch_size=3,
+                             consumer=partial(PathConsumer, config.n_steps)):
         d_min = sampler.from_uniform(RunStream(res.seed).uniforms(2)[0])
         assert res.d_min == d_min
         expected = _scalar_euler(config, res.seed, LinearRampAmplitude(1.2, d_min))
-        assert res.value.x.tobytes() == expected.tobytes()
+        assert res.value.tobytes() == expected.tobytes()
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
