@@ -36,7 +36,7 @@ from .features import (FEATURE_NAMES, FeatureConfig, FeatureStream,  # noqa: F40
 from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
                        diagnostics_record, floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
-from .sim import (CHUNK_BUFFERS, CHUNK_STEPS, ConstantAmplitude, LinearRampAmplitude,
+from .sim import (CHUNK_STEPS, ConstantAmplitude, LinearRampAmplitude,
                   PiecewiseConstantAmplitude, RunResult, SimConfig, Trajectory,
                   UniformSampler, draw_d_min, iter_ensemble, run_seed_for,
                   simulate, write_trajectory_csv)
@@ -228,18 +228,18 @@ def _validated(config: ExperimentConfig) -> ExperimentConfig:
     require(8 * n_points <= memory,
             f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
             f"{memory} bytes of physical memory")
-    # a streamed batch holds chunk buffers plus each run's FeatureStream
+    # a streamed batch holds the one chunk path buffer plus each run's FeatureStream
     _, piece = config.figure_sim_configs()
     for what, cfg, run_det, n_runs in (
             ("ensemble", sim_cfg, det, config.n_runs),
             ("figure level", piece, config.level_detector(), config.figure_runs)):
         batch = min(config.batch_size, n_runs)
         chunk = min(CHUNK_STEPS, cfg.n_steps)
-        held = batch * 8 * (CHUNK_BUFFERS * (chunk + 1) + FeatureStream.held_samples(
+        held = batch * 8 * (chunk + 1 + FeatureStream.held_samples(
             run_det, config.forcing_period, config.dt, cfg.n_steps, chunk))
         require(held <= memory,
                 f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
-                f"(chunk buffers and per-run state), more than the {memory} bytes of "
+                f"(chunk buffer and per-run state), more than the {memory} bytes of "
                 "physical memory")
     return config
 

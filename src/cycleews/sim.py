@@ -3,7 +3,15 @@
 State obeys dx = (x - x^3/3 + D(t) cos(omega t)) dt + sigma dW with the
 forcing amplitude D(t) given by a schedule (constant, linear ramp, or
 piecewise constant).  Integration is explicit Euler on a uniform grid,
-with the amplitude evaluated at the left endpoint of each step.
+with the amplitude evaluated at the left endpoint of each step.  The
+step x + (x - x^3/3 + D(t) cos(omega t)) dt + sigma sqrt(dt) xi is
+evaluated regrouped as x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k with
+c1 = 1 + dt and c2 = -dt/3: the state-independent term g_k =
+D(t_k) cos(omega t_k) dt + sigma sqrt(dt) xi_k is built for a whole
+chunk of steps at once, vectorised, into the path buffer, and the
+state-dependent part ((x_k x_k) c2 + c1) x_k is added to it in place.
+The regrouping is the same scheme and moves a path by rounding only
+(tests/test_sim.py compares it with the textbook form).
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
@@ -14,8 +22,9 @@ chunks and hands each run's new samples to a per-run consumer: simulate
 PathConsumer, and every ensemble run streams into a consumer that
 reduces it as it goes and may end it early (a features.FeatureStream in
 the feature pipeline and the figure level protocol).  A batch of two or
-more runs steps with ufuncs on rows, elementwise per run; a batch of one
-steps on Python floats in the same operation order, since numpy's
+more runs steps with five ufunc calls per step on rows, elementwise per
+run; a batch of one steps on Python floats in the same operation order
+(g + s and s + g are the same IEEE sum), since numpy's
 per-call cost dominates on one-element rows.  That a run yields the
 same bits alone, inside a batch, or in a worker process is pinned by the
 parity tests in tests/test_sim.py, not by construction.
@@ -26,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Union
 
 import numpy as np
@@ -36,7 +44,6 @@ from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
 CHUNK_STEPS = 8192
-CHUNK_BUFFERS = 3  # _integrate's (chunk + 1) x batch path, noise and ramp-term buffers
 
 
 class DivergenceError(RuntimeError):
@@ -212,19 +219,30 @@ def drift(x, t, d_a, omega):
 # integration engine
 # --------------------------------------------------------------------------
 
-def _forcing(config: SimConfig, c0: int, c1: int):
-    """Forcing tables of steps c0 .. c1 - 1: (amp_cos, time_cos).
+def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
+    """Write the state-independent term of steps c0 .. c0 + len(g) - 1 into g.
 
-    A linear ramp enters a run as d_max cos(wt) - rate * t cos(wt), so
-    amp_cos is d_max cos(wt) and time_cos is t cos(wt); any other
-    schedule gives amp_cos = D(t) cos(wt) and time_cos None.
+    Column j gets g_k = (d_max cos(wt_k) - rate_j * t_k cos(wt_k)) * dt
+    + sigma sqrt(dt) xi_k for a linear ramp (rates holds each column's
+    rate), D(t_k) cos(wt_k) * dt + sigma sqrt(dt) xi_k for any other
+    schedule (rates None); streams[j] supplies column j's normals.
     """
-    t = np.arange(c0, c1) * config.dt
+    n = len(g)
+    t = np.arange(c0, c0 + n) * config.dt
     cos_wt = np.cos(config.omega * t)
     sched = config.amplitude_schedule
-    if isinstance(sched, LinearRampAmplitude):
-        return sched.d_max * cos_wt, t * cos_wt
-    return sched.array(t, config.t_total) * cos_wt, None
+    if rates is not None:
+        np.multiply.outer(t * cos_wt, rates, out=g)
+        np.subtract((sched.d_max * cos_wt)[:, None], g, out=g)
+    else:
+        g[:] = (sched.array(t, config.t_total) * cos_wt)[:, None]
+    g *= config.dt
+    if config.sigma > 0.0:
+        sig_sqdt = config.sigma * math.sqrt(config.dt)
+        for j, stream in enumerate(streams):
+            z = stream.normals(n)
+            z *= sig_sqdt
+            g[:, j] += z
 
 
 class PathConsumer:
@@ -247,57 +265,50 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     """Explicit Euler-Maruyama over a batch of runs, streamed chunk by chunk.
 
     Steps go in CHUNK_STEPS blocks through one reused (chunk + 1) x
-    batch buffer.  After each block, every run hands its new samples
-    (the first block starts with x0) to its consumer: consumer.feed
-    returns True once the run needs no more, and the run leaves the
-    batch.  rates holds each ramped run's rate (None for other
-    schedules) and streams each run's RunStream, positioned at its step
-    normals.  A run whose state leaves the admissible region
-    (non-finite or |x| > STATE_GUARD) leaves the batch at that step:
-    its consumer gets only the samples before it.  Returns
-    {batch index: first bad step} of those runs whose consumer was not
-    done by then.  The step arithmetic is elementwise per run, so a
-    run's bits do not depend on its batch.  A batch of one steps on
-    Python floats, in the operation order of the ufunc loop, so both
-    give the same bits (see the parity tests).
+    batch path buffer.  Each block first gets every step's
+    state-independent term g_k (forcing and noise, see _increments) in
+    rows 1.., vectorised over the block; stepping then overwrites row
+    k + 1 in place with x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k, where
+    c1 = 1 + dt and c2 = -dt/3.  After each block, every run hands its
+    new samples (the first block starts with x0) to its consumer:
+    consumer.feed returns True once the run needs no more, and the run
+    leaves the batch.  rates holds each ramped run's rate (None for
+    other schedules) and streams each run's RunStream, positioned at its
+    step normals.  A run whose state leaves the admissible region
+    (non-finite or |x| > STATE_GUARD) leaves the batch at that step: its
+    consumer gets only the samples before it.  Returns {batch index:
+    first bad step} of those runs whose consumer was not done by then.
+    The arithmetic is elementwise per run, so a run's bits do not depend
+    on its batch.  A batch of one steps on Python floats, in the
+    operation order of the ufunc loop, so both give the same bits (see
+    the parity tests).
     """
-    n_steps, dt, sigma = config.n_steps, config.dt, config.sigma
+    n_steps, dt = config.n_steps, config.dt
     batch = len(consumers)
-    rows = min(CHUNK_STEPS, n_steps)
-    buf = np.empty((rows + 1, batch))
+    buf = np.empty((min(CHUNK_STEPS, n_steps) + 1, batch))
     buf[0] = config.x0
-    noise = np.empty((rows, batch)) if sigma > 0.0 else None
-    ramp = np.empty((rows, batch)) if rates is not None else None
     s1 = np.empty(batch)
-    sig_sqdt = sigma * math.sqrt(dt)
+    c1, c2 = 1.0 + dt, -dt / 3.0
     active = list(range(batch))
     diverged = {}
 
     with np.errstate(over="ignore", invalid="ignore"):
         for c0 in range(0, n_steps, CHUNK_STEPS):
-            c1 = min(c0 + CHUNK_STEPS, n_steps)
-            n, width = c1 - c0, len(active)
+            c_end = min(c0 + CHUNK_STEPS, n_steps)
+            n, width = c_end - c0, len(active)
             xs = buf[:n + 1, :width]
-            amp_cos, time_cos = _forcing(config, c0, c1)
-            rt = nz = None
-            if sigma > 0.0:
-                nz = noise[:n, :width]
-                for j, r in enumerate(active):
-                    nz[:, j] = streams[r].normals(n)
-                nz *= sig_sqdt
-            if rates is not None:
-                rt = ramp[:n, :width]
-                np.multiply.outer(time_cos, rates[active], out=rt)
+            _increments(xs[1:], config, c0, None if rates is None else rates[active],
+                        [streams[r] for r in active])
             if width == 1:
-                done = _step_floats(xs, amp_cos, rt, nz, dt)
+                done = _step_floats(xs, c1, c2)
                 bad = {} if done == n else {0: c0 + 1 + done}
             else:
-                _step_rows(xs, amp_cos, rt, nz, dt, s1[:width])
+                _step_rows(xs, c1, c2, s1[:width])
                 bad = _first_bad_steps(xs[1:], c0)
             start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
             keep = []
             for j, r in enumerate(active):
-                stop = bad.get(j, c1 + 1) - c0  # rows before the first bad step
+                stop = bad.get(j, c_end + 1) - c0  # rows before the first bad step
                 finished = stop > start and consumers[r].feed(xs[start:stop, j])
                 if finished:
                     continue
@@ -312,41 +323,32 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     return diverged
 
 
-def _step_rows(xs, amp_cos, rt, nz, dt, s1) -> None:
-    """Fill rows 1.. of xs from row 0 with ufuncs on rows (batch of two or more)."""
+def _step_rows(xs, c1: float, c2: float, s1) -> None:
+    """Step rows 1.. of xs in place from row 0 with ufuncs (batch of two or more).
+
+    Row k + 1 holds g_k on entry and x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k
+    on return: five ufunc calls per step.
+    """
     rows = list(xs)
-    rts = rt if rt is not None else repeat(None)
-    nzs = nz if nz is not None else repeat(None)
-    for row, nxt, ac, r_n, z_n in zip(rows, rows[1:], amp_cos.tolist(), rts, nzs):
+    for row, nxt in zip(rows, rows[1:]):
         np.multiply(row, row, out=s1)
-        np.multiply(s1, row, out=s1)
-        np.divide(s1, 3.0, out=s1)
-        np.subtract(row, s1, out=s1)
-        if r_n is not None:
-            np.subtract(s1, r_n, out=s1)
-        s1 += ac
-        np.multiply(s1, dt, out=s1)
-        np.add(row, s1, out=nxt)
-        if z_n is not None:
-            nxt += z_n
+        s1 *= c2
+        s1 += c1
+        s1 *= row
+        nxt += s1
 
 
-def _step_floats(xs, amp_cos, rt, nz, dt) -> int:
-    """Fill column 0 of xs on Python floats, in _step_rows' operation order.
+def _step_floats(xs, c1: float, c2: float) -> int:
+    """Step column 0 of xs on Python floats, in _step_rows' operation order.
 
-    Returns how many steps stayed admissible; stepping stops at the first
-    step that does not.
+    Row k + 1 holds g_k on entry and x_{k+1} on return, as in _step_rows
+    (g + s and s + g are the same IEEE sum).  Returns how many steps
+    stayed admissible; stepping stops at the first step that does not,
+    and the rows from there on keep their g.
     """
     x, path = float(xs[0, 0]), []
-    rts = rt[:, 0].tolist() if rt is not None else repeat(None)
-    zs = nz[:, 0].tolist() if nz is not None else repeat(None)
-    for ac, r_n, z in zip(amp_cos.tolist(), rts, zs):
-        s = x - ((x * x) * x) / 3.0
-        if r_n is not None:
-            s = s - r_n
-        x = x + (s + ac) * dt
-        if z is not None:
-            x = x + z
+    for g in xs[1:, 0].tolist():
+        x = g + ((x * x) * c2 + c1) * x
         if not -STATE_GUARD <= x <= STATE_GUARD:
             break
         path.append(x)
@@ -447,7 +449,7 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     worker processes (see base.fork_map), and a worker integrates its
     batch in chunks (see _integrate).  Every run streams into
     consumer(), and its value is the consumer's result(): a worker holds
-    the chunk buffers and each run's consumer state, and a run leaves
+    the chunk path buffer and each run's consumer state, and a run leaves
     the batch as soon as its consumer is done.  The reduction happens
     inside the worker, so only per-run records come back to this
     process; a PathConsumer makes each value the run's whole path.  A

@@ -245,13 +245,13 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
-    monkeypatch.setattr(experiment, "physical_memory", lambda: 50 * 2 ** 20)
-    # ensemble: 128 runs x (3 chunk buffers of 8,193 rows + 42,024 samples
-    # of stream state) x 8 bytes = 68 MB
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
+    # ensemble: 128 runs x (one chunk path buffer of 8,193 rows + 42,024
+    # samples of stream state) x 8 bytes = 51.4 MB, above 48 MiB (50.3 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
-    # figure levels, streamed with no breakdown limit: 64 runs x (3 chunk
-    # buffers of 8,193 rows + 728,274 samples of stream state) x 8 bytes = 385 MB
+    # figure levels, streamed with no breakdown limit: 64 runs x (one chunk
+    # path buffer of 8,193 rows + 728,274 samples of stream state) x 8 bytes = 377 MB
     with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1

@@ -6,9 +6,16 @@ were re-recorded when segments came to be detrended by projection onto
 discrete orthogonal polynomials instead of lstsq, which moved the last bits
 of each residual and nothing else.  The figure digests pin the level
 protocol and the deep-ramp breakdown run of the figures command, recorded
-while the level protocol still detected jumps on whole paths.  Together they
-pin that refactors of the simulation, feature and figure layers leave every
-output byte unchanged.
+while the level protocol still detected jumps on whole paths.  The digests
+of features.csv, cycles.csv, fig_level_cycle_stats.csv and
+fig_level_cycle_means.csv were re-recorded again when the Euler-Maruyama
+step was regrouped as g + ((x x) c2 + c1) x, which moved the last bits of
+every path and so of every sample statistic.  The RNG digest, phases.csv,
+fig_level_jump_phases.csv, fig_level_phase_stats.csv and
+fig_breakdown_events.csv kept theirs: they depend on paths only through
+the jump indices, and no jump moved.  Together they pin that refactors of
+the simulation, feature and figure layers leave every output byte
+unchanged.
 Bit-determinism holds for one numpy build on one CPU feature set; another
 build may change the last bits of cos or log and with them these digests.
 """
@@ -24,19 +31,19 @@ NORMALS_SHA256 = "28e1cf0522f2f34bd4563e747a120c19a1ea80f9f71fbaed805a12958b837d
 
 # 8 protocol runs (t_total 2500) in batches of 3, master seed 11
 FEATURE_OUTPUTS_SHA256 = {
-    "features.csv": "c527db3af49c4a27d76d12143929f40c9f1ee8d8b9268dbfce3f1c0804b4000b",
-    "cycles.csv": "d9f7d5f6fb327c06dc4c0dae8e3499dbbe9af1111af32970b81c7de71db97343",
+    "features.csv": "dce84bdf6cb4cc776a68c30521731a64027567f8d007a2463f767664b29f92b2",
+    "cycles.csv": "59e067aad21cc1186542014028cb58244c96106d352cbfd3c3607dcd4d39c3ce",
     "phases.csv": "707591c250b7178cdeb71565610ac20df7efec3efbb93c80d58ae5b4714fa09a",
 }
 
 # figure protocols of master seed 11: 8 level runs of 2 periods a level, batches of 3
 FIGURE_OUTPUTS_SHA256 = {
     "fig_level_cycle_stats.csv":
-        "cb9ce78539bee659a59bb2d181b413d3a08c423a4f4e32bc72259a699fc3e33c",
+        "82ec2d2705b660cee0f73cf54b223e338b1ea4e4cd2c9fab0f7652e04c10adaf",
     "fig_level_jump_phases.csv":
         "8fac2412c49423d60244965cc846955fd9618002abf55f7d43e2f25f538efd34",
     "fig_level_cycle_means.csv":
-        "3b8c4dae95ca73aa25bb1793860a7b80a3ef9f3948450064047f0b619e941d3b",
+        "204fc049d2cc098402445e156b785d9682406f49894bf255cb8347127631b80a",
     "fig_level_phase_stats.csv":
         "572793301ad6e566fec850dd4a36525a8bf7be14389a2addfd0f93fb119e87c1",
     "fig_breakdown_events.csv":

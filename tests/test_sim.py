@@ -268,8 +268,11 @@ def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
 def _scalar_euler(config, seed, schedule):
     """One path by a plain Python Euler-Maruyama loop: the integrator's oracle.
 
-    Same grid, forcing and operation order as the batch kernel, with the
-    stream's 2-raw auxiliary block discarded before the step normals.
+    Same grid, forcing and operation order as the batch kernel: the
+    state-independent term g = forcing * dt + xi * sigma sqrt(dt) first,
+    then the step g + ((x * x) * c2 + c1) * x with c1 = 1 + dt and
+    c2 = -dt/3.  The stream's 2-raw auxiliary block is discarded before
+    the step normals.
     """
     n, dt, omega = config.n_steps, config.dt, config.omega
     t = np.arange(n + 1) * dt
@@ -278,25 +281,64 @@ def _scalar_euler(config, seed, schedule):
     stream.uniforms(2)
     xi = stream.normals(n).tolist() if config.sigma > 0.0 else None
     sig_sqdt = config.sigma * math.sqrt(dt)
+    c1, c2 = 1.0 + dt, -dt / 3.0
     x = config.x0
     xs = [x]
     for k in range(n):
         c, tk = float(cos_wt[k]), float(t[k])
-        f = x - x * x * x / 3.0
         if isinstance(schedule, LinearRampAmplitude):
             rate = (schedule.d_max - schedule.d_min) / config.t_total
-            f = f - rate * (tk * c)
-            f = f + schedule.d_max * c
+            f = schedule.d_max * c - rate * (tk * c)
         elif isinstance(schedule, ConstantAmplitude):
-            f = f + schedule.value * c
+            f = schedule.value * c
         else:
             level = min(math.floor(tk / schedule.level_duration), len(schedule.levels) - 1)
-            f = f + schedule.levels[level] * c
-        x = x + f * dt
+            f = schedule.levels[level] * c
+        g = f * dt
         if xi is not None:
-            x = x + xi[k] * sig_sqdt
+            g = g + xi[k] * sig_sqdt
+        x = g + ((x * x) * c2 + c1) * x
         xs.append(x)
     return np.array(xs)
+
+
+def _textbook_euler(config, seed, schedule):
+    """x + (x - x^3/3 - rate t cos(wt) + d_max cos(wt)) dt + sigma sqrt(dt) xi.
+
+    The scheme as written, term by term; only a linear ramp or a
+    constant amplitude (rate 0).
+    """
+    n, dt = config.n_steps, config.dt
+    t = np.arange(n + 1) * dt
+    cos_wt = np.cos(config.omega * t)
+    if isinstance(schedule, LinearRampAmplitude):
+        d_max, rate = schedule.d_max, schedule.rate(config.t_total)
+    else:
+        d_max, rate = schedule.value, 0.0
+    stream = RunStream(seed)
+    stream.uniforms(2)
+    z = (stream.normals(n) * (config.sigma * math.sqrt(dt))).tolist() \
+        if config.sigma > 0.0 else [0.0] * n
+    x = config.x0
+    xs = [x]
+    for c, tk, z_k in zip(cos_wt.tolist(), t.tolist(), z):
+        x = x + (x - ((x * x) * x) / 3.0 - rate * (tk * c) + d_max * c) * dt + z_k
+        xs.append(x)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("schedule,sigma,t_total", [
+    (LinearRampAmplitude(1.2, 0.25), 0.3, 2500.0),  # 250,000 steps
+    (ConstantAmplitude(0.8), 0.0, 100.0),
+], ids=["noisy_ramp", "constant"])
+def test_simulate_matches_textbook_euler_maruyama(schedule, sigma, t_total):
+    # the kernel's regrouped step g + ((x x) c2 + c1) x is the same scheme:
+    # it moves a path by rounding only
+    config = SimConfig(dt=0.01, t_total=t_total, omega=OMEGA, amplitude_schedule=schedule,
+                       sigma=sigma, x0=1.0, master_seed=4)
+    seed = run_seed_for(4, 0)
+    expected = _textbook_euler(config, seed, schedule)
+    assert np.abs(simulate(config, seed).x - expected).max() <= 1e-12
 
 
 _SCHEDULES = pytest.mark.parametrize("schedule,sigma", [
