@@ -369,6 +369,7 @@ class CVResult:
     scores: np.ndarray
     folds: np.ndarray
     fold_models: List[FoldModel]
+    hp: Optional[SvmHyperParams]  # the fold models were fitted with it
 
     @property
     def mean(self) -> float:
@@ -401,22 +402,21 @@ def cross_validate(data: Dataset, folds: np.ndarray,
     k = int(folds.max()) + 1
     fold_models = list(fork_map(lambda f: _fit_fold(data, folds, f, hp), k, workers))
     return CVResult(scores=np.array([fm.score for fm in fold_models]), folds=folds,
-                    fold_models=fold_models)
+                    fold_models=fold_models, hp=hp)
 
 
 def drop_column_importance(data: Dataset, cv: CVResult,
-                           hp: Optional[SvmHyperParams] = None,
                            workers: int = 1) -> Dict[str, float]:
     """Full-set CV mean minus CV mean without each feature, on cv's folds.
 
     cv is the full-set result (see cross_validate) and is not refitted;
-    hp should be the one it was fitted with.  The (feature, fold) fits
-    are spread over up to `workers` processes.
+    the reduced sets are fitted with its hyperparameters.  The (feature,
+    fold) fits are spread over up to `workers` processes.
     """
     require(data.n_features >= 2, "need at least 2 features to drop one")
     k = len(cv.fold_models)
     reduced = [data.drop_feature(j) for j in range(data.n_features)]
-    scores = list(fork_map(lambda t: _fit_fold(reduced[t // k], cv.folds, t % k, hp).score,
+    scores = list(fork_map(lambda t: _fit_fold(reduced[t // k], cv.folds, t % k, cv.hp).score,
                            data.n_features * k, workers))
     return {name: cv.mean - float(np.mean(scores[j * k:(j + 1) * k]))
             for j, name in enumerate(data.feature_names)}

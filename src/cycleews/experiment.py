@@ -58,9 +58,14 @@ def _optional_float(text):
     return float(text)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory: page size times page count."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment settings (defaults are the benchmark protocol)."""
+    """Validated experiment settings; the defaults are the benchmark protocol."""
 
     dt: float = 0.01
     t_total: float = 2500.0
@@ -94,6 +99,51 @@ class ExperimentConfig:
     figure_level_periods: int = 4
     figure_runs: int = 64
     figure_d_min: float = 0.25
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                require(math.isfinite(value), f"{f.name} must be finite")
+        require(all(math.isfinite(v) for v in self.figure_levels),
+                "figure_levels must be finite")
+        require(self.n_runs >= 1, "n_runs must be >= 1")
+        require(self.forcing_period > 0.0, "forcing_period must be > 0")
+        require(self.d_min_high <= self.d_max, "d_min_high must be <= d_max")
+        require(self.threads >= 1, "threads must be >= 1")
+        require(self.batch_size >= 1, "batch_size must be >= 1")
+        require(self.k_folds >= 2, "k_folds must be >= 2")
+        require(self.svm_class_weight in (None, "balanced"),
+                "svm_class_weight must be none or 'balanced'")
+        require(self.svm_iterations >= 1, "svm_iterations must be >= 1")
+        require(self.svm_tolerance > 0.0, "svm_tolerance must be finite and > 0")
+        require(self.svm_lambda is None or self.svm_lambda > 0.0,
+                "svm_lambda must be auto or finite and > 0")
+        require(self.permutation_repeats >= 1, "permutation_repeats must be >= 1")
+        require(self.figure_runs >= 1, "figure_runs must be >= 1")
+        det = self.detector()  # the sub-configs check their own fields
+        self.feature_config()
+        self.d_min_sampler()
+        memory = physical_memory()
+        sim_cfg = self.sim_config()
+        # simulate and the figure ramp hold one whole path as long as an ensemble run
+        n_points = sim_cfg.n_steps + 1
+        require(8 * n_points <= memory,
+                f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
+                f"{memory} bytes of physical memory")
+        # a streamed batch holds the one chunk path buffer plus each run's FeatureStream
+        _, piece = self.figure_sim_configs()
+        for what, cfg, run_det, n_runs in (
+                ("ensemble", sim_cfg, det, self.n_runs),
+                ("figure level", piece, self.level_detector(), self.figure_runs)):
+            batch = min(self.batch_size, n_runs)
+            chunk = min(CHUNK_STEPS, cfg.n_steps)
+            held = batch * 8 * (chunk + 1 + FeatureStream.held_samples(
+                run_det, self.forcing_period, self.dt, cfg.n_steps, chunk))
+            require(held <= memory,
+                    f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
+                    f"(chunk buffer and per-run state), more than the {memory} bytes of "
+                    "physical memory")
 
     @property
     def omega(self) -> float:
@@ -167,7 +217,8 @@ _PARSERS.update(
     figure_levels=_float_list)
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def _config_values(text: str) -> dict:
+    """Parsed values of flat key = value text; a bad line raises ConfigError."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,8 +227,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -186,84 +236,35 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+    return values
+
+
+def _build(values: dict) -> ExperimentConfig:
     try:
-        return _validated(ExperimentConfig(**values))
-    except ValueError as exc:
+        return ExperimentConfig(**values)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory: page size times page count."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _validated(config: ExperimentConfig) -> ExperimentConfig:
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float):
-            require(math.isfinite(value), f"{f.name} must be finite")
-    require(all(math.isfinite(v) for v in config.figure_levels),
-            "figure_levels must be finite")
-    require(config.n_runs >= 1, "n_runs must be >= 1")
-    require(config.forcing_period > 0.0, "forcing_period must be > 0")
-    require(config.d_min_high <= config.d_max, "d_min_high must be <= d_max")
-    require(config.threads >= 1, "threads must be >= 1")
-    require(config.batch_size >= 1, "batch_size must be >= 1")
-    require(config.k_folds >= 2, "k_folds must be >= 2")
-    require(config.svm_class_weight in (None, "balanced"),
-            "svm_class_weight must be none or 'balanced'")
-    require(config.svm_iterations >= 1, "svm_iterations must be >= 1")
-    require(config.svm_tolerance > 0.0, "svm_tolerance must be finite and > 0")
-    require(config.svm_lambda is None or config.svm_lambda > 0.0,
-            "svm_lambda must be auto or finite and > 0")
-    require(config.permutation_repeats >= 1, "permutation_repeats must be >= 1")
-    require(config.figure_runs >= 1, "figure_runs must be >= 1")
-    det = config.detector()
-    config.feature_config()
-    config.d_min_sampler()
-    memory = physical_memory()
-    sim_cfg = config.sim_config()
-    # simulate and the figure ramp hold one whole path as long as an ensemble run
-    n_points = sim_cfg.n_steps + 1
-    require(8 * n_points <= memory,
-            f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
-            f"{memory} bytes of physical memory")
-    # a streamed batch holds the one chunk path buffer plus each run's FeatureStream
-    _, piece = config.figure_sim_configs()
-    for what, cfg, run_det, n_runs in (
-            ("ensemble", sim_cfg, det, config.n_runs),
-            ("figure level", piece, config.level_detector(), config.figure_runs)):
-        batch = min(config.batch_size, n_runs)
-        chunk = min(CHUNK_STEPS, cfg.n_steps)
-        held = batch * 8 * (chunk + 1 + FeatureStream.held_samples(
-            run_det, config.forcing_period, config.dt, cfg.n_steps, chunk))
-        require(held <= memory,
-                f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
-                f"(chunk buffer and per-run state), more than the {memory} bytes of "
-                "physical memory")
-    return config
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse flat key = value text into one validated ExperimentConfig, else ConfigError."""
+    return _build(_config_values(text))
 
 
 def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Config from file (or defaults), then keyword overrides, then validation."""
+    """Config from file values (or defaults), then non-None overrides, then validation.
+
+    The merged values build one self-validating ExperimentConfig, so an override
+    replaces a file value before it is checked; a rejection is a ConfigError.
+    """
+    values = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            values = _config_values(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        config = parse_config_text(text)
-    else:
-        config = ExperimentConfig()
-    if overrides:
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        try:
-            config = replace(config, **clean)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    try:
-        return _validated(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return _build(values)
 
 
 def _log(message: str) -> None:
@@ -405,7 +406,7 @@ def classify_dataset(data: Dataset, config: ExperimentConfig) -> dict:
     folds = stratified_kfold(data.y, config.k_folds,
                              derive_seed(config.master_seed, "folds"))
     cv = cross_validate(data, folds, hp, workers=config.threads)
-    drop = drop_column_importance(data, cv, hp, workers=config.threads)
+    drop = drop_column_importance(data, cv, workers=config.threads)
     perm = permutation_importance(data, cv, derive_seed(config.master_seed, "importance"),
                                   repeats=config.permutation_repeats)
     fits = [fm.model for fm in cv.fold_models]
@@ -706,8 +707,6 @@ def simulate_one(config: ExperimentConfig, run_index: int = 0,
     sched = LinearRampAmplitude(config.d_max, d_min)
     traj = simulate(config.sim_config(schedule=sched), seed)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    det = config.detector()
-    segset = label_breakdown(detect_jumps(traj, det), config.forcing_period, det)
-    write_events_csv(segset, out_dir / "events.csv")
+    write_events_csv(detect_jumps(traj, config.detector()), out_dir / "events.csv")
     _log(f"wrote {out_dir / 'trajectory.csv'} (seed {seed}, d_min {d_min:.6g})")
     return traj

@@ -369,7 +369,7 @@ def test_drop_column_redundant_copies():
     data = make_dataset(X, y)
     hp = SvmHyperParams(n_iter=2000)
     cv = cross_validate(data, stratified_kfold(data.y, 5, 4), hp)
-    deltas = drop_column_importance(data, cv, hp)
+    deltas = drop_column_importance(data, cv)
     assert abs(deltas["f0"]) < 0.03  # dropping either copy changes nothing
     assert abs(deltas["f1"]) < 0.03
 
@@ -384,7 +384,7 @@ def test_drop_column_pure_noise_feature():
     # leaves the spread between data draws, which a 0.01 bound covers
     hp = SvmHyperParams(n_iter=2000)
     repeats = [drop_column_importance(
-                   data, cross_validate(data, stratified_kfold(data.y, 5, seed), hp), hp)
+                   data, cross_validate(data, stratified_kfold(data.y, 5, seed), hp))
                for seed in range(10)]
     assert abs(np.mean([d["f2"] for d in repeats])) <= 0.01
     assert np.mean([d["f0"] for d in repeats]) > 0.2  # the informative column counts
@@ -433,8 +433,8 @@ def test_fold_fits_independent_of_workers(pool_sizes):
     for a, b in zip(serial.fold_models, forked.fold_models):
         assert a.model.coef_.tobytes() == b.model.coef_.tobytes()
         assert a.model.intercept_ == b.model.intercept_
-    assert (drop_column_importance(data, serial, hp)
-            == drop_column_importance(data, forked, hp, workers=2))
+    assert (drop_column_importance(data, serial)
+            == drop_column_importance(data, forked, workers=2))
     assert pool_sizes == [2, 2]
 
 
@@ -444,14 +444,14 @@ def test_importances_reuse_given_cv(monkeypatch):
     hp = SvmHyperParams(n_iter=300)
     folds = stratified_kfold(data.y, 3, 5)
     cv = cross_validate(data, folds, hp)
-    expected_drop = drop_column_importance(data, cross_validate(data, folds, hp), hp)
+    expected_drop = drop_column_importance(data, cross_validate(data, folds, hp))
     expected_perm = permutation_importance(data, cross_validate(data, folds, hp), 8,
                                            repeats=4)
     fits = []
     real_fit = LinearHingeSVM.fit
     monkeypatch.setattr(LinearHingeSVM, "fit",
                         lambda self, X, y: fits.append(1) or real_fit(self, X, y))
-    assert drop_column_importance(data, cv, hp) == expected_drop
+    assert drop_column_importance(data, cv) == expected_drop
     assert len(fits) == 3 * 3  # the dropped-feature fits only
     assert permutation_importance(data, cv, 8, repeats=4) == expected_perm
     assert len(fits) == 3 * 3

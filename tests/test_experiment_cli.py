@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,43 @@ def test_load_config_overrides(tmp_path):
     assert ec.n_runs == 8 and ec.master_seed == 9 and ec.out_dir == str(tmp_path)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ExperimentConfig(k_folds=1), "k_folds must be >= 2"),
+    (lambda: ExperimentConfig(batch_size=0), "batch_size must be >= 1"),
+    (lambda: ExperimentConfig(min_cycles=1), "min_cycles must be >= 2"),
+    (lambda: replace(ExperimentConfig(), threads=0), "threads must be >= 1"),
+], ids=["k_folds", "batch_size", "min_cycles", "replace_threads"])
+def test_config_validates_on_construction(build, message):
+    # library callers get the checks too, before anything is simulated
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_load_config_override_replaces_file_value_before_checks(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("n_runs = 0\nt_total = 450\n")
+    with pytest.raises(ConfigError, match="n_runs must be >= 1"):
+        load_config(path)
+    config = load_config(path, {"n_runs": 4})
+    assert config.n_runs == 4 and config.t_total == 450.0
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", str(path), "--runs", "4", "--out", str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["n_runs"] == 4
+
+
+def test_load_config_builds_one_config(tmp_path, monkeypatch):
+    path = tmp_path / "exp.cfg"
+    path.write_text("n_runs = 50\nmaster_seed = 9\n")
+    built = []
+    post_init = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    config = load_config(path, {"n_runs": 8, "threads": None})
+    assert built == [config]  # from the merged values, checked once
+    built.clear()
+    assert built == [load_config(None)]
 
 
 def test_config_hash_stable():
