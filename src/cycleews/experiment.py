@@ -138,8 +138,8 @@ class ExperimentConfig:
                 ("figure level", piece, self.level_detector(), self.figure_runs)):
             batch = min(self.batch_size, n_runs)
             chunk = min(CHUNK_STEPS, cfg.n_steps)
-            held = batch * 8 * (chunk + 1 + FeatureStream.held_samples(
-                run_det, self.forcing_period, self.dt, cfg.n_steps, chunk))
+            held = 8 * (batch * (chunk + 1) + FeatureStream.held_samples(
+                run_det, self.forcing_period, self.dt, cfg.n_steps, chunk, batch))
             require(held <= memory,
                     f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
                     f"(chunk buffer and per-run state), more than the {memory} bytes of "
@@ -261,7 +261,7 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
     if path is not None:
         try:
             values = _config_values(Path(path).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return _build(values)

@@ -296,16 +296,17 @@ class FeatureStream:
     """One run's FeatureVector from its path fed in consecutive chunks.
 
     Gives the bits of detect_jumps, label_breakdown, truncate_at_onset
-    and extract_features on the whole path, while holding only the
-    samples of segments that are not yet final.  A segment is final once
-    its right boundary is (see events.JumpStream.n_final); it is then
-    checked against the breakdown threshold and, if not longer, detrended
-    and paired into its cycle.  The breakdown onset is the first segment
-    longer than breakdown_factor * t_f.  It is known before the path ends
-    once the open segment starts at a final boundary and already holds
-    more samples than that; since merges only lengthen segments, no
-    later sample can change it.  feed then returns True: the run needs
-    no more samples.
+    and extract_features on the whole path, while holding only the path
+    from the start of the first segment not yet paired into a cycle.  A
+    segment is final once its right boundary is (see
+    events.JumpStream.n_final); it is then checked against the breakdown
+    threshold, and once both segments of a cycle are final and not
+    longer, both are detrended and paired.  The breakdown onset is the
+    first segment longer than breakdown_factor * t_f.  It is known before
+    the path ends once the open segment starts at a final boundary and
+    already holds more samples than that; since merges only lengthen
+    segments, no later sample can change it.  feed then returns True:
+    the run needs no more samples.
     """
 
     def __init__(self, det: DetectorConfig, fcfg: FeatureConfig, t_f: float,
@@ -319,27 +320,29 @@ class FeatureStream:
         self.done = False
         self._x = np.empty(0)  # the path from sample _base on
         self._base = 0
-        self._detrended = 0  # segments detrended so far, all final
-        self._pending = None  # residual of an even segment awaiting its pair
+        self._paired = 0  # segments paired into cycles so far, all final
         self._cycles: List[CycleStats] = []
 
     @staticmethod
     def held_samples(det: DetectorConfig, t_f: float, dt: float, n_steps: int,
-                     chunk: int) -> int:
-        """At most how many samples one stream holds while fed chunks of `chunk`.
+                     chunk: int, streams: int) -> int:
+        """At most how many samples `streams` streams hold, fed chunks of `chunk`.
 
-        Path and pending residual each span at most a segment that is
-        not too long, and the path also the top boundary's n_min steps
-        and one chunk.
+        A stream holds one piece of its run's path, from the start of its
+        first unpaired segment: at most n_steps + 1 samples, and at most
+        two segments that are not too long, the top boundary's n_min
+        steps and one chunk.  feed's np.concatenate builds the next piece
+        while the last one is still held; the streams of a batch are fed
+        one at a time, so that copy counts once.
         """
         ratio = det.breakdown_factor * t_f / dt
         longest = n_steps + 1 if ratio >= n_steps else math.floor(ratio) + 1
-        return 2 * longest + det.n_min + chunk
+        return (streams + 1) * min(2 * longest + det.n_min + chunk, n_steps + 1)
 
     def feed(self, x) -> bool:
         """Take the next samples of the path; True once the run needs no more."""
         require(not self.done, "the run's features are complete")
-        keep = self.jumps.boundaries[self._detrended] - self._base
+        keep = self.jumps.boundaries[self._paired] - self._base
         self._x = np.concatenate((self._x[keep:], x))
         self._base += keep
         self.jumps.feed(self._x[len(self._x) - len(x):])
@@ -349,37 +352,34 @@ class FeatureStream:
     def _advance(self) -> None:
         b = self.jumps.boundaries
         n_final = self.jumps.n_final()
-        for i in range(self._detrended, len(b) - 1):
+        for i in range(self._paired, len(b) - 1):
             # a segment can only grow, so one too long now stays too long
             if (b[i + 1] - b[i]) * self.dt > self.threshold:
                 self._stop(i)
                 return
-            if i + 1 < n_final:
-                self._detrend(i)
+            if i % 2 and i + 1 < n_final:
+                self._pair(i - 1)
         if self.jumps.finished:
             self._stop(None)
         elif n_final == len(b) and (self.jumps.seen - b[-1]) * self.dt > self.threshold:
             self._stop(len(b) - 1)
 
-    def _detrend(self, i: int) -> None:
-        b = self.jumps.boundaries
-        residual = detrend_segment(self._x[b[i] - self._base:b[i + 1] - self._base],
-                                   self.fcfg)
-        if i % 2 == 0:
-            self._pending = residual
-        else:
-            cycle = _cycle(i // 2, self._pending, residual)
-            if cycle is not None:
-                self._cycles.append(cycle)
-            self._pending = None
-        self._detrended = i + 1
+    def _pair(self, i: int) -> None:
+        """Detrend segments i and i + 1 and pair them into cycle i // 2."""
+        b, base = self.jumps.boundaries, self._base
+        even, odd = (detrend_segment(self._x[b[k] - base:b[k + 1] - base], self.fcfg)
+                     for k in (i, i + 1))
+        cycle = _cycle(i // 2, even, odd)
+        if cycle is not None:
+            self._cycles.append(cycle)
+        self._paired = i + 2
 
     def _stop(self, onset: Optional[int]) -> None:
         self.onset = onset
         kept = len(self.jumps.boundaries) - 1 if onset is None else onset
-        for i in range(self._detrended, kept):
-            self._detrend(i)
-        self._x = self._pending = None
+        for i in range(self._paired, kept - 1, 2):
+            self._pair(i)
+        self._x = None
         self.done = True
 
     def segments(self) -> SegmentSet:

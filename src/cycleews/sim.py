@@ -24,10 +24,12 @@ reduces it as it goes and may end it early (a features.FeatureStream in
 the feature pipeline and the figure level protocol).  A batch of two or
 more runs steps with five ufunc calls per step on rows, elementwise per
 run; a batch of one steps on Python floats in the same operation order
-(g + s and s + g are the same IEEE sum), since numpy's
-per-call cost dominates on one-element rows.  That a run yields the
-same bits alone, inside a batch, or in a worker process is pinned by the
-parity tests in tests/test_sim.py, not by construction.
+(g + s and s + g are the same IEEE sum), since numpy's per-call cost
+dominates on one-element rows.  Either fills a whole chunk blind to
+divergence, which one check on the filled chunk finds at any width.
+That a run yields the same bits alone, inside a batch, or in a worker
+process is pinned by the parity tests in tests/test_sim.py, not by
+construction.
 """
 
 from __future__ import annotations
@@ -267,27 +269,27 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     Steps go in CHUNK_STEPS blocks through one reused (chunk + 1) x
     batch path buffer.  Each block first gets every step's
     state-independent term g_k (forcing and noise, see _increments) in
-    rows 1.., vectorised over the block; stepping then overwrites row
-    k + 1 in place with x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k, where
-    c1 = 1 + dt and c2 = -dt/3.  After each block, every run hands its
-    new samples (the first block starts with x0) to its consumer:
-    consumer.feed returns True once the run needs no more, and the run
-    leaves the batch.  rates holds each ramped run's rate (None for
-    other schedules) and streams each run's RunStream, positioned at its
-    step normals.  A run whose state leaves the admissible region
-    (non-finite or |x| > STATE_GUARD) leaves the batch at that step: its
-    consumer gets only the samples before it.  Returns {batch index:
-    first bad step} of those runs whose consumer was not done by then.
-    The arithmetic is elementwise per run, so a run's bits do not depend
-    on its batch.  A batch of one steps on Python floats, in the
-    operation order of the ufunc loop, so both give the same bits (see
-    the parity tests).
+    rows 1.., vectorised over the block; stepping then overwrites every
+    row k + 1 in place with x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k,
+    where c1 = 1 + dt and c2 = -dt/3 (_step_floats for a batch of one,
+    _step_rows otherwise; neither looks for divergence).  The one
+    divergence check, _first_bad_steps, then finds each run's first step
+    whose state is non-finite or beyond STATE_GUARD.  Every run hands its
+    new samples before that step (the first block starts with x0) to its
+    consumer: consumer.feed returns True once the run needs no more, and
+    the run leaves the batch, as does a run at its first bad step.
+    rates holds each ramped run's rate (None for other schedules) and
+    streams each run's RunStream, positioned at its step normals.
+    Returns {batch index: first bad step} of those runs whose consumer
+    was not done by then.  The arithmetic is elementwise per run, so a
+    run's bits do not depend on its batch, and _step_floats keeps
+    _step_rows' operation order, so both give the same bits (see the
+    parity tests).
     """
     n_steps, dt = config.n_steps, config.dt
     batch = len(consumers)
     buf = np.empty((min(CHUNK_STEPS, n_steps) + 1, batch))
     buf[0] = config.x0
-    s1 = np.empty(batch)
     c1, c2 = 1.0 + dt, -dt / 3.0
     active = list(range(batch))
     diverged = {}
@@ -299,12 +301,8 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
             xs = buf[:n + 1, :width]
             _increments(xs[1:], config, c0, None if rates is None else rates[active],
                         [streams[r] for r in active])
-            if width == 1:
-                done = _step_floats(xs, c1, c2)
-                bad = {} if done == n else {0: c0 + 1 + done}
-            else:
-                _step_rows(xs, c1, c2, s1[:width])
-                bad = _first_bad_steps(xs[1:], c0)
+            (_step_floats if width == 1 else _step_rows)(xs, c1, c2)
+            bad = _first_bad_steps(xs[1:], c0)
             start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
             keep = []
             for j, r in enumerate(active):
@@ -323,13 +321,14 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     return diverged
 
 
-def _step_rows(xs, c1: float, c2: float, s1) -> None:
+def _step_rows(xs, c1: float, c2: float) -> None:
     """Step rows 1.. of xs in place from row 0 with ufuncs (batch of two or more).
 
     Row k + 1 holds g_k on entry and x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k
     on return: five ufunc calls per step.
     """
     rows = list(xs)
+    s1 = np.empty_like(rows[0])
     for row, nxt in zip(rows, rows[1:]):
         np.multiply(row, row, out=s1)
         s1 *= c2
@@ -338,22 +337,19 @@ def _step_rows(xs, c1: float, c2: float, s1) -> None:
         nxt += s1
 
 
-def _step_floats(xs, c1: float, c2: float) -> int:
+def _step_floats(xs, c1: float, c2: float) -> None:
     """Step column 0 of xs on Python floats, in _step_rows' operation order.
 
-    Row k + 1 holds g_k on entry and x_{k+1} on return, as in _step_rows
-    (g + s and s + g are the same IEEE sum).  Returns how many steps
-    stayed admissible; stepping stops at the first step that does not,
-    and the rows from there on keep their g.
+    The same contract as _step_rows: row k + 1 holds g_k on entry and
+    x_{k+1} on return, for every row (g + s and s + g are the same IEEE
+    sum).  Float * and + overflow to inf and NaN without raising, as the
+    ufuncs do, so a diverged state just propagates to the chunk's end.
     """
     x, path = float(xs[0, 0]), []
     for g in xs[1:, 0].tolist():
         x = g + ((x * x) * c2 + c1) * x
-        if not -STATE_GUARD <= x <= STATE_GUARD:
-            break
         path.append(x)
-    xs[1:1 + len(path), 0] = path
-    return len(path)
+    xs[1:, 0] = path
 
 
 def _first_bad_steps(block, c0: int) -> dict:

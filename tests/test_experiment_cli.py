@@ -234,6 +234,15 @@ def test_cli_config_error(tmp_path):
     assert run_cli("experiment", "--config", str(tmp_path / "nope.cfg")) == 2
 
 
+def test_cli_rejects_config_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"n_runs = 4\n\xff\xfe = 1\n")
+    assert run_cli("experiment", "--config", str(bad), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config {bad}" in err and "Traceback" not in err
+    assert not (tmp_path / "features.csv").exists()
+
+
 @pytest.mark.parametrize("setting", ["threads = 0", "threads = -4",
                                      "batch_size = 0", "batch_size = -1"])
 def test_cli_rejects_bad_execution_setting(tmp_path, setting):
@@ -284,17 +293,26 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
-    # ensemble: 128 runs x (one chunk path buffer of 8,193 rows + 42,024
-    # samples of stream state) x 8 bytes = 51.4 MB, above 48 MiB (50.3 MB)
+    # ensemble: (128 runs x (one chunk path buffer of 8,193 rows + 42,024
+    # samples of stream state) + one 42,024-sample feed copy) x 8 bytes
+    # = 51.8 MB, above 48 MiB (50.3 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
-    # figure levels, streamed with no breakdown limit: 64 runs x (one chunk
-    # path buffer of 8,193 rows + 728,274 samples of stream state) x 8 bytes = 377 MB
+    # figure levels, streamed with no breakdown limit, so a run's state is
+    # capped by its whole path: (64 runs x (8,193 + 360,001) + one
+    # 360,001-sample feed copy) x 8 bytes = 191 MB
     with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
     assert run_cli("experiment", "--out", str(tmp_path)) == 2
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_config_accepts_figure_batch_within_whole_path_bound(monkeypatch):
+    # a level run holds at most its whole path: (64 x (8,193 + 360,001) +
+    # 360,001) x 8 bytes = 191 MB for the default figure level batch
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 300 * 10 ** 6)
+    assert load_config(None, {"n_runs": 1}).figure_runs == 64
 
 
 def _reject_constant(name):

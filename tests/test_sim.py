@@ -160,6 +160,35 @@ def test_diverged_run_leaves_the_batch_at_its_step():
         assert not path.x[9_001:].any()
 
 
+class _DoneAtOnce:
+    def feed(self, samples) -> bool:
+        return True
+
+
+def test_divergence_after_batch_shrinks_to_one_run():
+    # run 1 diverges on the 1e9 level from step 9,000, past the first
+    # 8,192-step chunk; in the first batch run 0 leaves after its first
+    # chunk, so run 1 steps alone on Python floats from then on
+    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+                       amplitude_schedule=PiecewiseConstantAmplitude((1.0, 1e9), 90.0),
+                       sigma=0.3, x0=1.0, master_seed=2)
+
+    def run(first):
+        streams = [RunStream(run_seed_for(2, i)) for i in range(2)]
+        for stream in streams:
+            stream.uniforms(2)
+        path = PathConsumer(config.n_steps)
+        return _integrate(config, None, streams, [first, path]), path.x
+
+    shrunk, alone = run(_DoneAtOnce())
+    full, in_rows = run(PathConsumer(config.n_steps))
+    step = full[1]
+    assert 9_000 < step < 9_100
+    assert shrunk == {1: step}
+    assert alone[:step].tobytes() == in_rows[:step].tobytes()
+    assert not alone[step:].any()
+
+
 def _ramp_config(t_total=20.0, seed=7):
     return SimConfig(dt=0.01, t_total=t_total, omega=OMEGA,
                      amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
