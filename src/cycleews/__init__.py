@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .sim import (  # noqa: E402,F401
     ConstantAmplitude, DivergenceError, LinearRampAmplitude,
     PiecewiseConstantAmplitude, SimConfig, Trajectory,
-    UniformSampler, amplitude_at, drift, simulate,
+    UniformSampler, simulate,
 )
 from .events import (  # noqa: F401
     DetectorConfig, SegmentSet, detect_jumps, label_breakdown, truncate_at_onset,

@@ -38,8 +38,8 @@ from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
 from .rng import derive_seed
 from .sim import (CHUNK_STEPS, ConstantAmplitude, LinearRampAmplitude,
                   PiecewiseConstantAmplitude, RunResult, SimConfig, Trajectory,
-                  UniformSampler, draw_d_min, iter_ensemble, run_seed_for,
-                  simulate, write_trajectory_csv)
+                  UniformSampler, draw_d_min, iter_ensemble, kernel_samples,
+                  run_seed_for, simulate, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,18 +131,18 @@ class ExperimentConfig:
         require(8 * n_points <= memory,
                 f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
                 f"{memory} bytes of physical memory")
-        # a streamed batch holds the one chunk path buffer plus each run's FeatureStream
+        # a streamed batch holds the kernel's buffers plus each run's FeatureStream
         _, piece = self.figure_sim_configs()
         for what, cfg, run_det, n_runs in (
                 ("ensemble", sim_cfg, det, self.n_runs),
                 ("figure level", piece, self.level_detector(), self.figure_runs)):
             batch = min(self.batch_size, n_runs)
             chunk = min(CHUNK_STEPS, cfg.n_steps)
-            held = 8 * (batch * (chunk + 1) + FeatureStream.held_samples(
+            held = 8 * (kernel_samples(batch, cfg.n_steps) + FeatureStream.held_samples(
                 run_det, self.forcing_period, self.dt, cfg.n_steps, chunk, batch))
             require(held <= memory,
                     f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
-                    f"(chunk buffer and per-run state), more than the {memory} bytes of "
+                    f"(chunk buffers and per-run state), more than the {memory} bytes of "
                     "physical memory")
 
     @property

@@ -188,10 +188,13 @@ def _cycle(ci: int, a, b) -> Optional[CycleStats]:
     if a is None or b is None:
         return None
     y = np.concatenate([a, b])
-    var = sample_variance(y)
+    d = y - y.mean()
+    ss = float((d * d).sum())
+    var = ss / len(y)  # sample_variance(y): numpy's mean is the sum over the count
     if var == 0.0:
         return None
-    return CycleStats(ci, var, lag1_autocorrelation(y), len(y))
+    # lag1_autocorrelation(y), whose denominator ss is not 0 here
+    return CycleStats(ci, var, float((d[:-1] * d[1:]).sum() / ss), len(y))
 
 
 def ols_slope(values) -> float:
@@ -296,17 +299,20 @@ class FeatureStream:
     """One run's FeatureVector from its path fed in consecutive chunks.
 
     Gives the bits of detect_jumps, label_breakdown, truncate_at_onset
-    and extract_features on the whole path, while holding only the path
-    from the start of the first segment not yet paired into a cycle.  A
-    segment is final once its right boundary is (see
-    events.JumpStream.n_final); it is then checked against the breakdown
-    threshold, and once both segments of a cycle are final and not
-    longer, both are detrended and paired.  The breakdown onset is the
-    first segment longer than breakdown_factor * t_f.  It is known before
-    the path ends once the open segment starts at a final boundary and
-    already holds more samples than that; since merges only lengthen
-    segments, no later sample can change it.  feed then returns True:
-    the run needs no more samples.
+    and extract_features on the whole path, while holding only the fed
+    pieces of the path from the one holding the start of the first
+    segment not yet paired into a cycle.  Each fed chunk is kept as its
+    own piece, so a feed copies only the new samples; a segment is
+    joined from its pieces only when it is detrended.  A segment is
+    final once its right boundary is (see events.JumpStream.n_final); it
+    is then checked against the breakdown threshold, and once both
+    segments of a cycle are final and not longer, both are detrended and
+    paired.  The breakdown onset is the first segment longer than
+    breakdown_factor * t_f.  It is known before the path ends once the
+    open segment starts at a final boundary and already holds more
+    samples than that; since merges only lengthen segments, no later
+    sample can change it.  feed then returns True: the run needs no
+    more samples.
     """
 
     def __init__(self, det: DetectorConfig, fcfg: FeatureConfig, t_f: float,
@@ -318,8 +324,8 @@ class FeatureStream:
         self.jumps = JumpStream(det, n_steps)
         self.onset: Optional[int] = None
         self.done = False
-        self._x = np.empty(0)  # the path from sample _base on
-        self._base = 0
+        self._pieces: List[np.ndarray] = []  # consecutive pieces of the path
+        self._base = 0  # path index of the first sample of _pieces[0]
         self._paired = 0  # segments paired into cycles so far, all final
         self._cycles: List[CycleStats] = []
 
@@ -328,25 +334,33 @@ class FeatureStream:
                      chunk: int, streams: int) -> int:
         """At most how many samples `streams` streams hold, fed chunks of `chunk`.
 
-        A stream holds one piece of its run's path, from the start of its
-        first unpaired segment: at most n_steps + 1 samples, and at most
-        two segments that are not too long, the top boundary's n_min
-        steps and one chunk.  feed's np.concatenate builds the next piece
-        while the last one is still held; the streams of a batch are fed
-        one at a time, so that copy counts once.
+        Between feeds a stream holds its path from the start of its first
+        unpaired segment, which spans at most two segments that are not
+        too long and the top boundary's n_min steps, and before that at
+        most one piece, which reaches back at most one chunk: at most
+        n_steps + 1 samples, since the pieces are disjoint parts of its
+        path.  The streams of a batch are fed one at a time, and the one
+        being fed holds one more piece of at most one chunk until it
+        drops the pieces it no longer needs, plus one segment joined from
+        its pieces while it is detrended (segments are joined one at a
+        time); those count once.
         """
         ratio = det.breakdown_factor * t_f / dt
         longest = n_steps + 1 if ratio >= n_steps else math.floor(ratio) + 1
-        return (streams + 1) * min(2 * longest + det.n_min + chunk, n_steps + 1)
+        held = min(2 * longest + det.n_min + chunk, n_steps + 1)
+        return streams * held + chunk + 1 + longest
 
     def feed(self, x) -> bool:
         """Take the next samples of the path; True once the run needs no more."""
         require(not self.done, "the run's features are complete")
-        keep = self.jumps.boundaries[self._paired] - self._base
-        self._x = np.concatenate((self._x[keep:], x))
-        self._base += keep
-        self.jumps.feed(self._x[len(self._x) - len(x):])
+        piece = np.array(x, dtype=float)  # owned: the caller may reuse x's memory
+        self._pieces.append(piece)
+        self.jumps.feed(piece)
         self._advance()
+        if not self.done:
+            first = self.jumps.boundaries[self._paired]
+            while self._base + len(self._pieces[0]) <= first:
+                self._base += len(self._pieces.pop(0))
         return self.done
 
     def _advance(self) -> None:
@@ -364,11 +378,19 @@ class FeatureStream:
         elif n_final == len(b) and (self.jumps.seen - b[-1]) * self.dt > self.threshold:
             self._stop(len(b) - 1)
 
+    def _segment(self, k: int) -> np.ndarray:
+        """The samples of segment k, joined from the pieces that hold them."""
+        lo, hi = self.jumps.boundaries[k], self.jumps.boundaries[k + 1]
+        parts, start = [], self._base
+        for piece in self._pieces:
+            if start < hi and start + len(piece) > lo:
+                parts.append(piece[max(lo - start, 0):hi - start])
+            start += len(piece)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def _pair(self, i: int) -> None:
         """Detrend segments i and i + 1 and pair them into cycle i // 2."""
-        b, base = self.jumps.boundaries, self._base
-        even, odd = (detrend_segment(self._x[b[k] - base:b[k + 1] - base], self.fcfg)
-                     for k in (i, i + 1))
+        even, odd = (detrend_segment(self._segment(k), self.fcfg) for k in (i, i + 1))
         cycle = _cycle(i // 2, even, odd)
         if cycle is not None:
             self._cycles.append(cycle)
@@ -379,7 +401,7 @@ class FeatureStream:
         kept = len(self.jumps.boundaries) - 1 if onset is None else onset
         for i in range(self._paired, kept - 1, 2):
             self._pair(i)
-        self._x = None
+        self._pieces = None
         self.done = True
 
     def segments(self) -> SegmentSet:

@@ -15,6 +15,8 @@ import hashlib
 
 import numpy as np
 
+from .base import require
+
 TWO_PI = 2.0 * np.pi
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 _SHIFT_11 = np.uint64(11)
@@ -63,14 +65,32 @@ class RunStream:
     def uniforms(self, n: int) -> np.ndarray:
         return raw_to_uniform(self.raws(n))
 
-    def normals(self, n: int) -> np.ndarray:
-        """Draw n standard normals, consuming 2n raws (Box-Muller, cosine branch)."""
+    def normals(self, n: int, out=None) -> np.ndarray:
+        """Draw n standard normals, consuming 2n raws (Box-Muller, cosine branch).
+
+        They are computed in place in out when it is given: a contiguous
+        float64 array of length n, such as a row of a 2-D block.  np.log
+        and np.cos only ever see contiguous arrays, since numpy may round
+        strided inputs through another loop.
+        """
+        if out is None:
+            out = np.empty(n)
+        require(out.shape == (n,) and out.dtype == np.float64 and out.flags.c_contiguous,
+                "out must be a contiguous float64 array of length n")
         if n == 0:
-            return np.empty(0)
-        u = raw_to_uniform(self.raws(2 * n))
-        u1 = 1.0 - u[0::2]  # (0, 1]: log is finite
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(TWO_PI * u2)
+            return out
+        raw = self.raws(2 * n)
+        raw >>= _SHIFT_11
+        np.multiply(raw[0::2], _INV_2_53, out)
+        np.subtract(1.0, out, out)  # u1 in (0, 1]: log is finite
+        np.log(out, out)
+        np.multiply(out, -2.0, out)
+        np.sqrt(out, out)
+        angle = np.multiply(raw[1::2], _INV_2_53)
+        np.multiply(angle, TWO_PI, angle)
+        np.cos(angle, angle)
+        np.multiply(out, angle, out)
+        return out
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:

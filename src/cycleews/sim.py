@@ -8,16 +8,23 @@ step x + (x - x^3/3 + D(t) cos(omega t)) dt + sigma sqrt(dt) xi is
 evaluated regrouped as x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k with
 c1 = 1 + dt and c2 = -dt/3: the state-independent term g_k =
 D(t_k) cos(omega t_k) dt + sigma sqrt(dt) xi_k is built for a whole
-chunk of steps at once, vectorised, into the path buffer, and the
-state-dependent part ((x_k x_k) c2 + c1) x_k is added to it in place.
-The regrouping is the same scheme and moves a path by rounding only
-(tests/test_sim.py compares it with the textbook form).
+chunk of steps at once, vectorised, and the state-dependent part
+((x_k x_k) c2 + c1) x_k is added to it in place.  The regrouping is
+the same scheme and moves a path by rounding only (tests/test_sim.py
+compares it with the textbook form).  g is assembled GROUP_RUNS runs at
+a time in a run-major block small enough to stay in cache: each run's
+normals are drawn into a contiguous row, a ramp's forcing for the group
+is one outer product of its rates with t_k cos(omega t_k), and one
+transposed write stores the group into the step-major path buffer.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
 rng.py), so ensembles are order-independent.  simulate and iter_ensemble
 both go through one batch kernel, which integrates in CHUNK_STEPS-step
-chunks and hands each run's new samples to a per-run consumer: simulate
+chunks and hands each run's new samples to a per-run consumer, over
+GROUP_RUNS runs at a time from one run-major copy, so that every
+consumer is fed contiguous samples (a lone run's column already is, and
+is fed as it stands); a consumer copies what it keeps.  simulate
 (and the Floquet search through it) keeps the whole path in a
 PathConsumer, and every ensemble run streams into a consumer that
 reduces it as it goes and may end it early (a features.FeatureStream in
@@ -46,6 +53,8 @@ from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
 CHUNK_STEPS = 8192
+GROUP_RUNS = 16  # runs per group of the batch kernel: one group's scratch block fits L2
+HANDOFF_TILE = 512  # steps per tile of the run-major copy of a group's samples
 
 
 class DivergenceError(RuntimeError):
@@ -119,12 +128,6 @@ class PiecewiseConstantAmplitude:
 
 
 AmplitudeSchedule = Union[ConstantAmplitude, LinearRampAmplitude, PiecewiseConstantAmplitude]
-
-
-def amplitude_at(schedule: AmplitudeSchedule, t: float, t_total: float) -> float:
-    """Amplitude of the forcing at time t; t must lie in [0, t_total]."""
-    require(0.0 <= t <= t_total, f"t={t} outside [0, {t_total}]")
-    return float(schedule.array(np.array([t]), t_total)[0])
 
 
 # --------------------------------------------------------------------------
@@ -212,11 +215,6 @@ class Trajectory:
         return len(self.t) - 1
 
 
-def drift(x, t, d_a, omega):
-    """Deterministic drift x - x^3/3 + d_a cos(omega t); accepts scalars or arrays."""
-    return x - (x * x * x) / 3.0 + d_a * np.cos(omega * t)
-
-
 # --------------------------------------------------------------------------
 # integration engine
 # --------------------------------------------------------------------------
@@ -227,24 +225,47 @@ def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
     Column j gets g_k = (d_max cos(wt_k) - rate_j * t_k cos(wt_k)) * dt
     + sigma sqrt(dt) xi_k for a linear ramp (rates holds each column's
     rate), D(t_k) cos(wt_k) * dt + sigma sqrt(dt) xi_k for any other
-    schedule (rates None); streams[j] supplies column j's normals.
+    schedule (rates None); streams[j] supplies column j's normals.  The
+    columns are built GROUP_RUNS at a time in a run-major block, whose
+    rows are contiguous for the per-run draws, and each group is stored
+    into g with one transposed write.
     """
-    n = len(g)
-    t = np.arange(c0, c0 + n) * config.dt
+    n, width = g.shape
+    dt = config.dt
+    t = np.arange(c0, c0 + n) * dt
     cos_wt = np.cos(config.omega * t)
     sched = config.amplitude_schedule
-    if rates is not None:
-        np.multiply.outer(t * cos_wt, rates, out=g)
-        np.subtract((sched.d_max * cos_wt)[:, None], g, out=g)
+    if rates is None:
+        forcing = sched.array(t, config.t_total) * cos_wt
+        forcing *= dt
     else:
-        g[:] = (sched.array(t, config.t_total) * cos_wt)[:, None]
-    g *= config.dt
-    if config.sigma > 0.0:
-        sig_sqdt = config.sigma * math.sqrt(config.dt)
-        for j, stream in enumerate(streams):
-            z = stream.normals(n)
-            z *= sig_sqdt
-            g[:, j] += z
+        t_cos, dmax_cos = t * cos_wt, sched.d_max * cos_wt
+    sig_sqdt = config.sigma * math.sqrt(dt)
+    block, z = np.empty((min(GROUP_RUNS, width), n)), np.empty(n)
+    for lo in range(0, width, GROUP_RUNS):
+        terms = block[:min(GROUP_RUNS, width - lo)]
+        if rates is None:
+            terms[:] = forcing
+        else:
+            np.multiply.outer(rates[lo:lo + len(terms)], t_cos, out=terms)
+            np.subtract(dmax_cos, terms, terms)
+            np.multiply(terms, dt, terms)
+        if config.sigma > 0.0:
+            for row, stream in zip(terms, streams[lo:]):
+                stream.normals(n, z)
+                np.multiply(z, sig_sqdt, z)
+                np.add(row, z, row)
+        g[:, lo:lo + len(terms)] = terms.T
+
+
+def kernel_samples(batch: int, n_steps: int) -> int:
+    """At most how many float64 values the kernel holds for a batch of `batch` runs.
+
+    The (chunk + 1) x batch path buffer, the handoff block of _integrate
+    and the group block of _increments, each at most GROUP_RUNS runs of
+    chunk + 1 samples.
+    """
+    return (min(CHUNK_STEPS, n_steps) + 1) * (batch + 2 * min(GROUP_RUNS, batch))
 
 
 class PathConsumer:
@@ -277,7 +298,11 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     whose state is non-finite or beyond STATE_GUARD.  Every run hands its
     new samples before that step (the first block starts with x0) to its
     consumer: consumer.feed returns True once the run needs no more, and
-    the run leaves the batch, as does a run at its first bad step.
+    the run leaves the batch, as does a run at its first bad step.  The
+    samples go over GROUP_RUNS runs at a time, from one run-major copy of
+    the group's columns, so each run's samples are contiguous; a lone
+    run's column already is and is fed as it stands.  A consumer must
+    copy what it keeps, since the buffers are reused.
     rates holds each ramped run's rate (None for other schedules) and
     streams each run's RunStream, positioned at its step normals.
     Returns {batch index: first bad step} of those runs whose consumer
@@ -290,6 +315,7 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     batch = len(consumers)
     buf = np.empty((min(CHUNK_STEPS, n_steps) + 1, batch))
     buf[0] = config.x0
+    handoff = np.empty((min(GROUP_RUNS, batch), len(buf)))
     c1, c2 = 1.0 + dt, -dt / 3.0
     active = list(range(batch))
     diverged = {}
@@ -305,15 +331,20 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
             bad = _first_bad_steps(xs[1:], c0)
             start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
             keep = []
-            for j, r in enumerate(active):
-                stop = bad.get(j, c_end + 1) - c0  # rows before the first bad step
-                finished = stop > start and consumers[r].feed(xs[start:stop, j])
-                if finished:
-                    continue
-                if j in bad:
-                    diverged[r] = bad[j]
-                else:
-                    keep.append(j)
+            for lo in range(0, width, GROUP_RUNS):
+                runs = xs[start:, lo:lo + GROUP_RUNS].T
+                if width > 1:  # one transposed copy makes each run's samples contiguous
+                    runs = _run_major(runs, handoff)
+                for j, samples in enumerate(runs, lo):
+                    r = active[j]
+                    stop = bad.get(j, c_end + 1) - c0  # rows before the first bad step
+                    finished = stop > start and consumers[r].feed(samples[:stop - start])
+                    if finished:
+                        continue
+                    if j in bad:
+                        diverged[r] = bad[j]
+                    else:
+                        keep.append(j)
             if not keep:
                 break
             xs[0, :len(keep)] = xs[n, keep]
@@ -321,20 +352,37 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     return diverged
 
 
+def _run_major(runs, out):
+    """Copy runs (a transposed view of a group's columns) into rows of out.
+
+    The copy goes in tiles of HANDOFF_TILE steps: numpy walks a
+    transposed copy in the order of its destination, so one whole pass
+    would read each column of the buffer on its own across all its
+    pages.
+    """
+    out = out[:runs.shape[0], :runs.shape[1]]
+    for k in range(0, runs.shape[1], HANDOFF_TILE):
+        out[:, k:k + HANDOFF_TILE] = runs[:, k:k + HANDOFF_TILE]
+    return out
+
+
 def _step_rows(xs, c1: float, c2: float) -> None:
     """Step rows 1.. of xs in place from row 0 with ufuncs (batch of two or more).
 
     Row k + 1 holds g_k on entry and x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k
-    on return: five ufunc calls per step.
+    on return: five ufunc calls per step.  c1 and c2 go in as row-width
+    arrays and out as a positional argument, because numpy's per-call
+    cost, not the arithmetic, sets the time of a step on a short row.
     """
-    rows = list(xs)
-    s1 = np.empty_like(rows[0])
+    rows, width = list(xs), xs.shape[1]
+    c1, c2, s = np.full(width, c1), np.full(width, c2), np.empty(width)
+    multiply, add = np.multiply, np.add
     for row, nxt in zip(rows, rows[1:]):
-        np.multiply(row, row, out=s1)
-        s1 *= c2
-        s1 += c1
-        s1 *= row
-        nxt += s1
+        multiply(row, row, s)
+        multiply(s, c2, s)
+        add(s, c1, s)
+        multiply(s, row, s)
+        add(nxt, s, nxt)
 
 
 def _step_floats(xs, c1: float, c2: float) -> None:

@@ -293,14 +293,14 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
-    # ensemble: (128 runs x (one chunk path buffer of 8,193 rows + 42,024
-    # samples of stream state) + one 42,024-sample feed copy) x 8 bytes
-    # = 51.8 MB, above 48 MiB (50.3 MB)
+    # ensemble: (8,193-row chunk buffers of (128 + 2 x 16) runs + 128 runs x
+    # 42,024 samples of stream state + the fed run's 8,193-sample piece and
+    # 16,876-sample joined segment) x 8 bytes = 53.7 MB, above 48 MiB (50.3 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
     # figure levels, streamed with no breakdown limit, so a run's state is
-    # capped by its whole path: (64 runs x (8,193 + 360,001) + one
-    # 360,001-sample feed copy) x 8 bytes = 191 MB
+    # capped by its whole path: (8,193 x (64 + 2 x 16) + 64 x 360,001 +
+    # 8,193 + 360,001) x 8 bytes = 194 MB
     with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
@@ -309,8 +309,9 @@ def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
 
 
 def test_config_accepts_figure_batch_within_whole_path_bound(monkeypatch):
-    # a level run holds at most its whole path: (64 x (8,193 + 360,001) +
-    # 360,001) x 8 bytes = 191 MB for the default figure level batch
+    # a level run holds at most its whole path: (8,193 x (64 + 2 x 16) +
+    # 64 x 360,001 + 8,193 + 360,001) x 8 bytes = 194 MB for the default
+    # figure level batch
     monkeypatch.setattr(experiment, "physical_memory", lambda: 300 * 10 ** 6)
     assert load_config(None, {"n_runs": 1}).figure_runs == 64
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cycleews import (DetectorConfig, FeatureConfig, circular_std, cycle_stats,
                       detect_jumps, extract_features, jump_phases, label_breakdown,
                       ols_slope, rolling_circ_std, truncate_at_onset, wrap_angle)
-from cycleews.features import (FEATURE_NAMES, FeatureStream, assign_extremum,
+from cycleews.features import (FEATURE_NAMES, FeatureStream, _cycle, assign_extremum,
                                circular_mean, detrend_segment, lag1_autocorrelation,
                                mean_resultant_length, sample_variance)
 from cycleews.experiment import ExperimentConfig
@@ -186,6 +186,30 @@ def test_ac1_affine_invariance(values, a, b):
     assert sample_variance(a * y + b) == pytest.approx(a * a * sample_variance(y),
                                                        rel=1e-9)
     assert -1.0 <= base <= 1.0
+
+
+# a cycle's residuals: spread out, or a constant plus a few tiny steps
+# (all equal or not), where the variance is near or exactly zero
+_residuals = st.one_of(
+    st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=80),
+    st.builds(lambda level, steps, scale: [level + scale * k for k in steps],
+              st.floats(-1e3, 1e3), st.lists(st.integers(-2, 2), min_size=2, max_size=80),
+              st.sampled_from([0.0, 1e-300, 1e-160, 1e-12, 1.0])))
+
+
+@given(_residuals, st.integers(1, 79))
+def test_cycle_stats_equal_the_estimators_bit_for_bit(values, cut):
+    # _cycle shares one deviation and sum of squares between var and ac1
+    y = np.asarray(values)
+    cut = min(cut, len(y) - 1)
+    cycle = _cycle(3, y[:cut], y[cut:])
+    var = sample_variance(y)
+    if var == 0.0:
+        assert cycle is None
+        return
+    assert (cycle.cycle_index, cycle.sample_count) == (3, len(y))
+    assert cycle.var.hex() == var.hex()
+    assert cycle.ac1.hex() == lag1_autocorrelation(y).hex()
 
 
 # --------------------------------------------------------------------------
@@ -407,6 +431,28 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunk, seed):
     if stream.jumps.seen < len(x):
         assert expected.label and segset.boundaries[-1] + limit < stream.jumps.seen
     assert stream.segments().boundaries.tolist() == segset.boundaries.tolist()
+
+
+def test_feature_stream_holds_within_its_bound():
+    # 300 dwells of 40 samples, no breakdown at a 100-sample limit, fed in
+    # 64-sample chunks: between feeds a stream keeps at most two segments,
+    # n_min steps and one chunk of its path, far less than the whole path
+    x = np.repeat([(-1.0) ** k for k in range(300)], 40)
+    x = x + 0.05 * generator(derive_seed(4, "held")).standard_normal(len(x))
+    det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
+    fcfg = FeatureConfig(p_buf=0.05, detrend_degree=1, window_w=2, min_cycles=2,
+                         min_jumps=2)
+    t_f, chunk, n_steps = 200.0, 64, len(x) - 1
+    longest = 101  # samples of a segment at the 100-step breakdown limit
+    stream = FeatureStream(det, fcfg, t_f, 2.0 * math.pi / 80.0, 1.0, n_steps)
+    bound = FeatureStream.held_samples(det, t_f, 1.0, n_steps, chunk, 1)
+    held = []
+    for pos in range(0, len(x), chunk):
+        stream.feed(x[pos:pos + chunk])
+        if not stream.done:
+            held.append(sum(map(len, stream._pieces)))
+    assert stream.done and stream.onset is None and stream.result().n_cycles == 150
+    assert max(held) <= 2 * longest + det.n_min + chunk <= bound < n_steps // 10
 
 
 def test_one_cycle_run_is_excluded_not_fatal():

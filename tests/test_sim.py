@@ -7,13 +7,22 @@ import numpy as np
 import pytest
 
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
-                      PiecewiseConstantAmplitude, SimConfig, UniformSampler,
-                      amplitude_at, drift, simulate)
+                      PiecewiseConstantAmplitude, SimConfig, UniformSampler, simulate)
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import (PathConsumer, _integrate, _simulate_batch, draw_d_min,
-                          iter_ensemble, run_seed_for, write_trajectory_csv)
+from cycleews.sim import (PathConsumer, _increments, _integrate, _simulate_batch,
+                          draw_d_min, iter_ensemble, run_seed_for, write_trajectory_csv)
 
 OMEGA = 2.0 * math.pi / 225.0
+
+
+def drift(x, t, d_a, omega):
+    """Deterministic drift x - x^3/3 + d_a cos(omega t); accepts scalars or arrays."""
+    return x - (x * x * x) / 3.0 + d_a * np.cos(omega * t)
+
+
+def amplitude_at(schedule, t: float, t_total: float) -> float:
+    """Amplitude of the forcing at time t."""
+    return float(schedule.array(np.array([t]), t_total)[0])
 
 
 def test_drift_values():
@@ -33,10 +42,6 @@ def test_amplitude_schedules():
     assert amplitude_at(piece, 9.999, 20.0) == 1.0
     assert amplitude_at(piece, 10.0, 20.0) == 0.5  # right-open intervals
     assert amplitude_at(piece, 20.0, 20.0) == 0.5  # final grid point uses last level
-    with pytest.raises(ValueError):
-        amplitude_at(ramp, -0.1, 2500.0)
-    with pytest.raises(ValueError):
-        amplitude_at(ramp, 2500.1, 2500.0)
 
 
 def test_schedule_invariants():
@@ -118,6 +123,64 @@ def test_noise_increment_scaling():
     stream.uniforms(2)
     increments = sigma * math.sqrt(dt) * stream.normals(n)
     assert np.var(increments) == pytest.approx(sigma ** 2 * dt, rel=0.05)
+
+
+@pytest.mark.parametrize("n", [0, 1, 8192])
+def test_normals_into_block_row_match_fresh_array(n):
+    # the kernel draws each run's normals in place into a row of its block
+    seed = derive_seed(3, "normals-out")
+    fresh, into = RunStream(seed), RunStream(seed)
+    block = np.full((3, n), np.nan)
+    row = block[1]
+    expected = fresh.normals(n)
+    assert into.normals(n, row) is row
+    assert row.tobytes() == expected.tobytes()
+    assert np.isnan(block[[0, 2]]).all()
+    # both streams stand at the same position afterwards
+    assert into.normals(5).tobytes() == fresh.normals(5).tobytes()
+
+
+def _increments_by_column(config, c0, n, rates, streams):
+    """The state-independent terms one column at a time: _increments' oracle."""
+    dt, sched = config.dt, config.amplitude_schedule
+    t = np.arange(c0, c0 + n) * dt
+    cos_wt = np.cos(config.omega * t)
+    cols = []
+    for j, stream in enumerate(streams):
+        if rates is None:
+            col = (sched.array(t, config.t_total) * cos_wt) * dt
+        else:
+            col = (sched.d_max * cos_wt - (t * cos_wt) * rates[j]) * dt
+        if config.sigma > 0.0:
+            col = col + stream.normals(n) * (config.sigma * math.sqrt(dt))
+        cols.append(col)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("width", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("schedule", [
+    LinearRampAmplitude(1.2, 0.25), ConstantAmplitude(0.8),
+    PiecewiseConstantAmplitude((1.0, 0.7, 0.9), 40.0),
+], ids=["ramp", "constant", "piecewise"])
+def test_increments_match_per_column_oracle(width, sigma, schedule):
+    # 16-run groups: widths below, at and across one and two group bounds;
+    # steps 3,900-4,199 cross the piecewise schedule's level change at 4,000
+    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA, amplitude_schedule=schedule,
+                       sigma=sigma, x0=1.0)
+    c0, n = 3_900, 300
+    rates = None
+    if isinstance(schedule, LinearRampAmplitude):
+        rates = np.linspace(0.8, 1.2, width) * schedule.rate(config.t_total)
+
+    def fresh_streams():
+        return [RunStream(derive_seed(8, "increments", j)) for j in range(width)]
+
+    buf = np.full((n + 1, width + 3), np.nan)  # a batch buffer wider than the runs
+    _increments(buf[1:, :width], config, c0, rates, fresh_streams())
+    expected = _increments_by_column(config, c0, n, rates, fresh_streams())
+    assert buf[1:, :width].tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert np.isnan(buf[0]).all() and np.isnan(buf[:, width:]).all()
 
 
 def test_divergence_guard():
