@@ -33,7 +33,8 @@ more runs steps with five ufunc calls per step on rows, elementwise per
 run; a batch of one steps on Python floats in the same operation order
 (g + s and s + g are the same IEEE sum), since numpy's per-call cost
 dominates on one-element rows.  Either fills a whole chunk blind to
-divergence, which one check on the filled chunk finds at any width.
+divergence, which one check finds at any width, run by run on the
+samples about to be fed while they are in cache.
 That a run yields the same bits alone, inside a batch, or in a worker
 process is pinned by the parity tests in tests/test_sim.py, not by
 construction.
@@ -293,16 +294,17 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     rows 1.., vectorised over the block; stepping then overwrites every
     row k + 1 in place with x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k,
     where c1 = 1 + dt and c2 = -dt/3 (_step_floats for a batch of one,
-    _step_rows otherwise; neither looks for divergence).  The one
-    divergence check, _first_bad_steps, then finds each run's first step
-    whose state is non-finite or beyond STATE_GUARD.  Every run hands its
-    new samples before that step (the first block starts with x0) to its
-    consumer: consumer.feed returns True once the run needs no more, and
-    the run leaves the batch, as does a run at its first bad step.  The
-    samples go over GROUP_RUNS runs at a time, from one run-major copy of
+    _step_rows otherwise; neither looks for divergence).  The samples
+    then go over GROUP_RUNS runs at a time, from one run-major copy of
     the group's columns, so each run's samples are contiguous; a lone
-    run's column already is and is fed as it stands.  A consumer must
-    copy what it keeps, since the buffers are reused.
+    run's column already is and is used as it stands.  On those rows,
+    while they are in cache, the one divergence check, _first_bad_steps,
+    finds each run's first step whose state is non-finite or beyond
+    STATE_GUARD.  Every run hands its new samples before that step (the
+    first block starts with x0) to its consumer: consumer.feed returns
+    True once the run needs no more, and the run leaves the batch, as
+    does a run at its first bad step.  A consumer must copy what it
+    keeps, since the buffers are reused.
     rates holds each ramped run's rate (None for other schedules) and
     streams each run's RunStream, positioned at its step normals.
     Returns {batch index: first bad step} of those runs whose consumer
@@ -328,21 +330,22 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
             _increments(xs[1:], config, c0, None if rates is None else rates[active],
                         [streams[r] for r in active])
             (_step_floats if width == 1 else _step_rows)(xs, c1, c2)
-            bad = _first_bad_steps(xs[1:], c0)
             start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
             keep = []
             for lo in range(0, width, GROUP_RUNS):
                 runs = xs[start:, lo:lo + GROUP_RUNS].T
                 if width > 1:  # one transposed copy makes each run's samples contiguous
                     runs = _run_major(runs, handoff)
-                for j, samples in enumerate(runs, lo):
+                bad = _first_bad_steps(runs[:, 1 - start:], c0)  # steps c0 + 1 ..
+                for i, samples in enumerate(runs):
+                    j = lo + i
                     r = active[j]
-                    stop = bad.get(j, c_end + 1) - c0  # rows before the first bad step
+                    stop = bad.get(i, c_end + 1) - c0  # rows before the first bad step
                     finished = stop > start and consumers[r].feed(samples[:stop - start])
                     if finished:
                         continue
-                    if j in bad:
-                        diverged[r] = bad[j]
+                    if i in bad:
+                        diverged[r] = bad[i]
                     else:
                         keep.append(j)
             if not keep:
@@ -400,17 +403,17 @@ def _step_floats(xs, c1: float, c2: float) -> None:
     xs[1:, 0] = path
 
 
-def _first_bad_steps(block, c0: int) -> dict:
-    """{column: first step whose state is non-finite or beyond STATE_GUARD}.
+def _first_bad_steps(runs, c0: int) -> dict:
+    """{row: first step whose state is non-finite or beyond STATE_GUARD}.
 
-    block holds steps c0 + 1 .. of each column; NaN fails both bounds.
+    Row i of runs holds steps c0 + 1 .. of one run; NaN fails both bounds.
     """
-    ok = (block.max(axis=0) <= STATE_GUARD) & (block.min(axis=0) >= -STATE_GUARD)
+    ok = (runs.max(axis=1) <= STATE_GUARD) & (runs.min(axis=1) >= -STATE_GUARD)
     bad = {}
-    for j in np.flatnonzero(~ok):
-        col = block[:, j]
-        out = ~np.isfinite(col) | (np.abs(col) > STATE_GUARD)
-        bad[int(j)] = c0 + 1 + int(out.argmax())
+    for i in np.flatnonzero(~ok):
+        row = runs[i]
+        out = ~np.isfinite(row) | (np.abs(row) > STATE_GUARD)
+        bad[int(i)] = c0 + 1 + int(out.argmax())
     return bad
 
 

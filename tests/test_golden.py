@@ -1,49 +1,69 @@
 """Golden fingerprints: SHA-256 of the RNG stream and of an ensemble's outputs.
 
-The RNG digest and the phases.csv digest date from before the integrator
-streamed its runs chunk by chunk.  The features.csv and cycles.csv digests
-were re-recorded when segments came to be detrended by projection onto
-discrete orthogonal polynomials instead of lstsq, which moved the last bits
-of each residual and nothing else.  The figure digests pin the level
-protocol and the deep-ramp breakdown run of the figures command, recorded
-while the level protocol still detected jumps on whole paths.  The digests
-of features.csv, cycles.csv, fig_level_cycle_stats.csv and
-fig_level_cycle_means.csv were re-recorded again when the Euler-Maruyama
-step was regrouped as g + ((x x) c2 + c1) x, which moved the last bits of
-every path and so of every sample statistic.  The RNG digest, phases.csv,
+The phases.csv digest dates from before the integrator streamed its runs
+chunk by chunk.  The features.csv and cycles.csv digests were re-recorded
+when segments came to be detrended by projection onto discrete orthogonal
+polynomials instead of lstsq, which moved the last bits of each residual
+and nothing else.  The figure digests pin the level protocol and the
+deep-ramp breakdown run of the figures command, recorded while the level
+protocol still detected jumps on whole paths.  The digests of
+features.csv, cycles.csv, fig_level_cycle_stats.csv and
+fig_level_cycle_means.csv were re-recorded when the Euler-Maruyama step
+was regrouped as g + ((x x) c2 + c1) x, and again, with the RNG digest,
+when the Box-Muller cosine factor came to be computed from tables and
+polynomials (rng.mul_cos_2pi) instead of np.cos; each change moved the
+last bits of every path and so of every sample statistic.  phases.csv,
 fig_level_jump_phases.csv, fig_level_phase_stats.csv and
-fig_breakdown_events.csv kept theirs: they depend on paths only through
-the jump indices, and no jump moved.  Together they pin that refactors of
-the simulation, feature and figure layers leave every output byte
-unchanged.
-Bit-determinism holds for one numpy build on one CPU feature set; another
-build may change the last bits of cos or log and with them these digests.
+fig_breakdown_events.csv kept theirs both times: they depend on paths
+only through the jump indices, and no jump moved.  Together they pin
+that refactors of the simulation, feature and figure layers leave every
+output byte unchanged.
+
+Bit-determinism of the streams and outputs holds for one numpy build on
+one CPU feature set: np.log, in the Box-Muller radius, remains the only
+call whose bits depend on the SIMD code numpy dispatches to on the host
+(numpy's AVX-512 float64 log rounds differently from its other loops).
+The cosine factor does not depend on it: after its tables, mul_cos_2pi
+uses exact operations and IEEE + and * only, and its digest is checked
+again in a process whose numpy dispatch leaves out AVX-512.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cycleews
 from cycleews.experiment import ExperimentConfig, run_features_command, run_figures
-from cycleews.rng import RunStream
+from cycleews.rng import RunStream, mul_cos_2pi
 
-NORMALS_SHA256 = "28e1cf0522f2f34bd4563e747a120c19a1ea80f9f71fbaed805a12958b837df7"
+NORMALS_SHA256 = "eb0e7517b14556b8f56e8fb4d5395a1b5eb39d67d334550d001d4b0c8cdbe263"
+
+# cos(2 pi u2) of the first 10**5 normals of RunStream(2025)
+COS_FACTOR_SHA256 = "aae7096df73f8fc1134b0a6928643150cc2638e214cc289266e24b005da73020"
+
+# numpy's dispatch as on a host without AVX-512
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 # 8 protocol runs (t_total 2500) in batches of 3, master seed 11
 FEATURE_OUTPUTS_SHA256 = {
-    "features.csv": "dce84bdf6cb4cc776a68c30521731a64027567f8d007a2463f767664b29f92b2",
-    "cycles.csv": "59e067aad21cc1186542014028cb58244c96106d352cbfd3c3607dcd4d39c3ce",
+    "features.csv": "4b62edcb051e057eb5a327c28937e9b1492ac35ee2049a10f66e737237a89903",
+    "cycles.csv": "2ed955aca31e7d5fe82ec928ef3b3e5da6b8bc8aa7452225d08b0afb3936e448",
     "phases.csv": "707591c250b7178cdeb71565610ac20df7efec3efbb93c80d58ae5b4714fa09a",
 }
 
 # figure protocols of master seed 11: 8 level runs of 2 periods a level, batches of 3
 FIGURE_OUTPUTS_SHA256 = {
     "fig_level_cycle_stats.csv":
-        "82ec2d2705b660cee0f73cf54b223e338b1ea4e4cd2c9fab0f7652e04c10adaf",
+        "77bd2b4d33d227751ecdfd8e12f9a225c7c82c43e9117b0e41477dd69b2adfc4",
     "fig_level_jump_phases.csv":
         "8fac2412c49423d60244965cc846955fd9618002abf55f7d43e2f25f538efd34",
     "fig_level_cycle_means.csv":
-        "204fc049d2cc098402445e156b785d9682406f49894bf255cb8347127631b80a",
+        "b29706f890b3278d81aa490c77c3b0e78688588f9475cf8588bcdcdfd95313ea",
     "fig_level_phase_stats.csv":
         "572793301ad6e566fec850dd4a36525a8bf7be14389a2addfd0f93fb119e87c1",
     "fig_breakdown_events.csv":
@@ -55,8 +75,29 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def cos_factor_digest() -> str:
+    words = RunStream(2025).raws(2 * 10 ** 5)[1::2] >> np.uint64(11)
+    return _sha256(mul_cos_2pi(words, np.ones(10 ** 5)).tobytes())
+
+
 def test_run_stream_normals_fingerprint():
     assert _sha256(RunStream(2025).normals(10 ** 5).tobytes()) == NORMALS_SHA256
+
+
+def test_cos_factor_fingerprint():
+    assert cos_factor_digest() == COS_FACTOR_SHA256
+
+
+def test_cos_factor_fingerprint_without_avx512():
+    # a fresh process, since numpy reads NPY_DISABLE_CPU_FEATURES at import
+    paths = [str(Path(cycleews.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = "from test_golden import cos_factor_digest; print(cos_factor_digest())"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == COS_FACTOR_SHA256
 
 
 @pytest.mark.parametrize("threads", [1, 2])

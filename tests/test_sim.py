@@ -252,6 +252,34 @@ def test_divergence_after_batch_shrinks_to_one_run():
     assert not alone[step:].any()
 
 
+def test_divergence_in_second_group_only():
+    # a batch of 20 ramped runs spans two 16-run groups; only run 17, whose
+    # rate of -40 drives the amplitude up, diverges, past the first
+    # 8,192-step chunk; the check runs on each group's run-major rows
+    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+                       amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
+                       sigma=0.3, x0=1.0, master_seed=2)
+    rates = np.full(20, config.amplitude_schedule.rate(config.t_total))
+    rates[17] = -40.0
+
+    def run(runs):
+        streams = [RunStream(run_seed_for(2, i)) for i in runs]
+        for stream in streams:
+            stream.uniforms(2)
+        paths = [PathConsumer(config.n_steps) for _ in runs]
+        return _integrate(config, rates[runs], streams, paths), [p.x for p in paths]
+
+    diverged, paths = run(list(range(20)))
+    assert list(diverged) == [17]
+    step = diverged[17]
+    assert 8_192 < step < 10_000
+    for i, path in enumerate(paths):
+        alone, (alone_path,) = run([i])  # a batch of one steps on Python floats
+        assert alone == ({0: step} if i == 17 else {})
+        assert path.tobytes() == alone_path.tobytes()
+    assert np.all(np.isfinite(paths[17][:step])) and not paths[17][step:].any()
+
+
 def _ramp_config(t_total=20.0, seed=7):
     return SimConfig(dt=0.01, t_total=t_total, omega=OMEGA,
                      amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
