@@ -11,8 +11,8 @@ from .events import (  # noqa: F401
     DetectorConfig, SegmentSet, detect_jumps, label_breakdown, truncate_at_onset,
 )
 from .features import (  # noqa: F401
-    FEATURE_NAMES, FeatureConfig, FeatureVector, circular_std, cycle_stats,
-    extract_features, jump_phases, ols_slope, rolling_circ_std, wrap_angle,
+    FEATURE_NAMES, FeatureConfig, FeatureVector, circular_std, extract_features,
+    jump_phases, ols_slope, rolling_circ_std, wrap_angle,
 )
 from .geometry import (  # noqa: F401
     FloquetEstimate, FoldInfo, critical_manifold_roots, floquet_multiplier,

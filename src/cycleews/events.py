@@ -81,9 +81,6 @@ class SegmentSet:
     def n_jumps(self) -> int:
         return int(self.jump_mask.sum())
 
-    def segment_bounds(self, k: int):
-        return int(self.boundaries[k]), int(self.boundaries[k + 1])
-
     def segment_durations(self) -> np.ndarray:
         return np.diff(self.boundaries) * self.dt
 

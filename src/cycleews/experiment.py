@@ -131,19 +131,23 @@ class ExperimentConfig:
         require(8 * n_points <= memory,
                 f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
                 f"{memory} bytes of physical memory")
-        # a streamed batch holds the kernel's buffers plus each run's FeatureStream
+        # a streamed batch holds the kernel's buffers plus each run's FeatureStream,
+        # and fork_map runs one batch per worker, min(threads, batches) at once
         _, piece = self.figure_sim_configs()
         for what, cfg, run_det, n_runs in (
                 ("ensemble", sim_cfg, det, self.n_runs),
                 ("figure level", piece, self.level_detector(), self.figure_runs)):
             batch = min(self.batch_size, n_runs)
+            at_once = min(self.threads, -(-n_runs // batch))
             chunk = min(CHUNK_STEPS, cfg.n_steps)
-            held = 8 * (kernel_samples(batch, cfg.n_steps) + FeatureStream.held_samples(
-                run_det, self.forcing_period, self.dt, cfg.n_steps, chunk, batch))
+            held = 8 * at_once * (
+                kernel_samples(batch, cfg.n_steps) + FeatureStream.held_samples(
+                    run_det, self.forcing_period, self.dt, cfg.n_steps, chunk, batch))
+            batches = (f"one {what} batch of {batch} runs holds" if at_once == 1 else
+                       f"{at_once} {what} batches of {batch} runs at once hold")
             require(held <= memory,
-                    f"one {what} batch of {batch} runs holds up to {float(held):.6g} bytes "
-                    f"(chunk buffers and per-run state), more than the {memory} bytes of "
-                    "physical memory")
+                    f"{batches} up to {float(held):.6g} bytes (chunk buffers and per-run "
+                    f"state), more than the {memory} bytes of physical memory")
 
     @property
     def omega(self) -> float:
@@ -300,17 +304,17 @@ def feature_rows(results: Iterable[RunResult]) -> List[dict]:
     for res in results:
         fv = res.value
         if fv is None:
-            slopes, label, valid = [math.nan] * 4, False, False
+            slopes, label, valid = [math.nan] * len(FEATURE_NAMES), False, False
         else:
-            slopes = [fv.slope_var, fv.slope_ac1, fv.slope_jump_phase, fv.slope_phase_std]
+            slopes = [getattr(fv, name) for name in FEATURE_NAMES]
             label, valid = fv.label, fv.valid
         rows.append({"run_id": res.run_index, "d_min": res.d_min, "slopes": slopes,
                      "label": label, "valid": valid})
     return rows
 
 
-FEATURES_HEADER = ("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
-                   "label,valid")
+FEATURES_COLUMNS = ("run_id", "d_min", *FEATURE_NAMES, "label", "valid")
+FEATURES_HEADER = ",".join(FEATURES_COLUMNS)
 
 
 def write_features_csv(rows: Sequence[dict], path) -> None:
@@ -324,12 +328,12 @@ def write_features_csv(rows: Sequence[dict], path) -> None:
 
 
 def read_features_csv(path):
-    """Rows of (run_id, d_min, slopes..., label, valid) from a features CSV.
+    """Rows of FEATURES_COLUMNS, the slopes as one list, from a features CSV.
 
     An unreadable file, a header other than FEATURES_HEADER, and a row
-    that does not hold 8 parseable columns (label and valid 0 or 1, and
-    finite slopes where valid is 1) raise ConfigError, naming the file
-    and, where there is one, the line.
+    that does not hold one parseable value per column (label and valid
+    0 or 1, and finite slopes where valid is 1) raise ConfigError,
+    naming the file and, where there is one, the line.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -341,18 +345,18 @@ def read_features_csv(path):
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")
-        if len(parts) != 8:
-            raise ConfigError(f"{path} line {lineno}: expected 8 columns, "
-                              f"got {len(parts)}")
-        if not {parts[6], parts[7]} <= {"0", "1"}:
+        if len(parts) != len(FEATURES_COLUMNS):
+            raise ConfigError(f"{path} line {lineno}: expected {len(FEATURES_COLUMNS)} "
+                              f"columns, got {len(parts)}")
+        if not {parts[-2], parts[-1]} <= {"0", "1"}:
             raise ConfigError(f"{path} line {lineno}: label and valid must be 0 or 1")
         try:
             row = {
                 "run_id": int(parts[0]),
                 "d_min": float(parts[1]) if parts[1] else None,
-                "slopes": [float(v) for v in parts[2:6]],
-                "label": parts[6] == "1",
-                "valid": parts[7] == "1",
+                "slopes": [float(v) for v in parts[2:-2]],
+                "label": parts[-2] == "1",
+                "valid": parts[-1] == "1",
             }
         except ValueError as exc:
             raise ConfigError(f"{path} line {lineno}: {exc}") from exc
@@ -365,7 +369,8 @@ def read_features_csv(path):
 def dataset_from_rows(rows: Sequence[dict]) -> Dataset:
     """The valid runs among features.csv rows (see feature_rows, read_features_csv)."""
     rows = [r for r in rows if r["valid"]]
-    X = np.array([r["slopes"] for r in rows], dtype=float).reshape(len(rows), 4)
+    X = np.array([r["slopes"] for r in rows], dtype=float)
+    X = X.reshape(len(rows), len(FEATURE_NAMES))
     y = np.array([r["label"] for r in rows], dtype=bool)
     ids = np.array([r["run_id"] for r in rows], dtype=np.int64)
     return Dataset(X=X, y=y, run_ids=ids)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .base import require
-from .events import DetectorConfig, JumpStream, SegmentSet
+from .events import DetectorConfig, JumpStream
 from .sim import Trajectory
 
 TWO_PI = 2.0 * math.pi
@@ -166,23 +166,6 @@ def lag1_autocorrelation(y: np.ndarray) -> float:
     return float((d[:-1] * d[1:]).sum() / den)
 
 
-def cycle_stats(segset: SegmentSet, traj: Trajectory,
-                fcfg: FeatureConfig) -> List[CycleStats]:
-    """Variance and AC1 per forcing cycle (pairs of consecutive segments).
-
-    Pairing starts at the first retained segment; a trailing unpaired
-    segment is dropped.  Cycles with a skipped segment or exactly zero
-    residual variance are omitted.
-    """
-    residuals = []
-    for k in range(segset.n_segments):
-        i0, i1 = segset.segment_bounds(k)
-        residuals.append(detrend_segment(traj.x[i0:i1], fcfg))
-    cycles = (_cycle(ci, residuals[2 * ci], residuals[2 * ci + 1])
-              for ci in range(len(residuals) // 2))
-    return [c for c in cycles if c is not None]
-
-
 def _cycle(ci: int, a, b) -> Optional[CycleStats]:
     """Statistics of cycle ci from its two residual series; None if omitted."""
     if a is None or b is None:
@@ -210,15 +193,12 @@ def ols_slope(values) -> float:
 # phase statistics
 # --------------------------------------------------------------------------
 
-def jump_phases(segset: SegmentSet, omega: float) -> PhaseSeries:
-    """Forcing phase and extremum offset for every real jump (endpoints excluded)."""
-    times = segset.jump_times
-    phi = np.mod(omega * times, TWO_PI)
+def jump_phases(jump_index, dt: float, omega: float) -> PhaseSeries:
+    """Forcing phase and extremum offset of the jumps at grid indices jump_index."""
+    jump_index = np.array(jump_index, dtype=np.int64)
+    phi = np.mod(omega * (jump_index * dt), TWO_PI)
     delta, eta = assign_extremum(phi)
-    return PhaseSeries(jump_index=segset.jump_indices.copy(),
-                       phi=np.atleast_1d(phi),
-                       delta=np.atleast_1d(np.asarray(delta, dtype=float)),
-                       eta=np.atleast_1d(eta))
+    return PhaseSeries(jump_index=jump_index, phi=phi, delta=delta, eta=eta)
 
 
 def mean_resultant_length(deltas) -> float:
@@ -253,17 +233,18 @@ def rolling_circ_std(deltas, window_w: int) -> np.ndarray:
 # per-run trend features
 # --------------------------------------------------------------------------
 
-def extract_features(traj: Trajectory, segset: SegmentSet, fcfg: FeatureConfig,
-                     omega: float) -> FeatureVector:
-    """Four trend slopes for one run; segset must already be truncated.
+def extract_features(traj: Trajectory, det: DetectorConfig, fcfg: FeatureConfig,
+                     t_f: float, omega: float) -> FeatureVector:
+    """Four trend slopes for one run: a FeatureStream fed the whole path once.
 
     A run is invalid when fewer than min_cycles cycles are available,
     fewer than min_jumps jumps, or fewer than two rolling dispersion
     windows (the minimum for a defined slope); the first failed
     requirement is recorded.
     """
-    return trend_features(tuple(cycle_stats(segset, traj, fcfg)),
-                          jump_phases(segset, omega), segset.breakdown, fcfg)
+    stream = FeatureStream(det, fcfg, t_f, omega, traj.dt, len(traj.x) - 1)
+    stream.feed(traj.x)
+    return stream.result()
 
 
 def trend_features(cycles: Tuple[CycleStats, ...], phases: PhaseSeries, label: bool,
@@ -298,21 +279,23 @@ def trend_features(cycles: Tuple[CycleStats, ...], phases: PhaseSeries, label: b
 class FeatureStream:
     """One run's FeatureVector from its path fed in consecutive chunks.
 
-    Gives the bits of detect_jumps, label_breakdown, truncate_at_onset
-    and extract_features on the whole path, while holding only the fed
-    pieces of the path from the one holding the start of the first
-    segment not yet paired into a cycle.  Each fed chunk is kept as its
-    own piece, so a feed copies only the new samples; a segment is
-    joined from its pieces only when it is detrended.  A segment is
-    final once its right boundary is (see events.JumpStream.n_final); it
-    is then checked against the breakdown threshold, and once both
-    segments of a cycle are final and not longer, both are detrended and
-    paired.  The breakdown onset is the first segment longer than
-    breakdown_factor * t_f.  It is known before the path ends once the
-    open segment starts at a final boundary and already holds more
-    samples than that; since merges only lengthen segments, no later
-    sample can change it.  feed then returns True: the run needs no
-    more samples.
+    The package's one pairing of segments into cycles and one decision of a
+    run's breakdown onset for its features.  It gives the bits of the whole
+    path put through detect_jumps, label_breakdown and truncate_at_onset,
+    with consecutive segments then paired into cycles
+    (tests/test_features.py keeps that pipeline as its oracle), while
+    holding only the fed pieces of the path from the one holding the start
+    of the first segment not yet paired into a cycle.  Each fed chunk is
+    kept as its own piece, so a feed copies only the new samples; a segment
+    is joined from its pieces only when it is detrended.  A segment is final
+    once its right boundary is (see events.JumpStream.n_final); it is then
+    checked against the breakdown threshold, and once both segments of a
+    cycle are final and not longer, both are detrended and paired.  The
+    breakdown onset is the first segment longer than breakdown_factor * t_f.
+    It is known before the path ends once the open segment starts at a final
+    boundary and already holds more samples than that; since merges only
+    lengthen segments, no later sample can change it.  feed then returns
+    True: the run needs no more samples.
     """
 
     def __init__(self, det: DetectorConfig, fcfg: FeatureConfig, t_f: float,
@@ -404,20 +387,10 @@ class FeatureStream:
         self._pieces = None
         self.done = True
 
-    def segments(self) -> SegmentSet:
-        """The truncated SegmentSet: truncate_at_onset(label_breakdown(...))."""
-        require(self.done, "the run's features are not complete")
-        if self.onset is None:
-            return self.jumps.segments(self.dt)
-        k = self.onset
-        artificial = np.zeros(k + 1, dtype=bool)
-        artificial[0] = True
-        return SegmentSet(boundaries=np.array(self.jumps.boundaries[:k + 1], dtype=np.int64),
-                          artificial=artificial,
-                          wells=np.array(self.jumps.wells[:k], dtype=np.int8),
-                          dt=self.dt, breakdown=True)
-
     def result(self) -> FeatureVector:
-        segset = self.segments()
-        return trend_features(tuple(self._cycles), jump_phases(segset, self.omega),
-                              segset.breakdown, self.fcfg)
+        """The run's FeatureVector; its jumps are the boundaries before the onset."""
+        require(self.done, "the run's features are not complete")
+        b = self.jumps.boundaries
+        jumps = b[1:-1] if self.onset is None else b[1:self.onset + 1]
+        return trend_features(tuple(self._cycles), jump_phases(jumps, self.dt, self.omega),
+                              self.onset is not None, self.fcfg)

@@ -220,16 +220,17 @@ class Trajectory:
 # integration engine
 # --------------------------------------------------------------------------
 
-def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
+def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
     """Write the state-independent term of steps c0 .. c0 + len(g) - 1 into g.
 
     Column j gets g_k = (d_max cos(wt_k) - rate_j * t_k cos(wt_k)) * dt
     + sigma sqrt(dt) xi_k for a linear ramp (rates holds each column's
     rate), D(t_k) cos(wt_k) * dt + sigma sqrt(dt) xi_k for any other
     schedule (rates None); streams[j] supplies column j's normals.  The
-    columns are built GROUP_RUNS at a time in a run-major block, whose
-    rows are contiguous for the per-run draws, and each group is stored
-    into g with one transposed write.
+    columns are built GROUP_RUNS at a time in the run-major scratch
+    block (at least min(GROUP_RUNS, width) x len(g)), whose rows are
+    contiguous for the per-run draws, and each group is stored into g
+    with one transposed write.
     """
     n, width = g.shape
     dt = config.dt
@@ -242,9 +243,9 @@ def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
     else:
         t_cos, dmax_cos = t * cos_wt, sched.d_max * cos_wt
     sig_sqdt = config.sigma * math.sqrt(dt)
-    block, z = np.empty((min(GROUP_RUNS, width), n)), np.empty(n)
+    z = np.empty(n)
     for lo in range(0, width, GROUP_RUNS):
-        terms = block[:min(GROUP_RUNS, width - lo)]
+        terms = block[:min(GROUP_RUNS, width - lo), :n]
         if rates is None:
             terms[:] = forcing
         else:
@@ -262,11 +263,11 @@ def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
 def kernel_samples(batch: int, n_steps: int) -> int:
     """At most how many float64 values the kernel holds for a batch of `batch` runs.
 
-    The (chunk + 1) x batch path buffer, the handoff block of _integrate
-    and the group block of _increments, each at most GROUP_RUNS runs of
-    chunk + 1 samples.
+    The (chunk + 1) x batch path buffer and the handoff block of
+    _integrate, at most GROUP_RUNS runs of chunk + 1 samples, which is
+    also _increments' scratch block.
     """
-    return (min(CHUNK_STEPS, n_steps) + 1) * (batch + 2 * min(GROUP_RUNS, batch))
+    return (min(CHUNK_STEPS, n_steps) + 1) * (batch + min(GROUP_RUNS, batch))
 
 
 class PathConsumer:
@@ -296,15 +297,16 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     where c1 = 1 + dt and c2 = -dt/3 (_step_floats for a batch of one,
     _step_rows otherwise; neither looks for divergence).  The samples
     then go over GROUP_RUNS runs at a time, from one run-major copy of
-    the group's columns, so each run's samples are contiguous; a lone
-    run's column already is and is used as it stands.  On those rows,
-    while they are in cache, the one divergence check, _first_bad_steps,
-    finds each run's first step whose state is non-finite or beyond
-    STATE_GUARD.  Every run hands its new samples before that step (the
-    first block starts with x0) to its consumer: consumer.feed returns
-    True once the run needs no more, and the run leaves the batch, as
-    does a run at its first bad step.  A consumer must copy what it
-    keeps, since the buffers are reused.
+    the group's columns in the handoff block (before stepping, the same
+    block is _increments' scratch), so each run's samples are
+    contiguous; a lone run's column already is and is used as it
+    stands.  On those rows, while they are in cache, the one divergence
+    check, _first_bad_steps, finds each run's first step whose state is
+    non-finite or beyond STATE_GUARD.  Every run hands its new samples
+    before that step (the first block starts with x0) to its consumer:
+    consumer.feed returns True once the run needs no more, and the run
+    leaves the batch, as does a run at its first bad step.  A consumer
+    must copy what it keeps, since the buffers are reused.
     rates holds each ramped run's rate (None for other schedules) and
     streams each run's RunStream, positioned at its step normals.
     Returns {batch index: first bad step} of those runs whose consumer
@@ -328,7 +330,7 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
             n, width = c_end - c0, len(active)
             xs = buf[:n + 1, :width]
             _increments(xs[1:], config, c0, None if rates is None else rates[active],
-                        [streams[r] for r in active])
+                        [streams[r] for r in active], handoff)
             (_step_floats if width == 1 else _step_rows)(xs, c1, c2)
             start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
             keep = []

@@ -22,7 +22,7 @@ def test_constant_path_no_jumps():
     assert segset.n_jumps == 0
     assert segset.n_segments == 1
     assert list(segset.wells) == [UPPER]
-    assert segset.segment_bounds(0) == (0, 49)
+    assert segset.boundaries.tolist() == [0, 49]
 
 
 def test_two_crossings():

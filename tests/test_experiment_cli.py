@@ -15,7 +15,9 @@ from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
                                  load_config, parse_config_text, read_features_csv,
                                  run_diagnose, run_experiment, write_report)
+from cycleews.features import FeatureStream
 from cycleews.rng import generator
+from cycleews.sim import CHUNK_STEPS, kernel_samples
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
 
@@ -293,14 +295,14 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
-    # ensemble: (8,193-row chunk buffers of (128 + 2 x 16) runs + 128 runs x
+    # ensemble: (8,193-row chunk buffers of (128 + 16) runs + 128 runs x
     # 42,024 samples of stream state + the fed run's 8,193-sample piece and
-    # 16,876-sample joined segment) x 8 bytes = 53.7 MB, above 48 MiB (50.3 MB)
+    # 16,876-sample joined segment) x 8 bytes = 52.7 MB, above 48 MiB (50.3 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
     # figure levels, streamed with no breakdown limit, so a run's state is
-    # capped by its whole path: (8,193 x (64 + 2 x 16) + 64 x 360,001 +
-    # 8,193 + 360,001) x 8 bytes = 194 MB
+    # capped by its whole path: (8,193 x (64 + 16) + 64 x 360,001 +
+    # 8,193 + 360,001) x 8 bytes = 193 MB
     with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
@@ -309,11 +311,33 @@ def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
 
 
 def test_config_accepts_figure_batch_within_whole_path_bound(monkeypatch):
-    # a level run holds at most its whole path: (8,193 x (64 + 2 x 16) +
-    # 64 x 360,001 + 8,193 + 360,001) x 8 bytes = 194 MB for the default
+    # a level run holds at most its whole path: (8,193 x (64 + 16) +
+    # 64 x 360,001 + 8,193 + 360,001) x 8 bytes = 193 MB for the default
     # figure level batch
     monkeypatch.setattr(experiment, "physical_memory", lambda: 300 * 10 ** 6)
     assert load_config(None, {"n_runs": 1}).figure_runs == 64
+
+
+def test_config_bound_counts_batches_running_at_once(monkeypatch, tmp_path):
+    # each worker holds one batch, and min(threads, batches) run at once:
+    # memory for one and a half 8-run ensemble batches (the figure level
+    # batch, one short run, is smaller) takes one batch at a time only
+    settings = {"n_runs": 16, "batch_size": 8, "figure_runs": 1,
+                "figure_level_periods": 1}
+    config = load_config(None, settings)
+    n_steps = config.sim_config().n_steps
+    one = 8 * (kernel_samples(8, n_steps) + FeatureStream.held_samples(
+        config.detector(), config.forcing_period, config.dt, n_steps, CHUNK_STEPS, 8))
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 3 * one // 2)
+    with pytest.raises(ConfigError, match="2 ensemble batches of 8 runs at once"):
+        load_config(None, {**settings, "threads": 2})
+    assert load_config(None, settings).threads == 1
+    assert load_config(None, {**settings, "threads": 2, "n_runs": 8}).threads == 2
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert run_cli("experiment", "--config", str(cfg), "--threads", "2",
+                   "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "features.csv").exists()
 
 
 def _reject_constant(name):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from dataclasses import replace
 from functools import partial
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cycleews import (DetectorConfig, FeatureConfig, circular_std, cycle_stats,
-                      detect_jumps, extract_features, jump_phases, label_breakdown,
-                      ols_slope, rolling_circ_std, truncate_at_onset, wrap_angle)
-from cycleews.features import (FEATURE_NAMES, FeatureStream, _cycle, assign_extremum,
-                               circular_mean, detrend_segment, lag1_autocorrelation,
-                               mean_resultant_length, sample_variance)
+from cycleews import (DetectorConfig, FeatureConfig, circular_std, detect_jumps,
+                      extract_features, jump_phases, label_breakdown, ols_slope,
+                      rolling_circ_std, truncate_at_onset, wrap_angle)
+from cycleews.features import (FEATURE_NAMES, CycleStats, FeatureStream, _cycle,
+                               assign_extremum, circular_mean, detrend_segment,
+                               lag1_autocorrelation, mean_resultant_length,
+                               sample_variance, trend_features)
 from cycleews.experiment import ExperimentConfig
 from cycleews.rng import RunStream, derive_seed, generator
 from cycleews.sim import (DivergenceError, PathConsumer, PiecewiseConstantAmplitude,
@@ -280,6 +282,41 @@ def test_rolling_circ_std_recovers_dispersion():
 # cycle stats and per-run features
 # --------------------------------------------------------------------------
 
+def cycle_stats(segset, x, fcfg):
+    """Whole-path oracle of FeatureStream's cycles: pairs of consecutive segments.
+
+    Pairing starts at the first segment of segset, and a trailing
+    unpaired segment is dropped.  A cycle with a skipped segment, or
+    with exactly zero residual variance, is omitted.  Its variance and
+    AC1 come from the plain estimators.
+    """
+    bounds = segset.boundaries
+    residuals = [detrend_segment(x[i0:i1], fcfg) for i0, i1 in zip(bounds, bounds[1:])]
+    cycles = []
+    for ci in range(len(residuals) // 2):
+        a, b = residuals[2 * ci], residuals[2 * ci + 1]
+        if a is None or b is None:
+            continue
+        y = np.concatenate([a, b])
+        var = sample_variance(y)
+        if var != 0.0:
+            cycles.append(CycleStats(ci, var, lag1_autocorrelation(y), len(y)))
+    return cycles
+
+
+def truncated_segments(traj, det, t_f):
+    """Whole-path oracle of a run's segments up to its breakdown onset."""
+    return truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
+
+
+def whole_path_features(traj, det, fcfg, t_f, omega):
+    """Whole-path oracle of FeatureStream.result and extract_features."""
+    segset = truncated_segments(traj, det, t_f)
+    return trend_features(tuple(cycle_stats(segset, traj.x, fcfg)),
+                          jump_phases(segset.jump_indices, segset.dt, omega),
+                          segset.breakdown, fcfg)
+
+
 def square_wave(dwells, level0=1.0):
     parts, level = [], level0
     for d in dwells:
@@ -290,37 +327,40 @@ def square_wave(dwells, level0=1.0):
 
 def test_cycle_pairing_and_skips():
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=4, breakdown_factor=0.75)
+    fcfg = FeatureConfig(p_buf=0.0, detrend_degree=1, window_w=2, min_cycles=2,
+                         min_jumps=1)
     rng = generator(derive_seed(1, "pair"))
     x = square_wave([40, 40, 40, 40, 40]) + 0.05 * rng.standard_normal(200)
     traj = make_trajectory(x)
     segset = detect_jumps(traj, det)
     assert segset.n_segments == 5
-    cycles = cycle_stats(segset, traj, FeatureConfig(p_buf=0.0, detrend_degree=1,
-                                                     window_w=2, min_cycles=2,
-                                                     min_jumps=1))
-    assert [c.cycle_index for c in cycles] == [0, 1]  # trailing segment dropped
-    assert all(c.var > 0.0 for c in cycles)
-    assert all(-1.0 <= c.ac1 <= 1.0 for c in cycles)
+    # a 100-step period puts the breakdown limit at 75 steps, past every dwell
+    fv = extract_features(traj, det, fcfg, 100.0, 2.0 * math.pi / 100.0)
+    assert not fv.label
+    assert list(fv.cycles) == cycle_stats(segset, x, fcfg)
+    assert [c.cycle_index for c in fv.cycles] == [0, 1]  # trailing segment dropped
+    assert all(c.var > 0.0 for c in fv.cycles)
+    assert all(-1.0 <= c.ac1 <= 1.0 for c in fv.cycles)
 
 
 def test_cycle_skips_zero_variance():
-    # identically zero segments detrend to exactly zero residuals, where
-    # the lag-1 autocorrelation is undefined and the cycle is dropped
-    from cycleews import SegmentSet
-    traj = make_trajectory(np.zeros(81))
-    segset = SegmentSet(boundaries=np.array([0, 40, 80]),
-                        artificial=np.array([True, False, True]),
-                        wells=np.array([1, -1], dtype=np.int8), dt=1.0)
-    cycles = cycle_stats(segset, traj, FeatureConfig(p_buf=0.0, detrend_degree=0,
-                                                     window_w=2))
-    assert cycles == []
+    # constant segments detrend to exactly zero residuals, where the
+    # lag-1 autocorrelation is undefined and the cycle is dropped
+    det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=4, breakdown_factor=0.75)
+    fcfg = FeatureConfig(p_buf=0.0, detrend_degree=0, window_w=2)
+    traj = make_trajectory(square_wave([40, 41]))
+    segset = detect_jumps(traj, det)
+    assert segset.boundaries.tolist() == [0, 40, 80]
+    assert cycle_stats(segset, traj.x, fcfg) == []
+    fv = extract_features(traj, det, fcfg, 100.0, 2.0 * math.pi / 100.0)
+    assert (fv.cycles, fv.n_cycles, fv.n_jumps) == ((), 0, 1)
     assert math.isnan(lag1_autocorrelation(np.zeros(50)))
 
 
 def test_jump_phases_excludes_endpoints(relaxation_run, detector):
     config, traj = relaxation_run
     segset = detect_jumps(traj, detector)
-    phases = jump_phases(segset, config.omega)
+    phases = jump_phases(segset.jump_indices, segset.dt, config.omega)
     assert phases.n_jumps == segset.n_jumps
     assert len(phases.delta) == len(phases.phi) == len(phases.eta)
     assert np.all((phases.phi >= 0.0) & (phases.phi < 2.0 * math.pi))
@@ -334,7 +374,7 @@ def test_jump_phases_excludes_endpoints(relaxation_run, detector):
 def test_deterministic_jump_phase_slope_is_flat(relaxation_run, detector):
     config, traj = relaxation_run
     segset = detect_jumps(traj, detector)
-    phases = jump_phases(segset, config.omega)
+    phases = jump_phases(segset.jump_indices, segset.dt, config.omega)
     post = phases.delta[phases.jump_index * config.dt > 2.0 * config.forcing_period]
     assert abs(ols_slope(post)) < 1e-3
 
@@ -344,9 +384,9 @@ def test_extract_features_requires_minimum_history(detector):
     config = SimConfig(dt=0.01, t_total=225.0 * 2, omega=OMEGA,
                        amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     traj = simulate(config, 0)
-    segset = truncate_at_onset(label_breakdown(detect_jumps(traj, detector),
-                                               225.0, detector))
-    fv = extract_features(traj, segset, FeatureConfig(), config.omega)
+    fv = extract_features(traj, detector, FeatureConfig(), 225.0, config.omega)
+    _same_features(fv, whole_path_features(traj, detector, FeatureConfig(), 225.0,
+                                           config.omega))
     assert not fv.valid
     assert fv.exclusion_reason == "too_few_cycles"
     assert math.isnan(fv.slope_var)
@@ -354,9 +394,10 @@ def test_extract_features_requires_minimum_history(detector):
 
 def test_extract_features_valid_run(relaxation_run, detector):
     config, traj = relaxation_run
-    segset = truncate_at_onset(label_breakdown(detect_jumps(traj, detector),
-                                               config.forcing_period, detector))
-    fv = extract_features(traj, segset, FeatureConfig(), config.omega)
+    fv = extract_features(traj, detector, FeatureConfig(), config.forcing_period,
+                          config.omega)
+    _same_features(fv, whole_path_features(traj, detector, FeatureConfig(),
+                                           config.forcing_period, config.omega))
     assert fv.valid and not fv.label
     assert np.isfinite([fv.slope_var, fv.slope_ac1, fv.slope_jump_phase,
                         fv.slope_phase_std]).all()
@@ -370,7 +411,7 @@ def test_decomposition_consistent_with_jump_phases(detector):
                        sigma=0.3, x0=1.0, master_seed=8)
     traj = simulate(config, 42)
     segset = detect_jumps(traj, detector)
-    phases = jump_phases(segset, config.omega)
+    phases = jump_phases(segset.jump_indices, segset.dt, config.omega)
     for t_j, delta in zip(segset.jump_times, phases.delta):
         d_a = 1.2 - (1.2 - 0.25) * t_j / 2500.0
         if d_a <= 2.0 / 3.0:
@@ -403,13 +444,15 @@ def _same_features(a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([1.0, 1.0, 0.39, 0.0]), st.integers(1, 150)),
                 min_size=1, max_size=30),
-       st.integers(2, 60), st.integers(20, 300), st.integers(1, 500),
+       st.integers(2, 60), st.integers(20, 300),
+       st.lists(st.integers(1, 500), min_size=1, max_size=6),
        st.integers(0, 2 ** 32 - 1))
-def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunk, seed):
+def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
     # noisy square waves of alternating sign, some dwells inside the
     # thresholds, whose segments straddle the breakdown limit of `limit`
-    # samples, fed in chunks: the stream stops at the onset and gives the
-    # whole-path pipeline's features bit for bit
+    # samples, fed in chunks of the drawn sizes in turn: the stream stops
+    # at the onset, and it and extract_features (the stream fed once) give
+    # the whole-path oracle's features bit for bit
     x = np.repeat([v * (-1) ** k for k, (v, _) in enumerate(dwells)],
                   [n for _, n in dwells])
     assume(len(x) >= 2)
@@ -419,18 +462,25 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunk, seed):
                          min_jumps=2)
     t_f, omega = 2.0 * limit, 2.0 * math.pi / 50.0
     traj = make_trajectory(x)
-    segset = truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
-    expected = extract_features(traj, segset, fcfg, omega)
+    segset = truncated_segments(traj, det, t_f)
+    expected = whole_path_features(traj, det, fcfg, t_f, omega)
 
     stream = FeatureStream(det, fcfg, t_f, omega, 1.0, len(x) - 1)
     pos = 0
-    while not stream.feed(x[pos:pos + chunk]):
+    for chunk in itertools.cycle(chunks):
+        if stream.feed(x[pos:pos + chunk]):
+            break
         pos += chunk
-    _same_features(stream.result(), expected)
+    fv = stream.result()
+    _same_features(fv, expected)
+    _same_features(extract_features(traj, det, fcfg, t_f, omega), expected)
     # a run that stops early has its onset segment already too long
     if stream.jumps.seen < len(x):
         assert expected.label and segset.boundaries[-1] + limit < stream.jumps.seen
-    assert stream.segments().boundaries.tolist() == segset.boundaries.tolist()
+    # the truncated boundaries are the path's start, the jumps and, without
+    # an onset, the path's end: the label and jump indices checked above fix them
+    ends = [] if fv.label else [len(x) - 1]
+    assert segset.boundaries.tolist() == [0, *fv.phases.jump_index.tolist(), *ends]
 
 
 def test_feature_stream_holds_within_its_bound():
@@ -487,9 +537,8 @@ def test_streamed_ensemble_matches_whole_paths():
     sim_cfg = config.sim_config()
 
     def whole_path(x):
-        traj = make_trajectory(x, sim_cfg.dt)
-        segset = truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
-        return extract_features(traj, segset, fcfg, config.omega)
+        return whole_path_features(make_trajectory(x, sim_cfg.dt), det, fcfg, t_f,
+                                   config.omega)
 
     made = []
     streamed = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,

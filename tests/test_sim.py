@@ -9,8 +9,9 @@ import pytest
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       PiecewiseConstantAmplitude, SimConfig, UniformSampler, simulate)
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import (PathConsumer, _increments, _integrate, _simulate_batch,
-                          draw_d_min, iter_ensemble, run_seed_for, write_trajectory_csv)
+from cycleews.sim import (GROUP_RUNS, PathConsumer, _increments, _integrate,
+                          _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
+                          write_trajectory_csv)
 
 OMEGA = 2.0 * math.pi / 225.0
 
@@ -177,7 +178,8 @@ def test_increments_match_per_column_oracle(width, sigma, schedule):
         return [RunStream(derive_seed(8, "increments", j)) for j in range(width)]
 
     buf = np.full((n + 1, width + 3), np.nan)  # a batch buffer wider than the runs
-    _increments(buf[1:, :width], config, c0, rates, fresh_streams())
+    handoff = np.full((min(GROUP_RUNS, width), n + 1), np.nan)  # as _integrate's
+    _increments(buf[1:, :width], config, c0, rates, fresh_streams(), handoff)
     expected = _increments_by_column(config, c0, n, rates, fresh_streams())
     assert buf[1:, :width].tobytes() == np.ascontiguousarray(expected).tobytes()
     assert np.isnan(buf[0]).all() and np.isnan(buf[:, width:]).all()
