@@ -15,9 +15,13 @@ polynomials (rng.mul_cos_2pi) instead of np.cos; each change moved the
 last bits of every path and so of every sample statistic.  phases.csv,
 fig_level_jump_phases.csv, fig_level_phase_stats.csv and
 fig_breakdown_events.csv kept theirs both times: they depend on paths
-only through the jump indices, and no jump moved.  Together they pin
-that refactors of the simulation, feature and figure layers leave every
-output byte unchanged.
+only through the jump indices, and no jump moved.  The diagnostics.json
+digest pins the diagnose command on a 3 x 3 grid: fold info, sweep
+rate, the log Floquet multiplier of the noise-free periodic orbit and
+the delay phase measured on that orbit, with the row of d_a = 0.5,
+below the fold, null.  Together they pin that refactors of the
+simulation, feature, figure and geometry layers leave every output byte
+unchanged.
 
 Bit-determinism of the streams and outputs holds for one numpy build on
 one CPU feature set: np.log, in the Box-Muller radius, remains the only
@@ -38,7 +42,8 @@ import numpy as np
 import pytest
 
 import cycleews
-from cycleews.experiment import ExperimentConfig, run_features_command, run_figures
+from cycleews.experiment import (ExperimentConfig, run_diagnose, run_features_command,
+                                 run_figures)
 from cycleews.rng import RunStream, mul_cos_2pi
 
 NORMALS_SHA256 = "eb0e7517b14556b8f56e8fb4d5395a1b5eb39d67d334550d001d4b0c8cdbe263"
@@ -69,6 +74,9 @@ FIGURE_OUTPUTS_SHA256 = {
     "fig_breakdown_events.csv":
         "980b837ab399fc534dbd125c01a022485dd29bfe0b4068532e98ab69b35356a2",
 }
+
+# diagnose on d_a in (0.5, 0.75, 1.3) x periods (50, 100, 225) at the default dt and x0
+DIAGNOSTICS_SHA256 = "0849c2fb1c9948f3caebee69f06f424584556a05abd0a57a20cb482ca4d5707b"
 
 
 def _sha256(data: bytes) -> str:
@@ -118,3 +126,9 @@ def test_figure_outputs_fingerprint(tmp_path, threads):
     digests = {name: _sha256((tmp_path / name).read_bytes())
                for name in FIGURE_OUTPUTS_SHA256}
     assert digests == FIGURE_OUTPUTS_SHA256
+
+
+def test_diagnostics_fingerprint(tmp_path):
+    run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 0.75, 1.3],
+                 [50.0, 100.0, 225.0])
+    assert _sha256((tmp_path / "diagnostics.json").read_bytes()) == DIAGNOSTICS_SHA256
