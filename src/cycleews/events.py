@@ -11,6 +11,7 @@ than breakdown_factor times the forcing period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -120,21 +121,29 @@ class JumpStream:
         if len(x) == 0:
             return
         require(not self.finished, "the whole path has been fed")
-        require(bool(np.isfinite(x).all()), "trajectory contains non-finite states")
+        lo, hi = float(x.min()), float(x.max())  # NaN propagates through both
+        require(math.isfinite(lo) and math.isfinite(hi),
+                "trajectory contains non-finite states")
         offset = self.seen
         if offset == 0:
             self._well = UPPER if x[0] >= 0.0 else LOWER
         self.seen += len(x)
         require(self.seen <= self.n_last + 1, "more samples than the path holds")
         head = x[:self.n_last - offset]  # a crossing at n_last counts as the end
-        exits = {UPPER: np.flatnonzero(head < self.det.x_low) + offset,
-                 LOWER: np.flatnonzero(head > self.det.x_up) + offset}
-        while True:
-            arr = exits[self._well]
-            j = np.searchsorted(arr, self._pos + 1)
-            if j == len(arr):
+        exits = {}  # each well's exit mask over head, built when the walk first needs it
+        # the walk stops once no sample of x lies beyond the current well's exit threshold
+        while (lo < self.det.x_low) if self._well == UPPER else (hi > self.det.x_up):
+            if self._well not in exits:
+                exits[self._well] = (head < self.det.x_low if self._well == UPPER
+                                     else head > self.det.x_up)
+            mask = exits[self._well]
+            start = max(self._pos + 1 - offset, 0)
+            if start >= len(mask):
                 break
-            self._event(int(arr[j]))
+            k = start + int(mask[start:].argmax())  # the first exit after the last event
+            if not mask[k]:
+                break
+            self._event(offset + k)
         if self.seen == self.n_last + 1:
             self._event(self.n_last)
             self.finished = True

@@ -284,13 +284,15 @@ class FeatureStream:
     path put through detect_jumps, label_breakdown and truncate_at_onset,
     with consecutive segments then paired into cycles
     (tests/test_features.py keeps that pipeline as its oracle), while
-    holding only the fed pieces of the path from the one holding the start
-    of the first segment not yet paired into a cycle.  Each fed chunk is
-    kept as its own piece, so a feed copies only the new samples; a segment
-    is joined from its pieces only when it is detrended.  A segment is final
-    once its right boundary is (see events.JumpStream.n_final); it is then
-    checked against the breakdown threshold, and once both segments of a
-    cycle are final and not longer, both are detrended and paired.  The
+    holding only the path from the start of the first segment not yet
+    paired into a cycle.  Each fed chunk is kept as its own piece, so a
+    feed copies only the new samples, and once that start has moved the
+    first piece held is cut to begin at it, a copy of at most one chunk
+    per cycle; a segment is joined from its pieces only when it is
+    detrended.  A segment is final once its right boundary is (see
+    events.JumpStream.n_final); it is then checked against the breakdown
+    threshold, and once both segments of a cycle are final and not longer,
+    both are detrended and paired.  The
     breakdown onset is the first segment longer than breakdown_factor * t_f.
     It is known before the path ends once the open segment starts at a final
     boundary and already holds more samples than that; since merges only
@@ -318,15 +320,15 @@ class FeatureStream:
         """At most how many samples `streams` streams hold, fed chunks of `chunk`.
 
         Between feeds a stream holds its path from the start of its first
-        unpaired segment, which spans at most two segments that are not
-        too long and the top boundary's n_min steps, and before that at
-        most one piece, which reaches back at most one chunk: at most
+        unpaired segment on, which spans at most two segments that are not
+        too long and the top boundary's n_min steps, and at most
         n_steps + 1 samples, since the pieces are disjoint parts of its
-        path.  The streams of a batch are fed one at a time, and the one
-        being fed holds one more piece of at most one chunk until it
-        drops the pieces it no longer needs, plus one segment joined from
-        its pieces while it is detrended (segments are joined one at a
-        time); those count once.
+        path; the bound allows each stream one chunk more.  The streams of
+        a batch are fed one at a time, and the one being fed holds one more
+        piece of at most one chunk until it drops the pieces it no longer
+        needs, then a copy of at most one chunk while it cuts its first
+        piece, and one segment joined from its pieces while it is
+        detrended (segments are joined one at a time); those count once.
         """
         ratio = det.breakdown_factor * t_f / dt
         longest = n_steps + 1 if ratio >= n_steps else math.floor(ratio) + 1
@@ -344,6 +346,9 @@ class FeatureStream:
             first = self.jumps.boundaries[self._paired]
             while self._base + len(self._pieces[0]) <= first:
                 self._base += len(self._pieces.pop(0))
+            if first > self._base:  # a copy, so the samples before first are freed
+                self._pieces[0] = self._pieces[0][first - self._base:].copy()
+                self._base = first
         return self.done
 
     def _advance(self) -> None:

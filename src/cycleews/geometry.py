@@ -9,6 +9,7 @@ multiplier of the deterministic periodic orbit over one forcing period.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -35,7 +36,12 @@ class FoldInfo:
 
 @dataclass(frozen=True)
 class FloquetEstimate:
-    """Contraction over one period; orbit is the periodic path x(i dt), i = 0 .. steps."""
+    """Contraction over one period; orbit is the periodic path x(i dt), i = 0 .. steps.
+
+    periods_integrated counts the periods the search integrated (its
+    simulate calls); a period whose start state repeats the last
+    integrated one reuses that period's path and does not count.
+    """
 
     multiplier: float
     log_multiplier: float
@@ -175,7 +181,12 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     quadrature on the same grid.  Each period is one simulate call on
     the grid of the first period, started from the previous period's
     end state, so periodicity holds by construction in the phase
-    argument.  The last period's path, found periodic, is kept as orbit.
+    argument.  At sigma = 0 that call is a pure function of its start
+    state, so a period that starts from the same float as the last
+    integrated one (bit for bit: -0.0 and 0.0 differ) reuses that path
+    instead of integrating it again; once the float map reaches a fixed
+    point, no further period is integrated.  The last period's path,
+    found periodic, is kept as orbit.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),
@@ -190,20 +201,25 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
 
     one_period = replace(config, t_total=steps * config.dt)
     x = config.x0
-    prev = None
+    prev = start = None  # start: the bits of the last integrated period's x0
+    integrated = 0
     for period in range(1, _FLOQUET_MAX_PERIODS + 1):
-        try:
-            cur = simulate(replace(one_period, x0=x), run_seed=0).x
-        except DivergenceError as exc:
-            raise ConvergenceError(
-                "state diverged while seeking the periodic orbit") from exc
+        bits = struct.pack("<d", x)
+        if bits != start:
+            try:
+                cur = simulate(replace(one_period, x0=x), run_seed=0).x
+            except DivergenceError as exc:
+                raise ConvergenceError(
+                    "state diverged while seeking the periodic orbit") from exc
+            start = bits
+            integrated += 1
         if period > _FLOQUET_TRANSIENT_PERIODS and prev is not None:
             if float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL:
                 integrand = 1.0 - cur * cur
                 log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
                 return FloquetEstimate(multiplier=math.exp(log_mu),
                                        log_multiplier=float(log_mu),
-                                       periods_integrated=period, orbit=cur)
+                                       periods_integrated=integrated, orbit=cur)
         prev = cur
         x = float(cur[-1])
     raise ConvergenceError(

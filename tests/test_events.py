@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cycleews import DetectorConfig, detect_jumps, label_breakdown, truncate_at_onset
 from cycleews.events import LOWER, UPPER, JumpStream, write_events_csv
+from cycleews.features import FeatureConfig, FeatureStream
 from conftest import make_trajectory
 
 OMEGA = 2.0 * math.pi / 225.0
@@ -282,3 +283,30 @@ def test_events_csv(tmp_path):
 def test_empty_trajectory_rejected():
     with pytest.raises(ValueError):
         detect_jumps(make_trajectory(np.ones(1)), small_det())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 5, -1])
+def test_non_finite_states_rejected(bad, where):
+    # a bad sample first, in the middle or last in a chunk whose finite samples
+    # either never leave the upper well or cross both thresholds, fed as the
+    # path's first chunk or after one that leaves the path in the upper well
+    det = small_det(n_min=2)
+    lead = np.ones(20)
+    for body in (np.ones(11), np.repeat([1.0, -1.0, 1.0], [3, 4, 4])):
+        chunk = body.copy()
+        chunk[where] = bad
+        x = np.concatenate([lead, chunk, np.ones(5)])
+        with pytest.raises(ValueError, match="trajectory contains non-finite states"):
+            detect_jumps(make_trajectory(x), det)
+        for before in ([], [lead]):
+            jumps = JumpStream(det, len(x) - 1)
+            features = FeatureStream(det, FeatureConfig(), 100.0, 2.0 * math.pi / 100.0,
+                                     1.0, len(x) - 1)
+            for piece in before:
+                jumps.feed(piece)
+                assert not features.feed(piece)
+            with pytest.raises(ValueError, match="trajectory contains non-finite states"):
+                jumps.feed(chunk)
+            with pytest.raises(ValueError, match="trajectory contains non-finite states"):
+                features.feed(chunk)

@@ -505,6 +505,29 @@ def test_feature_stream_holds_within_its_bound():
     assert max(held) <= 2 * longest + det.n_min + chunk <= bound < n_steps // 10
 
 
+@pytest.mark.parametrize("chunk", [7, 64, 1000])
+def test_feature_stream_holds_its_path_from_the_first_unpaired_segment(chunk):
+    # between feeds the first piece held starts at the first unpaired segment
+    # and every piece owns its memory, so a stream holds exactly its path from
+    # there, and its features match the whole-path oracle's
+    x = np.repeat([(-1.0) ** k for k in range(60)], 40)
+    x = x + 0.05 * generator(derive_seed(4, "trim")).standard_normal(len(x))
+    det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
+    fcfg = FeatureConfig(p_buf=0.05, detrend_degree=1, window_w=2, min_cycles=2,
+                         min_jumps=2)
+    t_f, omega = 200.0, 2.0 * math.pi / 80.0
+    stream = FeatureStream(det, fcfg, t_f, omega, 1.0, len(x) - 1)
+    for pos in range(0, len(x), chunk):
+        stream.feed(x[pos:pos + chunk])
+        if not stream.done:
+            assert stream._base == stream.jumps.boundaries[stream._paired]
+            assert sum(map(len, stream._pieces)) == stream.jumps.seen - stream._base
+            assert all(piece.base is None for piece in stream._pieces)
+    assert stream.done
+    _same_features(stream.result(), whole_path_features(make_trajectory(x), det, fcfg,
+                                                        t_f, omega))
+
+
 def test_one_cycle_run_is_excluded_not_fatal():
     # three jumps and then a dwell past the breakdown limit leave one cycle;
     # a slope needs two, so min_cycles = 1 is rejected (it let such a run

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,44 @@ def test_floquet_monotone_in_period():
     small = floquet_multiplier(_floquet_config(25.0))
     large = floquet_multiplier(_floquet_config(50.0))
     assert large.log_multiplier < small.log_multiplier < 0.0
+
+
+def floquet_every_period(config):
+    """Oracle: the search integrating every period, (multiplier, log_multiplier, orbit)."""
+    steps = int(round(config.forcing_period / config.dt))
+    one_period = replace(config, t_total=steps * config.dt)
+    x, prev = config.x0, None
+    for period in range(1, geometry._FLOQUET_MAX_PERIODS + 1):
+        cur = simulate(replace(one_period, x0=x), run_seed=0).x
+        if period > geometry._FLOQUET_TRANSIENT_PERIODS and prev is not None:
+            if float(np.max(np.abs(cur - prev))) < geometry._FLOQUET_TOL:
+                integrand = 1.0 - cur * cur
+                log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+                return math.exp(log_mu), float(log_mu), cur
+        prev = cur
+        x = float(cur[-1])
+    raise AssertionError("oracle found no periodic orbit")
+
+
+@pytest.mark.parametrize("d_a", [0.68, 0.75, 1.2, 1.5])
+def test_floquet_reuses_repeated_periods_bit_for_bit(monkeypatch, d_a):
+    calls = []
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    for period in (25.0, 100.0, 225.0):
+        config = _floquet_config(period, d_a)
+        multiplier, log_multiplier, orbit = floquet_every_period(config)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "simulate", counting_simulate)
+            est = floquet_multiplier(config)
+        assert (est.multiplier, est.log_multiplier) == (multiplier, log_multiplier), period
+        assert est.orbit.tobytes() == orbit.tobytes(), period
+        # the float map reaches a fixed point after one period here
+        assert len(calls) == est.periods_integrated == 2, period
 
 
 def test_floquet_preconditions():
