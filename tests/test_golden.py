@@ -19,7 +19,13 @@ only through the jump indices, and no jump moved.  The diagnostics.json
 digest pins the diagnose command on a 3 x 3 grid: fold info, sweep
 rate, the log Floquet multiplier of the noise-free periodic orbit and
 the delay phase measured on that orbit, with the row of d_a = 0.5,
-below the fold, null.  Together they pin that refactors of the
+below the fold, null.  The whole-path digests pin what is written from
+one run's whole path: fig_breakdown_timeseries.csv and
+fig_breakdown_meta.json of the figures command's deep-ramp run, and
+trajectory.csv and events.csv of the simulate command on a short
+ramp, each file's t and d_a columns included; they were recorded before
+a Trajectory stopped carrying its time grid and amplitude.  Together
+they pin that refactors of the
 simulation, feature, figure and geometry layers leave every output byte
 unchanged.
 
@@ -43,7 +49,7 @@ import pytest
 
 import cycleews
 from cycleews.experiment import (ExperimentConfig, run_diagnose, run_features_command,
-                                 run_figures)
+                                 run_figures, simulate_one)
 from cycleews.rng import RunStream, mul_cos_2pi
 
 NORMALS_SHA256 = "eb0e7517b14556b8f56e8fb4d5395a1b5eb39d67d334550d001d4b0c8cdbe263"
@@ -73,6 +79,16 @@ FIGURE_OUTPUTS_SHA256 = {
         "572793301ad6e566fec850dd4a36525a8bf7be14389a2addfd0f93fb119e87c1",
     "fig_breakdown_events.csv":
         "980b837ab399fc534dbd125c01a022485dd29bfe0b4068532e98ab69b35356a2",
+    "fig_breakdown_timeseries.csv":
+        "144c7dbaa604c19eabc8cfc35c4ae813ef2ed41d776e218cb65561045c4d3f18",
+    "fig_breakdown_meta.json":
+        "feb00699bd45123e7eac91c752f878d9dfb094eebeffde75e914c6da86d7e6ad",
+}
+
+# simulate_one of run index 3, master seed 11, on a 900-unit ramp (90,001 samples)
+SIMULATE_OUTPUTS_SHA256 = {
+    "trajectory.csv": "4a5bce4c256e17c48b8df4dd96ba15bb62e5208ea5315a6af6fe2cba0a4c218f",
+    "events.csv": "7484afdfd844eba5364d7c59446aedc2105cb8c6f496faef25a25205c36145f5",
 }
 
 # diagnose on d_a in (0.5, 0.75, 1.3) x periods (50, 100, 225) at the default dt and x0
@@ -132,3 +148,11 @@ def test_diagnostics_fingerprint(tmp_path):
     run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 0.75, 1.3],
                  [50.0, 100.0, 225.0])
     assert _sha256((tmp_path / "diagnostics.json").read_bytes()) == DIAGNOSTICS_SHA256
+
+
+def test_simulate_outputs_fingerprint(tmp_path):
+    simulate_one(ExperimentConfig(t_total=900.0, master_seed=11, out_dir=str(tmp_path)),
+                 run_index=3)
+    digests = {name: _sha256((tmp_path / name).read_bytes())
+               for name in SIMULATE_OUTPUTS_SHA256}
+    assert digests == SIMULATE_OUTPUTS_SHA256
