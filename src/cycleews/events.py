@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .base import require
-from .sim import Trajectory
+from .sim import CHUNK_STEPS, Trajectory
 
 UPPER = 1
 LOWER = -1
@@ -187,12 +187,13 @@ def detect_jumps(traj: Trajectory, det: DetectorConfig) -> SegmentSet:
     n_min steps is chatter: between two real jumps both jumps go and the
     segment before it continues; an initial one loses its jump and takes
     the well the path settles into; a final one loses its left jump.
-    Kept boundaries form a stack, so nothing is rescanned.
+    Kept boundaries form a stack, so nothing is rescanned.  The path goes
+    to a JumpStream in CHUNK_STEPS pieces, so its exit masks stay that
+    short.
     """
-    x = np.asarray(traj.x, dtype=float)
-    require(len(x) >= 2, "trajectory must contain at least two samples")
-    stream = JumpStream(det, len(x) - 1)
-    stream.feed(x)
+    stream = JumpStream(det, len(traj.x) - 1)
+    for lo in range(0, len(traj.x), CHUNK_STEPS):
+        stream.feed(traj.x[lo:lo + CHUNK_STEPS])
     return stream.segments(traj.dt)
 
 

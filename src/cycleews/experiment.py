@@ -565,7 +565,7 @@ def run_figures(config: ExperimentConfig) -> None:
     seed = derive_seed(config.master_seed, "figure-breakdown")
     traj = simulate(onset_cfg, seed)
     segset = label_breakdown(detect_jumps(traj, det), config.forcing_period, det)
-    write_trajectory_csv(traj, out_dir / "fig_breakdown_timeseries.csv")
+    write_trajectory_csv(traj, onset_cfg, out_dir / "fig_breakdown_timeseries.csv")
     write_events_csv(segset, out_dir / "fig_breakdown_events.csv")
     onset_time = None
     if segset.breakdown_onset is not None:
@@ -633,14 +633,13 @@ def measured_delay_phase(config: SimConfig, floquet: FloquetEstimate,
 
     The orbit of config, found periodic by floquet_multiplier, is laid on
     the grid t = i dt; the chatter rules drop a jump within n_min steps
-    of either end of that window.  None when no jump is detected.
+    of either end of that window.  The window is all it holds.  None
+    when no jump is detected.
     """
     d_a = config.amplitude_schedule.value
-    x = np.concatenate((floquet.orbit[:-1], floquet.orbit))
-    traj = Trajectory(t=np.arange(len(x)) * config.dt, x=x, d_a=np.full(len(x), d_a),
-                      seed=0)
+    window = np.concatenate((floquet.orbit[:-1], floquet.orbit))
     delays = [jump_phase_decomposition(t_j, d_a, config.omega).phi_delay
-              for t_j in detect_jumps(traj, det).jump_times]
+              for t_j in detect_jumps(Trajectory(window, config.dt, 0), det).jump_times]
     return float(np.mean(delays)) if delays else None
 
 
@@ -710,8 +709,9 @@ def simulate_one(config: ExperimentConfig, run_index: int = 0,
     seed = run_seed if run_seed is not None else run_seed_for(config.master_seed, run_index)
     d_min = draw_d_min(seed, config.d_min_sampler())
     sched = LinearRampAmplitude(config.d_max, d_min)
-    traj = simulate(config.sim_config(schedule=sched), seed)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    sim_cfg = config.sim_config(schedule=sched)
+    traj = simulate(sim_cfg, seed)
+    write_trajectory_csv(traj, sim_cfg, out_dir / "trajectory.csv")
     write_events_csv(detect_jumps(traj, config.detector()), out_dir / "events.csv")
     _log(f"wrote {out_dir / 'trajectory.csv'} (seed {seed}, d_min {d_min:.6g})")
     return traj

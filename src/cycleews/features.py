@@ -319,20 +319,20 @@ class FeatureStream:
                      chunk: int, streams: int) -> int:
         """At most how many samples `streams` streams hold, fed chunks of `chunk`.
 
-        Between feeds a stream holds its path from the start of its first
-        unpaired segment on, which spans at most two segments that are not
-        too long and the top boundary's n_min steps, and at most
+        Between feeds a stream holds exactly its path from the start of its
+        first unpaired segment on, which spans at most two segments that
+        are not too long and the top boundary's n_min steps, and at most
         n_steps + 1 samples, since the pieces are disjoint parts of its
-        path; the bound allows each stream one chunk more.  The streams of
-        a batch are fed one at a time, and the one being fed holds one more
-        piece of at most one chunk until it drops the pieces it no longer
-        needs, then a copy of at most one chunk while it cuts its first
-        piece, and one segment joined from its pieces while it is
-        detrended (segments are joined one at a time); those count once.
+        path.  The streams of a batch are fed one at a time, and the one
+        being fed holds one more piece of at most one chunk until it drops
+        the pieces it no longer needs, then a copy of at most one chunk
+        while it cuts its first piece, and one segment joined from its
+        pieces while it is detrended (segments are joined one at a time);
+        those count once.
         """
         ratio = det.breakdown_factor * t_f / dt
         longest = n_steps + 1 if ratio >= n_steps else math.floor(ratio) + 1
-        held = min(2 * longest + det.n_min + chunk, n_steps + 1)
+        held = min(2 * longest + det.n_min, n_steps + 1)
         return streams * held + chunk + 1 + longest
 
     def feed(self, x) -> bool:

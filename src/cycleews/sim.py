@@ -26,9 +26,10 @@ GROUP_RUNS runs at a time from one run-major copy, so that every
 consumer is fed contiguous samples (a lone run's column already is, and
 is fed as it stands); a consumer copies what it keeps.  simulate
 (and the Floquet search through it) keeps the whole path in a
-PathConsumer, and every ensemble run streams into a consumer that
-reduces it as it goes and may end it early (a features.FeatureStream in
-the feature pipeline and the figure level protocol).  A batch of two or
+PathConsumer and returns that array as it stands, and every ensemble
+run streams into a consumer that reduces it as it goes and may end it
+early (a features.FeatureStream in the feature pipeline and the figure
+level protocol).  A batch of two or
 more runs steps with five ufunc calls per step on rows, elementwise per
 run; a batch of one steps on Python floats in the same operation order
 (g + s and s + g are the same IEEE sum), since numpy's per-call cost
@@ -190,30 +191,18 @@ class SimConfig:
     def forcing_period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    def time_grid(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled state path with its amplitude schedule values."""
+    """A run's states x[i] at t = i dt and the seed of its noise stream.
 
-    t: np.ndarray
+    Its time grid and amplitude are functions of the run's SimConfig
+    (see write_trajectory_csv), so it holds only its samples.
+    """
+
     x: np.ndarray
-    d_a: np.ndarray
+    dt: float
     seed: int
-
-    def __post_init__(self):
-        require(len(self.t) == len(self.x) == len(self.d_a) >= 2,
-                "t, x, d_a must have equal length >= 2")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.t) - 1
 
 
 # --------------------------------------------------------------------------
@@ -481,9 +470,7 @@ def simulate(config: SimConfig, run_seed: int) -> Trajectory:
                           consumer=partial(PathConsumer, config.n_steps))[0]
     if res.error is not None:
         raise res.error
-    t = config.time_grid()
-    return Trajectory(t=t, x=res.value, d_a=config.amplitude_schedule.array(t, config.t_total),
-                      seed=int(run_seed))
+    return Trajectory(res.value, config.dt, int(run_seed))
 
 
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
@@ -524,10 +511,19 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
 # CSV export
 # --------------------------------------------------------------------------
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with header t,x,d_a at full double precision (17 significant digits)."""
+def write_trajectory_csv(traj: Trajectory, config: SimConfig, path) -> None:
+    """CSV with header t,x,d_a at full double precision (17 significant digits).
+
+    traj must be a whole path of config: t and d_a are config's grid and
+    amplitude, built one CHUNK_STEPS block at a time.
+    """
+    n = len(traj.x)
+    require(n == config.n_steps + 1,
+            f"a path of {n} samples is not one of config's {config.n_steps + 1}")
     with open(path, "w") as fh:
         fh.write("t,x,d_a\n")
-        for t, x, d in zip(traj.t, traj.x, traj.d_a):
-            fh.write(f"{t:.17g},{x:.17g},{d:.17g}\n")
-
+        for lo in range(0, n, CHUNK_STEPS):
+            t = np.arange(lo, min(lo + CHUNK_STEPS, n)) * config.dt
+            d_a = config.amplitude_schedule.array(t, config.t_total)
+            for ti, x, d in zip(t, traj.x[lo:lo + len(t)], d_a):
+                fh.write(f"{ti:.17g},{x:.17g},{d:.17g}\n")

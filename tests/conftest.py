@@ -43,6 +43,4 @@ def detector():
 def make_trajectory(x, dt=1.0):
     """Synthetic trajectory around a hand-built state array."""
     from cycleews import Trajectory
-    x = np.asarray(x, dtype=float)
-    t = np.arange(len(x)) * dt
-    return Trajectory(t=t, x=x, d_a=np.ones_like(x), seed=0)
+    return Trajectory(np.asarray(x, dtype=float), dt, 0)

@@ -224,12 +224,14 @@ def test_one_pass_detection_matches_two_pass_reference(path, n_min):
        st.lists(st.integers(1, 200), min_size=1, max_size=8))
 def test_chunked_detection_matches_whole_path(path, n_min, sizes):
     # the stream fed in chunks of the given sizes (cycled) keeps the
-    # boundaries detect_jumps finds on the whole path, and none below
-    # its top boundary ever moves
+    # boundaries a stream fed the whole path in one call finds, and none
+    # below its top boundary ever moves
     x = np.repeat([v for v, _ in path], [n for _, n in path])
     assume(len(x) >= 2)
     det = small_det(n_min=n_min)
-    whole = detect_jumps(make_trajectory(x), det)
+    one_call = JumpStream(det, len(x) - 1)
+    one_call.feed(x)
+    whole = one_call.segments(1.0)
     stream = JumpStream(det, len(x) - 1)
     pos, k = 0, 0
     while pos < len(x):

@@ -3,13 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cycleews import experiment
+from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps, experiment,
+                      floquet_multiplier, simulate)
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
@@ -17,7 +19,7 @@ from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset
                                  run_diagnose, run_experiment, write_report)
 from cycleews.features import FeatureStream
 from cycleews.rng import generator
-from cycleews.sim import CHUNK_STEPS, kernel_samples
+from cycleews.sim import CHUNK_STEPS, kernel_samples, write_trajectory_csv
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
 
@@ -294,10 +296,10 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
-    monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 40 * 2 ** 20)
     # ensemble: (8,193-row chunk buffers of (128 + 16) runs + 128 runs x
-    # 42,024 samples of stream state + the fed run's 8,193-sample piece and
-    # 16,876-sample joined segment) x 8 bytes = 52.7 MB, above 48 MiB (50.3 MB)
+    # 33,832 samples of stream state + the fed run's 8,193-sample piece and
+    # 16,876-sample joined segment) x 8 bytes = 44.3 MB, above 40 MiB (41.9 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
     # figure levels, streamed with no breakdown limit, so a run's state is
@@ -308,6 +310,14 @@ def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
     assert run_cli("experiment", "--out", str(tmp_path)) == 2
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_config_accepts_ensemble_batch_within_its_stream_bound(monkeypatch):
+    # a stream holds two segments of 16,876 samples and n_min = 80 steps
+    # between feeds, no chunk more, so the default ensemble batch's 44.3 MB
+    # fits in 48 MiB (50.3 MB)
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
+    assert load_config(None, {"figure_runs": 1}).n_runs == 1000
 
 
 def test_config_accepts_figure_batch_within_whole_path_bound(monkeypatch):
@@ -577,6 +587,47 @@ def test_diagnose_rejects_delay_window_above_memory(monkeypatch, tmp_path):
     assert not (tmp_path / "diagnostics.json").exists()
     monkeypatch.setattr(experiment, "physical_memory", lambda: window)
     assert run_diagnose(config, [1.2], [50.0])[0]["measured_delay_phase"] > 0.0
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and how far traced memory peaked above what was live at the call."""
+    tracemalloc.reset_peak()
+    live = tracemalloc.get_traced_memory()[0]
+    result = fn(*args)
+    return result, tracemalloc.get_traced_memory()[1] - live
+
+
+def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
+    # simulate holds the 8 bytes a point that ExperimentConfig admits for one
+    # run path, plus the kernel's chunk buffers; detecting the path's jumps
+    # and writing a path's CSV each add at most 1 MB; the diagnose delay
+    # window, admitted at 8 * (2 * steps + 1) bytes, is held once.  The CSV
+    # is written for the protocol's 250,001-point path, where one array over
+    # the whole path would take 2 MB: formatting a million rows under
+    # tracemalloc takes about half a minute.
+    config = ExperimentConfig(t_total=10_000.0).sim_config()
+    assert config.n_steps + 1 >= 10 ** 6
+    protocol = ExperimentConfig().sim_config()
+    protocol_run = simulate(protocol, 7)
+    orbit_cfg = SimConfig(dt=0.01, t_total=225.0, omega=2.0 * math.pi / 225.0,
+                          amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
+    floquet = floquet_multiplier(orbit_cfg)
+    window = 8 * (2 * orbit_cfg.n_steps + 1)
+    tracemalloc.start()
+    try:
+        traj, peak = _traced_peak(simulate, config, 7)
+        assert peak <= 8 * (config.n_steps + 1) + 8 * kernel_samples(1, config.n_steps) + 10 ** 6
+        _, peak = _traced_peak(detect_jumps, traj, DetectorConfig())
+        assert peak <= 10 ** 6
+        del traj
+        _, peak = _traced_peak(write_trajectory_csv, protocol_run, protocol,
+                               tmp_path / "traj.csv")
+        assert peak <= 10 ** 6
+        delay, peak = _traced_peak(experiment.measured_delay_phase, orbit_cfg, floquet,
+                                   DetectorConfig())
+        assert delay is not None and peak < 1.5 * window
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("flag,value", [

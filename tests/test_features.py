@@ -485,8 +485,8 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
 
 def test_feature_stream_holds_within_its_bound():
     # 300 dwells of 40 samples, no breakdown at a 100-sample limit, fed in
-    # 64-sample chunks: between feeds a stream keeps at most two segments,
-    # n_min steps and one chunk of its path, far less than the whole path
+    # 64-sample chunks: between feeds a stream keeps at most two segments
+    # and n_min steps of its path, far less than the whole path
     x = np.repeat([(-1.0) ** k for k in range(300)], 40)
     x = x + 0.05 * generator(derive_seed(4, "held")).standard_normal(len(x))
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
@@ -502,7 +502,7 @@ def test_feature_stream_holds_within_its_bound():
         if not stream.done:
             held.append(sum(map(len, stream._pieces)))
     assert stream.done and stream.onset is None and stream.result().n_cycles == 150
-    assert max(held) <= 2 * longest + det.n_min + chunk <= bound < n_steps // 10
+    assert max(held) <= 2 * longest + det.n_min <= bound < n_steps // 10
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 1000])

@@ -22,12 +22,11 @@ the delay phase measured on that orbit, with the row of d_a = 0.5,
 below the fold, null.  The whole-path digests pin what is written from
 one run's whole path: fig_breakdown_timeseries.csv and
 fig_breakdown_meta.json of the figures command's deep-ramp run, and
-trajectory.csv and events.csv of the simulate command on a short
-ramp, each file's t and d_a columns included; they were recorded before
-a Trajectory stopped carrying its time grid and amplitude.  Together
-they pin that refactors of the
-simulation, feature, figure and geometry layers leave every output byte
-unchanged.
+trajectory.csv and events.csv of the simulate command on a short ramp,
+their t and d_a columns included; they were recorded while a Trajectory
+still carried its time grid and amplitude.  Together they pin that
+refactors of the simulation, feature, figure and geometry layers leave
+every output byte unchanged.
 
 Bit-determinism of the streams and outputs holds for one numpy build on
 one CPU feature set: np.log, in the Box-Muller radius, remains the only

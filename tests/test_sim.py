@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
-                      PiecewiseConstantAmplitude, SimConfig, UniformSampler, simulate)
+                      PiecewiseConstantAmplitude, SimConfig, Trajectory, UniformSampler,
+                      simulate)
 from cycleews.rng import RunStream, derive_seed
 from cycleews.sim import (GROUP_RUNS, PathConsumer, _increments, _integrate,
                           _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
@@ -63,9 +64,8 @@ def test_grid_length():
     config = SimConfig(dt=0.01, t_total=25.0, omega=OMEGA,
                        amplitude_schedule=ConstantAmplitude(0.5), sigma=0.0, x0=1.0)
     traj = simulate(config, 1)
-    assert len(traj.t) == round(25.0 / 0.01) + 1
-    assert traj.t[0] == 0.0
-    assert traj.t[1] == pytest.approx(0.01)
+    assert len(traj.x) == config.n_steps + 1 == round(25.0 / 0.01) + 1
+    assert traj.dt == config.dt == 0.01
 
 
 def test_zero_forcing_fixed_point():
@@ -96,7 +96,7 @@ def test_euler_self_consistency_oracle():
     base = dict(t_total=225.0, omega=OMEGA,
                 amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     full = simulate(SimConfig(dt=0.01, **base), 0)
-    x, t = full.x[:-1], full.t[:-1]
+    x, t = full.x[:-1], np.arange(len(full.x) - 1) * 0.01
     one_step = x + 0.01 * drift(x, t, 1.2, OMEGA)
     half = x + 0.005 * drift(x, t, 1.2, OMEGA)
     two_steps = half + 0.005 * drift(half, t + 0.005, 1.2, OMEGA)
@@ -331,7 +331,8 @@ def test_point_mass_keeps_amplitude_floor():
         solo = simulate(replace(config, amplitude_schedule=LinearRampAmplitude(1.2, d_min)),
                         run_seed_for(config.master_seed, i))
         assert solo.x.tobytes() == path.tobytes()
-        assert solo.d_a.min() >= 0.9 - 1e-12
+        grid = np.arange(config.n_steps + 1) * config.dt
+        assert LinearRampAmplitude(1.2, d_min).array(grid, config.t_total).min() >= 0.9 - 1e-12
 
 
 def test_d_min_law_of_large_numbers():
@@ -512,10 +513,16 @@ def test_trajectory_csv_roundtrip(tmp_path):
     config = _ramp_config(t_total=2.0)
     traj = simulate(config, 11)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    write_trajectory_csv(traj, config, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,x,d_a"
     t, x, d_a = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    assert np.array_equal(t, traj.t)
+    grid = np.arange(config.n_steps + 1) * config.dt
+    assert np.array_equal(t, grid)
     assert np.array_equal(x, traj.x)
-    assert np.array_equal(d_a, traj.d_a)
+    assert np.array_equal(d_a, config.amplitude_schedule.array(grid, config.t_total))
+    # a path that is not one of config's whole paths is rejected before writing
+    short = Trajectory(traj.x[:-1], traj.dt, traj.seed)
+    with pytest.raises(ValueError, match="not one of config's"):
+        write_trajectory_csv(short, config, tmp_path / "short.csv")
+    assert not (tmp_path / "short.csv").exists()
