@@ -24,9 +24,14 @@ one run's whole path: fig_breakdown_timeseries.csv and
 fig_breakdown_meta.json of the figures command's deep-ramp run, and
 trajectory.csv and events.csv of the simulate command on a short ramp,
 their t and d_a columns included; they were recorded while a Trajectory
-still carried its time grid and amplitude.  Together they pin that
-refactors of the simulation, feature, figure and geometry layers leave
-every output byte unchanged.
+still carried its time grid and amplitude.  The experiment digests pin
+the experiment command on a small ensemble with both classes present:
+features.csv, report.json (cross-validation, both importances and the
+PCA block with its decision line), pca_coords.csv and
+fig_class_distributions.csv; they were recorded while every CSV writer
+still formatted its rows one f-string at a time.  Together they pin
+that refactors of the simulation, feature, classification, figure and
+geometry layers leave every output byte unchanged.
 
 Bit-determinism of the streams and outputs holds for one numpy build on
 one CPU feature set: np.log, in the Box-Muller radius, remains the only
@@ -47,8 +52,8 @@ import numpy as np
 import pytest
 
 import cycleews
-from cycleews.experiment import (ExperimentConfig, run_diagnose, run_features_command,
-                                 run_figures, simulate_one)
+from cycleews.experiment import (ExperimentConfig, run_diagnose, run_experiment,
+                                 run_features_command, run_figures, simulate_one)
 from cycleews.rng import RunStream, mul_cos_2pi
 
 NORMALS_SHA256 = "eb0e7517b14556b8f56e8fb4d5395a1b5eb39d67d334550d001d4b0c8cdbe263"
@@ -82,6 +87,16 @@ FIGURE_OUTPUTS_SHA256 = {
         "144c7dbaa604c19eabc8cfc35c4ae813ef2ed41d776e218cb65561045c4d3f18",
     "fig_breakdown_meta.json":
         "feb00699bd45123e7eac91c752f878d9dfb094eebeffde75e914c6da86d7e6ad",
+}
+
+# experiment on 12 protocol runs (4 of each class valid) in batches of 3, master seed 11,
+# 2 folds and 2 permutation repeats
+EXPERIMENT_OUTPUTS_SHA256 = {
+    "features.csv": "ead574620deb39a48f3f01b6bddfa79187c2dcb8f20fc019ddc40ccbe1ed2e74",
+    "report.json": "fc23edda80990bcd70e41ed7af4677b5d1108a4011f21edc203d719742756fe6",
+    "pca_coords.csv": "dbc9d0aa7eb20dc24214b40026d4329b0b17b669f4f12585f052629ca02e1da9",
+    "fig_class_distributions.csv":
+        "719ef8082347a4b6df144d2f19b60dac650e1b4f2fc40b53a97cdb7b26eef136",
 }
 
 # simulate_one of run index 3, master seed 11, on a 900-unit ramp (90,001 samples)
@@ -141,6 +156,16 @@ def test_figure_outputs_fingerprint(tmp_path, threads):
     digests = {name: _sha256((tmp_path / name).read_bytes())
                for name in FIGURE_OUTPUTS_SHA256}
     assert digests == FIGURE_OUTPUTS_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_experiment_outputs_fingerprint(tmp_path, threads):
+    config = ExperimentConfig(n_runs=12, master_seed=11, batch_size=3, k_folds=2,
+                              permutation_repeats=2, threads=threads, out_dir=str(tmp_path))
+    run_experiment(config)
+    digests = {name: _sha256((tmp_path / name).read_bytes())
+               for name in EXPERIMENT_OUTPUTS_SHA256}
+    assert digests == EXPERIMENT_OUTPUTS_SHA256
 
 
 def test_diagnostics_fingerprint(tmp_path):
