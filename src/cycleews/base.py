@@ -1,8 +1,10 @@
-"""Input validation, the convergence error and the process-pool map."""
+"""Input validation, the convergence error, the process-pool map and write_csv,
+the writer of every output table (doubles as %.17g, which reads back bit for bit)."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -63,3 +65,20 @@ def fork_map(fn: Callable[[int], object], n_tasks: int, workers: int = 1) -> Ite
         yield from pool.imap(_run_task, range(n_tasks))
         pool.close()
         pool.join()
+
+
+CSV_BLOCK_ROWS = 512  # rows formatted by one % in write_csv
+
+
+def write_csv(path, columns: Sequence[Tuple[str, str]], rows: Iterable[Sequence]) -> None:
+    """A CSV of rows under the header of columns, (name, printf format) pairs.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, so rows may be a
+    generator over a long path, of which one block is held at a time.
+    """
+    line = ",".join(fmt for _, fmt in columns) + "\n"
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.write(",".join(name for name, _ in columns) + "\n")
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            fh.write(line * len(block) % tuple(chain.from_iterable(block)))

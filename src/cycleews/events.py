@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import require
+from .base import require, write_csv
 from .sim import CHUNK_STEPS, Trajectory
 
 UPPER = 1
@@ -218,9 +218,6 @@ def truncate_at_onset(segset: SegmentSet) -> SegmentSet:
 
 
 def write_events_csv(segset: SegmentSet, path) -> None:
-    """CSV with header jump_index,jump_time,direction for the real jumps."""
-    directions = segset.jump_directions()
-    with open(path, "w") as fh:
-        fh.write("jump_index,jump_time,direction\n")
-        for idx, t, d in zip(segset.jump_indices, segset.jump_times, directions):
-            fh.write(f"{int(idx)},{t:.17g},{d}\n")
+    """A CSV of the real jumps: grid index, time and direction of each."""
+    write_csv(path, (("jump_index", "%d"), ("jump_time", "%.17g"), ("direction", "%s")),
+              zip(segset.jump_indices, segset.jump_times, segset.jump_directions()))

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .base import require
+from .base import require, write_csv
 from .classify import (Dataset, FeatureScaler, LinearHingeSVM, StratificationError,
                        SvmHyperParams, cross_validate, drop_column_importance,
                        pca_2d, permutation_importance, stratified_kfold)
@@ -313,18 +313,17 @@ def feature_rows(results: Iterable[RunResult]) -> List[dict]:
     return rows
 
 
-FEATURES_COLUMNS = ("run_id", "d_min", *FEATURE_NAMES, "label", "valid")
+# d_min is %.17g, or empty for an ensemble drawn without a d_min sampler
+FEATURES_CSV = (("run_id", "%d"), ("d_min", "%s"), *((n, "%.17g") for n in FEATURE_NAMES),
+                ("label", "%d"), ("valid", "%d"))
+FEATURES_COLUMNS = tuple(name for name, _ in FEATURES_CSV)
 FEATURES_HEADER = ",".join(FEATURES_COLUMNS)
 
 
 def write_features_csv(rows: Sequence[dict], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(FEATURES_HEADER + "\n")
-        for row in rows:
-            d_min = "" if row["d_min"] is None else f"{row['d_min']:.17g}"
-            slopes = ",".join(f"{v:.17g}" for v in row["slopes"])
-            fh.write(f"{row['run_id']},{d_min},{slopes},{int(row['label'])},"
-                     f"{int(row['valid'])}\n")
+    write_csv(path, FEATURES_CSV, (
+        (row["run_id"], "" if row["d_min"] is None else "%.17g" % row["d_min"],
+         *row["slopes"], row["label"], row["valid"]) for row in rows))
 
 
 def read_features_csv(path):
@@ -376,15 +375,6 @@ def dataset_from_rows(rows: Sequence[dict]) -> Dataset:
     return Dataset(X=X, y=y, run_ids=ids)
 
 
-def write_class_distributions(data: Dataset, path) -> None:
-    """Long-form CSV of every valid run's feature values, for class-conditional plots."""
-    with open(path, "w") as fh:
-        fh.write("feature,label,run_id,value\n")
-        for j, name in enumerate(FEATURE_NAMES):
-            for rid, value, lab in zip(data.run_ids, data.X[:, j], data.y):
-                fh.write(f"{name},{int(lab)},{int(rid)},{value:.17g}\n")
-
-
 def exclusion_table(results: Sequence[RunResult]) -> Dict[str, List[int]]:
     """Invalid runs partitioned by the first failing requirement."""
     table = {"divergence": [], "too_few_cycles": [], "too_few_jumps": []}
@@ -427,10 +417,9 @@ def pca_block(data: Dataset, config: ExperimentConfig, out_dir: Path,
     X_std = scaler.transform(data.X)
     coords, explained, components = pca_2d(X_std)
     coords_path = out_dir / "pca_coords.csv"
-    with open(coords_path, "w") as fh:
-        fh.write("run_id,pc1,pc2,label\n")
-        for rid, (p1, p2), lab in zip(data.run_ids, coords, data.y):
-            fh.write(f"{int(rid)},{p1:.17g},{p2:.17g},{int(lab)}\n")
+    write_csv(coords_path,
+              (("run_id", "%d"), ("pc1", "%.17g"), ("pc2", "%.17g"), ("label", "%d")),
+              zip(data.run_ids, *coords.T, data.y))
     block = {"coords_path": coords_path.name,
              "explained_variance": explained.tolist()}
     if with_decision_line:
@@ -482,7 +471,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     write_features_csv(rows, out_dir / "features.csv")
 
     data = dataset_from_rows(rows)
-    write_class_distributions(data, out_dir / "fig_class_distributions.csv")
+    # every valid run's feature values, long form, for class-conditional plots
+    write_csv(out_dir / "fig_class_distributions.csv",
+              (("feature", "%s"), ("label", "%d"), ("run_id", "%d"), ("value", "%.17g")),
+              ((name, lab, rid, value) for name, column in zip(FEATURE_NAMES, data.X.T)
+               for rid, value, lab in zip(data.run_ids, column, data.y)))
     n_break = int(data.y.sum())
     exclusions = exclusion_table(results)
     report = {
@@ -519,22 +512,18 @@ def run_features_command(config: ExperimentConfig) -> List[RunResult]:
     """features.csv plus auxiliary per-run cycle and phase series CSVs."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    with open(out_dir / "cycles.csv", "w") as cyc, \
-            open(out_dir / "phases.csv", "w") as pha:
-        cyc.write("run_id,cycle_index,var,ac1,sample_count\n")
-        pha.write("run_id,jump_ordinal,jump_index,phi,delta\n")
-        for res in run_feature_pipeline(config):
-            results.append(res)
-            if res.error is not None:
-                continue
-            for c in res.value.cycles:
-                cyc.write(f"{res.run_index},{c.cycle_index},{c.var:.17g},"
-                          f"{c.ac1:.17g},{c.sample_count}\n")
-            phases = res.value.phases
-            for j in range(phases.n_jumps):
-                pha.write(f"{res.run_index},{j},{int(phases.jump_index[j])},"
-                          f"{phases.phi[j]:.17g},{phases.delta[j]:.17g}\n")
+    results = list(run_feature_pipeline(config))
+    ok = [(res.run_index, res.value) for res in results if res.error is None]
+    write_csv(out_dir / "cycles.csv",
+              (("run_id", "%d"), ("cycle_index", "%d"), ("var", "%.17g"), ("ac1", "%.17g"),
+               ("sample_count", "%d")),
+              ((run, c.cycle_index, c.var, c.ac1, c.sample_count) for run, fv in ok
+               for c in fv.cycles))
+    write_csv(out_dir / "phases.csv",
+              (("run_id", "%d"), ("jump_ordinal", "%d"), ("jump_index", "%d"), ("phi", "%.17g"),
+               ("delta", "%.17g")),
+              ((run, j, *jump) for run, fv in ok for j, jump in
+               enumerate(zip(fv.phases.jump_index, fv.phases.phi, fv.phases.delta))))
     write_features_csv(feature_rows(results), out_dir / "features.csv")
     return results
 
@@ -579,47 +568,44 @@ def run_figures(config: ExperimentConfig) -> None:
     schedule = piece_cfg.amplitude_schedule
     levels = schedule.levels
     streams = _feature_streams(config, piece_cfg, config.level_detector())
-    level_cycles = {lv: {"var": [], "ac1": []} for lv in range(len(levels))}
-    level_deltas = {lv: [] for lv in range(len(levels))}
-    with open(out_dir / "fig_level_cycle_stats.csv", "w") as cyc, \
-            open(out_dir / "fig_level_jump_phases.csv", "w") as pha:
-        cyc.write("run_id,level,d_a,cycle_index,var,ac1\n")
-        pha.write("run_id,level,d_a,jump_ordinal,delta\n")
-        for res in iter_ensemble(piece_cfg, config.figure_runs,
-                                 batch_size=config.batch_size,
-                                 threads=config.threads, consumer=streams):
-            if res.error is not None:
-                raise res.error
-            phases = res.value.phases
-            # segment boundary times: the path's two ends and every jump between
-            t_bounds = np.concatenate(([0], phases.jump_index, [piece_cfg.n_steps])) \
-                * piece_cfg.dt
-            for c in res.value.cycles:
-                mid = 0.5 * (t_bounds[2 * c.cycle_index] + t_bounds[2 * c.cycle_index + 2])
-                lv = int(schedule.level_index(mid))
-                level_cycles[lv]["var"].append(c.var)
-                level_cycles[lv]["ac1"].append(c.ac1)
-                cyc.write(f"{res.run_index},{lv},{levels[lv]:.17g},"
-                          f"{c.cycle_index},{c.var:.17g},{c.ac1:.17g}\n")
-            jl = schedule.level_index(t_bounds[1:-1])
-            for j, (lv, delta) in enumerate(zip(jl, phases.delta)):
-                level_deltas[int(lv)].append(float(delta))
-                pha.write(f"{res.run_index},{int(lv)},{levels[int(lv)]:.17g},"
-                          f"{j},{delta:.17g}\n")
-    with open(out_dir / "fig_level_cycle_means.csv", "w") as fh:
-        fh.write("level,d_a,mean_var,mean_ac1,n_cycles\n")
-        for lv, stats in level_cycles.items():
-            if not stats["var"]:
-                continue
-            fh.write(f"{lv},{levels[lv]:.17g},{np.mean(stats['var']):.17g},"
-                     f"{np.mean(stats['ac1']):.17g},{len(stats['var'])}\n")
-    with open(out_dir / "fig_level_phase_stats.csv", "w") as fh:
-        fh.write("level,d_a,circ_mean,circ_std,n_jumps\n")
-        for lv, deltas in level_deltas.items():
-            if not deltas:
-                continue
-            fh.write(f"{lv},{levels[lv]:.17g},{circular_mean(deltas):.17g},"
-                     f"{circular_std(deltas):.17g},{len(deltas)}\n")
+    cycles, jumps = [], []  # (run_id, level, d_a, ordinal, *values) rows
+    for res in iter_ensemble(piece_cfg, config.figure_runs, batch_size=config.batch_size,
+                             threads=config.threads, consumer=streams):
+        if res.error is not None:
+            raise res.error
+        phases = res.value.phases
+        # segment boundary times: the path's two ends and every jump between
+        t_bounds = np.concatenate(([0], phases.jump_index, [piece_cfg.n_steps])) \
+            * piece_cfg.dt
+        for c in res.value.cycles:
+            mid = 0.5 * (t_bounds[2 * c.cycle_index] + t_bounds[2 * c.cycle_index + 2])
+            lv = int(schedule.level_index(mid))
+            cycles.append((res.run_index, lv, levels[lv], c.cycle_index, c.var, c.ac1))
+        for j, (lv, delta) in enumerate(zip(schedule.level_index(t_bounds[1:-1]),
+                                            phases.delta)):
+            jumps.append((res.run_index, int(lv), levels[lv], j, delta))
+    write_csv(out_dir / "fig_level_cycle_stats.csv",
+              (("run_id", "%d"), ("level", "%d"), ("d_a", "%.17g"), ("cycle_index", "%d"),
+               ("var", "%.17g"), ("ac1", "%.17g")), cycles)
+    write_csv(out_dir / "fig_level_jump_phases.csv",
+              (("run_id", "%d"), ("level", "%d"), ("d_a", "%.17g"), ("jump_ordinal", "%d"),
+               ("delta", "%.17g")), jumps)
+
+    def by_level(rows):
+        """Each level in rows with the columns of its rows, in run order."""
+        return [(lv, tuple(zip(*(row for row in rows if row[1] == lv))))
+                for lv in sorted({row[1] for row in rows})]
+
+    write_csv(out_dir / "fig_level_cycle_means.csv",
+              (("level", "%d"), ("d_a", "%.17g"), ("mean_var", "%.17g"), ("mean_ac1", "%.17g"),
+               ("n_cycles", "%d")),
+              ((lv, levels[lv], np.mean(c[4]), np.mean(c[5]), len(c[4]))
+               for lv, c in by_level(cycles)))
+    write_csv(out_dir / "fig_level_phase_stats.csv",
+              (("level", "%d"), ("d_a", "%.17g"), ("circ_mean", "%.17g"), ("circ_std", "%.17g"),
+               ("n_jumps", "%d")),
+              ((lv, levels[lv], circular_mean(c[4]), circular_std(c[4]), len(c[4]))
+               for lv, c in by_level(jumps)))
     _log(f"figure data written to {out_dir}")
 
 

@@ -50,7 +50,7 @@ from typing import Callable, Iterator, List, Optional, Union
 
 import numpy as np
 
-from .base import fork_map, require
+from .base import CSV_BLOCK_ROWS, fork_map, require, write_csv
 from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
@@ -512,18 +512,15 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
 # --------------------------------------------------------------------------
 
 def write_trajectory_csv(traj: Trajectory, config: SimConfig, path) -> None:
-    """CSV with header t,x,d_a at full double precision (17 significant digits).
-
-    traj must be a whole path of config: t and d_a are config's grid and
-    amplitude, built one CHUNK_STEPS block at a time.
-    """
+    """A CSV of a whole path of config: its grid, states and amplitude, a block at a time."""
     n = len(traj.x)
     require(n == config.n_steps + 1,
             f"a path of {n} samples is not one of config's {config.n_steps + 1}")
-    with open(path, "w") as fh:
-        fh.write("t,x,d_a\n")
-        for lo in range(0, n, CHUNK_STEPS):
-            t = np.arange(lo, min(lo + CHUNK_STEPS, n)) * config.dt
+
+    def rows():
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            t = np.arange(lo, min(lo + CSV_BLOCK_ROWS, n)) * config.dt
             d_a = config.amplitude_schedule.array(t, config.t_total)
-            for ti, x, d in zip(t, traj.x[lo:lo + len(t)], d_a):
-                fh.write(f"{ti:.17g},{x:.17g},{d:.17g}\n")
+            yield from np.column_stack((t, traj.x[lo:lo + len(t)], d_a)).tolist()
+
+    write_csv(path, (("t", "%.17g"), ("x", "%.17g"), ("d_a", "%.17g")), rows())

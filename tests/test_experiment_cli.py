@@ -15,11 +15,12 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
-                                 load_config, parse_config_text, read_features_csv,
-                                 run_diagnose, run_experiment, write_report)
+                                 feature_rows, load_config, parse_config_text,
+                                 read_features_csv, run_diagnose, run_experiment,
+                                 write_features_csv, write_report)
 from cycleews.features import FeatureStream
 from cycleews.rng import generator
-from cycleews.sim import CHUNK_STEPS, kernel_samples, write_trajectory_csv
+from cycleews.sim import CHUNK_STEPS, RunResult, kernel_samples, write_trajectory_csv
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
 
@@ -388,6 +389,29 @@ def test_cli_classify_rejects_truncated_row(tmp_path, capsys):
 
 FEATURES_HEADER = ("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
                    "label,valid\n")
+
+
+def test_features_csv_round_trip(tmp_path):
+    # a diverged run as feature_rows gives it: NaN slopes, d_min None (no sampler)
+    diverged, = feature_rows([RunResult(run_index=2, seed=0, d_min=None, value=None)])
+    rows = [
+        {"run_id": 0, "d_min": 0.58372910564811462,
+         "slopes": [-0.0, 5e-324, 1.7976931348623157e308, -2.0 / 3.0],
+         "label": True, "valid": True},
+        {"run_id": 1, "d_min": 0.25, "slopes": [1e-300, 0.1, -7.5, 0.0],
+         "label": False, "valid": True},
+        diverged,
+    ]
+    path = tmp_path / "features.csv"
+    write_features_csv(rows, path)
+    assert path.read_text().splitlines()[3] == "2,,nan,nan,nan,nan,0,0"
+    back = read_features_csv(path)
+
+    def bits(row):
+        return dict(row, slopes=np.array(row["slopes"], dtype=float).tobytes())
+
+    assert [bits(row) for row in back] == [bits(row) for row in rows]
+    assert back[2]["d_min"] is None and back[2]["label"] is False
 
 
 @pytest.mark.parametrize("body,n_valid", [
