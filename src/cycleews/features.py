@@ -207,11 +207,11 @@ def mean_resultant_length(deltas) -> float:
 
 
 def circular_std(deltas) -> float:
-    """sqrt(-2 log R) with R the mean resultant length, clamped below at 1e-12."""
+    """sqrt(-2 log R), R the mean resultant length clamped to [1e-12, 1] (1 for one delta)."""
     deltas = np.asarray(deltas, dtype=float)
     require(len(deltas) >= 1, "circular_std needs a non-empty window")
-    r = np.clip(mean_resultant_length(deltas), MIN_RESULTANT, 1.0)
-    return float(math.sqrt(-2.0 * math.log(r)))
+    r = 1.0 if len(deltas) == 1 else np.clip(mean_resultant_length(deltas), MIN_RESULTANT, 1.0)
+    return math.sqrt(-2.0 * math.log(r)) if r < 1.0 else 0.0  # +0.0, where sqrt gives -0.0
 
 
 def circular_mean(deltas) -> float:

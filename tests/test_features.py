@@ -243,6 +243,15 @@ def test_circular_std_examples():
     assert circular_std([0.0, math.pi / 2.0]) == pytest.approx(0.8325546, abs=1e-6)
 
 
+def test_circular_std_of_one_delta_is_plus_zero():
+    # |e^{i delta}| rounds to 1 - eps or 1 + eps, which gave 1.49e-8, 2.1e-8 or -0.0
+    for delta in np.linspace(-math.pi, math.pi, 2001):
+        for deltas in ([delta], [delta, delta]):
+            std = circular_std(deltas)
+            assert std >= 0.0 and math.copysign(1.0, std) == 1.0
+        assert circular_std([delta]) == 0.0
+
+
 def circ_std_direct(deltas):
     z = sum(cmath.exp(1j * d) for d in deltas) / len(deltas)
     r = min(max(abs(z), 1e-12), 1.0)
