@@ -628,7 +628,8 @@ def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
     # window, admitted at 8 * (2 * steps + 1) bytes, is held once.  The CSV
     # is written for the protocol's 250,001-point path, where one array over
     # the whole path would take 2 MB: formatting a million rows under
-    # tracemalloc takes about half a minute.
+    # tracemalloc takes about 20 s on a 2-core AVX-512 Xeon host (4.3 s for
+    # the 250,001 rows).
     config = ExperimentConfig(t_total=10_000.0).sim_config()
     assert config.n_steps + 1 >= 10 ** 6
     protocol = ExperimentConfig().sim_config()
