@@ -19,7 +19,12 @@ only through the jump indices, and no jump moved.  The diagnostics.json
 digest pins the diagnose command on a 3 x 3 grid: fold info, sweep
 rate, the log Floquet multiplier of the noise-free periodic orbit and
 the delay phase measured on that orbit, with the row of d_a = 0.5,
-below the fold, null.  The whole-path digests pin what is written from
+below the fold, null.  A second diagnostics.json digest pins a grid
+that reaches the Floquet search's harder cases: d_a = 0.9 at period 25,
+whose search integrates 3 periods; period 400, whose one-period path
+spans 5 integration chunks; and d_a = 0.5, below the fold.  It was
+recorded while the search still integrated every period it did not
+reuse to its end.  The whole-path digests pin what is written from
 one run's whole path: fig_breakdown_timeseries.csv and
 fig_breakdown_meta.json of the figures command's deep-ramp run, and
 trajectory.csv and events.csv of the simulate command on a short ramp,
@@ -108,6 +113,9 @@ SIMULATE_OUTPUTS_SHA256 = {
 # diagnose on d_a in (0.5, 0.75, 1.3) x periods (50, 100, 225) at the default dt and x0
 DIAGNOSTICS_SHA256 = "0849c2fb1c9948f3caebee69f06f424584556a05abd0a57a20cb482ca4d5707b"
 
+# diagnose on d_a in (0.5, 0.75, 0.9, 1.5) x periods (25, 100, 400)
+SEARCH_DIAGNOSTICS_SHA256 = "f845b054124b75dfe89c615aee0c121eaa98fa00c5682db23835e2df3e0f2553"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -172,6 +180,12 @@ def test_diagnostics_fingerprint(tmp_path):
     run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 0.75, 1.3],
                  [50.0, 100.0, 225.0])
     assert _sha256((tmp_path / "diagnostics.json").read_bytes()) == DIAGNOSTICS_SHA256
+
+
+def test_search_diagnostics_fingerprint(tmp_path):
+    run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 0.75, 0.9, 1.5],
+                 [25.0, 100.0, 400.0])
+    assert _sha256((tmp_path / "diagnostics.json").read_bytes()) == SEARCH_DIAGNOSTICS_SHA256
 
 
 def test_simulate_outputs_fingerprint(tmp_path):
