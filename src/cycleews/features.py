@@ -207,10 +207,16 @@ def mean_resultant_length(deltas) -> float:
 
 
 def circular_std(deltas) -> float:
-    """sqrt(-2 log R), R the mean resultant length clamped to [1e-12, 1] (1 for one delta)."""
+    """sqrt(-2 log R), R the mean resultant length clamped to [1e-12, 1].
+
+    R is 1 exactly for a window whose deltas are all equal (one delta
+    included), which reads +0.0.  A window spread by less than about
+    1e-8 rad still reads the rounding floor of R, sqrt(2.2e-16) = 1.5e-8.
+    """
     deltas = np.asarray(deltas, dtype=float)
     require(len(deltas) >= 1, "circular_std needs a non-empty window")
-    r = 1.0 if len(deltas) == 1 else np.clip(mean_resultant_length(deltas), MIN_RESULTANT, 1.0)
+    equal = bool((deltas == deltas[0]).all())
+    r = 1.0 if equal else np.clip(mean_resultant_length(deltas), MIN_RESULTANT, 1.0)
     return math.sqrt(-2.0 * math.log(r)) if r < 1.0 else 0.0  # +0.0, where sqrt gives -0.0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .base import ConvergenceError, require
 from .features import assign_extremum
-from .sim import ConstantAmplitude, DivergenceError, SimConfig, simulate
+from .sim import ConstantAmplitude, DivergenceError, SimConfig, rejoin_step, simulate
 
 FOLD_FORCING_VALUE = 2.0 / 3.0
 _ROOT_RESIDUAL_TOL = 1.0e-10
@@ -41,11 +41,15 @@ class FloquetEstimate:
     periods_integrated counts the periods the search integrated (its
     simulate calls); a period whose start state repeats the last
     integrated one reuses that period's path and does not count.
+    steps_integrated counts the steps those calls stepped: a period
+    after the first stops at the first chunk end where it rejoins the
+    period before it.
     """
 
     multiplier: float
     log_multiplier: float
     periods_integrated: int
+    steps_integrated: int
     orbit: np.ndarray = field(compare=False, repr=False)
 
 
@@ -185,8 +189,13 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     state, so a period that starts from the same float as the last
     integrated one (bit for bit: -0.0 and 0.0 differ) reuses that path
     instead of integrating it again; once the float map reaches a fixed
-    point, no further period is integrated.  The last period's path,
-    found periodic, is kept as orbit.
+    point, no further period is integrated.  Every later period is
+    integrated with rejoin=prev, the period before it: both step through
+    the same g_k, so once one state equals prev's at the same index, so
+    do all later ones, and the call stops at the end of that chunk (a
+    CHUNK_STEPS-step chunk, or the whole period when it is shorter) and
+    copies the rest from prev with the same bits.  The last period's
+    path, found periodic, is kept as orbit.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),
@@ -202,24 +211,26 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     one_period = replace(config, t_total=steps * config.dt)
     x = config.x0
     prev = start = None  # start: the bits of the last integrated period's x0
-    integrated = 0
+    integrated = stepped = 0
     for period in range(1, _FLOQUET_MAX_PERIODS + 1):
         bits = struct.pack("<d", x)
         if bits != start:
             try:
-                cur = simulate(replace(one_period, x0=x), run_seed=0).x
+                cur = simulate(replace(one_period, x0=x), run_seed=0, rejoin=prev).x
             except DivergenceError as exc:
                 raise ConvergenceError(
                     "state diverged while seeking the periodic orbit") from exc
             start = bits
             integrated += 1
+            stepped += rejoin_step(cur, prev)
         if period > _FLOQUET_TRANSIENT_PERIODS and prev is not None:
             if float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL:
                 integrand = 1.0 - cur * cur
                 log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
                 return FloquetEstimate(multiplier=math.exp(log_mu),
                                        log_multiplier=float(log_mu),
-                                       periods_integrated=integrated, orbit=cur)
+                                       periods_integrated=integrated,
+                                       steps_integrated=stepped, orbit=cur)
         prev = cur
         x = float(cur[-1])
     raise ConvergenceError(

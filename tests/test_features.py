@@ -252,6 +252,17 @@ def test_circular_std_of_one_delta_is_plus_zero():
         assert circular_std([delta]) == 0.0
 
 
+def test_circular_std_of_equal_deltas_is_plus_zero():
+    # R rounded below 1 gave sqrt(2.2e-16) = 1.49e-8 for 11 of these pairs and for 16 x 0.3
+    for delta in np.linspace(-3.0, 3.0, 61):
+        for n in (2, 3, 16):
+            std = circular_std([delta] * n)
+            assert std == 0.0 and math.copysign(1.0, std) == 1.0, (delta, n)
+    assert circular_std([0.3] * 16) == 0.0
+    assert circular_std([0.0, -0.0]) == 0.0
+    assert circular_std([0.3, 0.3 + 1e-6]) > 0.0
+
+
 def circ_std_direct(deltas):
     z = sum(cmath.exp(1j * d) for d in deltas) / len(deltas)
     r = min(max(abs(z), 1e-12), 1.0)

@@ -8,11 +8,12 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig,
                       critical_manifold_roots, detect_jumps, floquet_multiplier,
                       fold_info, fold_sweep_rate, hazard_window_width,
                       jump_phase_decomposition, predicted_delay_phase, simulate)
-from cycleews import geometry
+from cycleews import geometry, sim
 from cycleews.base import ConvergenceError
 from cycleews.experiment import measured_delay_phase
 from cycleews.geometry import FOLD_FORCING_VALUE
 from cycleews.rng import generator
+from cycleews.sim import CHUNK_STEPS
 
 OMEGA = 2.0 * math.pi / 225.0
 
@@ -186,7 +187,7 @@ def test_floquet_reuses_repeated_periods_bit_for_bit(monkeypatch, d_a):
         calls.append(1)
         return simulate(*args, **kwargs)
 
-    for period in (25.0, 100.0, 225.0):
+    for period in (25.0, 50.0, 100.0, 225.0, 400.0):
         config = _floquet_config(period, d_a)
         multiplier, log_multiplier, orbit = floquet_every_period(config)
         calls.clear()
@@ -197,6 +198,31 @@ def test_floquet_reuses_repeated_periods_bit_for_bit(monkeypatch, d_a):
         assert est.orbit.tobytes() == orbit.tobytes(), period
         # the float map reaches a fixed point after one period here
         assert len(calls) == est.periods_integrated == 2, period
+
+
+@pytest.mark.parametrize("d_a", [0.75, 1.2, 1.5])
+def test_floquet_steps_integrated_stop_where_the_second_period_rejoins(monkeypatch, d_a):
+    stepped, step = [], sim._step_floats
+
+    def counting(xs, c1, c2):
+        stepped.append(len(xs) - 1)
+        step(xs, c1, c2)
+
+    monkeypatch.setattr(sim, "_step_floats", counting)
+    for period in (100.0, 225.0, 400.0):
+        stepped.clear()
+        est = floquet_multiplier(_floquet_config(period, d_a))
+        steps = round(period / 0.01)
+        # the second period rejoins the first within its first chunk
+        assert est.steps_integrated == steps + min(CHUNK_STEPS, steps) == sum(stepped), period
+        assert est.periods_integrated == 2, period
+
+
+def test_floquet_steps_integrated_of_one_chunk_periods():
+    # at d_a 0.9, period 25 the second period does not rejoin the first, and
+    # a 2,500-step period is one chunk, which a rejoin cannot shorten
+    est = floquet_multiplier(_floquet_config(25.0, 0.9))
+    assert (est.periods_integrated, est.steps_integrated) == (3, 3 * 2_500)
 
 
 def test_floquet_preconditions():

@@ -9,8 +9,9 @@ import pytest
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       PiecewiseConstantAmplitude, SimConfig, Trajectory, UniformSampler,
                       simulate)
+from cycleews import sim
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import (GROUP_RUNS, PathConsumer, _increments, _integrate,
+from cycleews.sim import (CHUNK_STEPS, GROUP_RUNS, PathConsumer, _increments, _integrate,
                           _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
                           write_trajectory_csv)
 
@@ -507,6 +508,75 @@ def test_ensemble_matches_scalar_euler_at_drawn_d_min():
         assert res.d_min == d_min
         expected = _scalar_euler(config, res.seed, LinearRampAmplitude(1.2, d_min))
         assert res.value.tobytes() == expected.tobytes()
+
+
+def _fed_pieces(path, ends):
+    """path cut as a lone run feeds it: samples 0 .. ends[0], then each next .. ends[k]."""
+    starts = [0] + [end + 1 for end in ends[:-1]]
+    return [path[lo:end + 1] for lo, end in zip(starts, ends)]
+
+
+def test_path_consumer_stops_at_first_chunk_ending_on_rejoin():
+    rejoin = np.linspace(-1.0, 1.0, 13)
+    path = rejoin + 0.5
+    path[3] = rejoin[3]  # shared inside the first chunk only
+    path[7:10] = rejoin[7:10]  # shared from step 7 into the second chunk's end
+    consumer = PathConsumer(12, rejoin)
+    fed = [consumer.feed(piece) for piece in _fed_pieces(path, [4, 9])]
+    assert fed == [False, True]
+    assert consumer.result()[:10].tobytes() == path[:10].tobytes()
+    assert consumer.result()[10:].tobytes() == rejoin[10:].tobytes()
+    plain = PathConsumer(12)
+    assert [plain.feed(piece) for piece in _fed_pieces(path, [4, 9, 12])] == [False] * 3
+    assert plain.result().tobytes() == path.tobytes()
+
+
+def test_path_consumer_rejoin_tells_minus_zero_from_zero():
+    rejoin = np.array([1.0, 2.0, -0.0, 3.0])
+    assert PathConsumer(3, rejoin).feed(np.array([1.0, 2.0, 0.0])) is False
+    consumer = PathConsumer(3, rejoin)
+    assert consumer.feed(np.array([5.0, 2.0, -0.0])) is True
+    assert consumer.result().tobytes() == np.array([5.0, 2.0, -0.0, 3.0]).tobytes()
+
+
+def test_rejoin_of_wrong_length_raises_before_integrating(monkeypatch):
+    config = _long_config(ConstantAmplitude(1.2), 0.0)
+    monkeypatch.setattr(sim, "_integrate", lambda *args: pytest.fail("integrated"))
+    for n in (config.n_steps, config.n_steps + 2):
+        with pytest.raises(ValueError, match="rejoin path"):
+            simulate(config, 0, rejoin=np.zeros(n))
+
+
+def _count_stepped(monkeypatch):
+    """Patch the lone-run stepper to record how many steps each call steps."""
+    stepped, step = [], sim._step_floats
+
+    def counting(xs, c1, c2):
+        stepped.append(len(xs) - 1)
+        step(xs, c1, c2)
+
+    monkeypatch.setattr(sim, "_step_floats", counting)
+    return stepped
+
+
+@pytest.mark.parametrize("d_a,period,sigma", [
+    (1.2, 100.0, 0.0), (1.5, 400.0, 0.0), (0.9, 25.0, 0.0), (1.2, 100.0, 0.3)])
+def test_simulate_with_rejoin_gives_the_same_bytes(monkeypatch, d_a, period, sigma):
+    # each later period of the Floquet search from the end of the one before; at
+    # d_a 0.9, period 25 the second period does not rejoin the first; with noise,
+    # the same seed from another start state
+    config = SimConfig(dt=0.01, t_total=period, omega=2.0 * math.pi / period,
+                       amplitude_schedule=ConstantAmplitude(d_a), sigma=sigma, x0=1.0)
+    seed = run_seed_for(4, 0)
+    prev = simulate(config, seed).x
+    stepped = _count_stepped(monkeypatch)
+    for _ in range(2):
+        later = replace(config, x0=float(prev[-1]) + sigma)
+        stepped.clear()
+        cur = simulate(later, seed, rejoin=prev).x
+        assert sum(stepped) == min(CHUNK_STEPS, config.n_steps) == sim.rejoin_step(cur, prev)
+        assert cur.tobytes() == simulate(later, seed).x.tobytes()
+        prev = cur
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
