@@ -36,6 +36,20 @@ def pool_sizes(monkeypatch):
 
 
 @pytest.fixture
+def lone_run_steps(monkeypatch):
+    """Steps of each chunk a lone run steps (sim._step_floats) while the test runs."""
+    from cycleews import sim
+    steps, step = [], sim._step_floats
+
+    def counting(xs, c1, c2):
+        steps.append(len(xs) - 1)
+        step(xs, c1, c2)
+
+    monkeypatch.setattr(sim, "_step_floats", counting)
+    return steps
+
+
+@pytest.fixture
 def detector():
     return DetectorConfig()
 

@@ -8,7 +8,7 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig,
                       critical_manifold_roots, detect_jumps, floquet_multiplier,
                       fold_info, fold_sweep_rate, hazard_window_width,
                       jump_phase_decomposition, predicted_delay_phase, simulate)
-from cycleews import geometry, sim
+from cycleews import geometry
 from cycleews.base import ConvergenceError
 from cycleews.experiment import measured_delay_phase
 from cycleews.geometry import FOLD_FORCING_VALUE
@@ -201,20 +201,14 @@ def test_floquet_reuses_repeated_periods_bit_for_bit(monkeypatch, d_a):
 
 
 @pytest.mark.parametrize("d_a", [0.75, 1.2, 1.5])
-def test_floquet_steps_integrated_stop_where_the_second_period_rejoins(monkeypatch, d_a):
-    stepped, step = [], sim._step_floats
-
-    def counting(xs, c1, c2):
-        stepped.append(len(xs) - 1)
-        step(xs, c1, c2)
-
-    monkeypatch.setattr(sim, "_step_floats", counting)
+def test_floquet_steps_integrated_stop_where_the_second_period_rejoins(lone_run_steps, d_a):
     for period in (100.0, 225.0, 400.0):
-        stepped.clear()
+        lone_run_steps.clear()
         est = floquet_multiplier(_floquet_config(period, d_a))
         steps = round(period / 0.01)
         # the second period rejoins the first within its first chunk
-        assert est.steps_integrated == steps + min(CHUNK_STEPS, steps) == sum(stepped), period
+        assert est.steps_integrated == steps + min(CHUNK_STEPS, steps), period
+        assert est.steps_integrated == sum(lone_run_steps), period
         assert est.periods_integrated == 2, period
 
 

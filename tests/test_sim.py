@@ -511,7 +511,7 @@ def test_ensemble_matches_scalar_euler_at_drawn_d_min():
 
 
 def _fed_pieces(path, ends):
-    """path cut as a lone run feeds it: samples 0 .. ends[0], then each next .. ends[k]."""
+    """path cut as the kernel feeds a lone run: samples 0 .. ends[0], then on to each end."""
     starts = [0] + [end + 1 for end in ends[:-1]]
     return [path[lo:end + 1] for lo, end in zip(starts, ends)]
 
@@ -526,9 +526,6 @@ def test_path_consumer_stops_at_first_chunk_ending_on_rejoin():
     assert fed == [False, True]
     assert consumer.result()[:10].tobytes() == path[:10].tobytes()
     assert consumer.result()[10:].tobytes() == rejoin[10:].tobytes()
-    plain = PathConsumer(12)
-    assert [plain.feed(piece) for piece in _fed_pieces(path, [4, 9, 12])] == [False] * 3
-    assert plain.result().tobytes() == path.tobytes()
 
 
 def test_path_consumer_rejoin_tells_minus_zero_from_zero():
@@ -547,21 +544,9 @@ def test_rejoin_of_wrong_length_raises_before_integrating(monkeypatch):
             simulate(config, 0, rejoin=np.zeros(n))
 
 
-def _count_stepped(monkeypatch):
-    """Patch the lone-run stepper to record how many steps each call steps."""
-    stepped, step = [], sim._step_floats
-
-    def counting(xs, c1, c2):
-        stepped.append(len(xs) - 1)
-        step(xs, c1, c2)
-
-    monkeypatch.setattr(sim, "_step_floats", counting)
-    return stepped
-
-
 @pytest.mark.parametrize("d_a,period,sigma", [
     (1.2, 100.0, 0.0), (1.5, 400.0, 0.0), (0.9, 25.0, 0.0), (1.2, 100.0, 0.3)])
-def test_simulate_with_rejoin_gives_the_same_bytes(monkeypatch, d_a, period, sigma):
+def test_simulate_with_rejoin_gives_the_same_bytes(lone_run_steps, d_a, period, sigma):
     # each later period of the Floquet search from the end of the one before; at
     # d_a 0.9, period 25 the second period does not rejoin the first; with noise,
     # the same seed from another start state
@@ -569,12 +554,12 @@ def test_simulate_with_rejoin_gives_the_same_bytes(monkeypatch, d_a, period, sig
                        amplitude_schedule=ConstantAmplitude(d_a), sigma=sigma, x0=1.0)
     seed = run_seed_for(4, 0)
     prev = simulate(config, seed).x
-    stepped = _count_stepped(monkeypatch)
     for _ in range(2):
         later = replace(config, x0=float(prev[-1]) + sigma)
-        stepped.clear()
+        lone_run_steps.clear()
         cur = simulate(later, seed, rejoin=prev).x
-        assert sum(stepped) == min(CHUNK_STEPS, config.n_steps) == sim.rejoin_step(cur, prev)
+        assert sum(lone_run_steps) == min(CHUNK_STEPS, config.n_steps)
+        assert sim.rejoin_step(cur, prev) == sum(lone_run_steps)
         assert cur.tobytes() == simulate(later, seed).x.tobytes()
         prev = cur
 
