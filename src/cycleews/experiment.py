@@ -36,9 +36,9 @@ from .features import (FEATURE_NAMES, FeatureConfig, FeatureStream,  # noqa: F40
 from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
                        diagnostics_record, floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
-from .sim import (CHUNK_STEPS, ConstantAmplitude, LinearRampAmplitude,
-                  PiecewiseConstantAmplitude, RunResult, SimConfig, Trajectory,
-                  UniformSampler, draw_d_min, iter_ensemble, kernel_samples,
+from .sim import (ConstantAmplitude, LinearRampAmplitude, PiecewiseConstantAmplitude,
+                  RunResult, SimConfig, Trajectory, UniformSampler, chunk_steps,
+                  draw_d_min, iter_ensemble, kernel_samples,
                   run_seed_for, simulate, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
@@ -139,7 +139,7 @@ class ExperimentConfig:
                 ("figure level", piece, self.level_detector(), self.figure_runs)):
             batch = min(self.batch_size, n_runs)
             at_once = min(self.threads, -(-n_runs // batch))
-            chunk = min(CHUNK_STEPS, cfg.n_steps)
+            chunk = min(chunk_steps(batch), cfg.n_steps)
             held = 8 * at_once * (
                 kernel_samples(batch, cfg.n_steps) + FeatureStream.held_samples(
                     run_det, self.forcing_period, self.dt, cfg.n_steps, chunk, batch))

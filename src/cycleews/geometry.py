@@ -42,8 +42,8 @@ class FloquetEstimate:
     simulate calls); a period whose start state repeats the last
     integrated one reuses that period's path and does not count.
     steps_integrated counts the steps those calls stepped: a period
-    after the first stops at the first chunk end where it rejoins the
-    period before it.
+    after the first stops at the first end of a LONE_CHUNK_STEPS-step
+    chunk where it rejoins the period before it.
     """
 
     multiplier: float
@@ -193,9 +193,10 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     integrated with rejoin=prev, the period before it: both step through
     the same g_k, so once one state equals prev's at the same index, so
     do all later ones, and the call stops at the end of that chunk (a
-    CHUNK_STEPS-step chunk, or the whole period when it is shorter) and
-    copies the rest from prev with the same bits.  The last period's
-    path, found periodic, is kept as orbit.
+    lone run's LONE_CHUNK_STEPS-step chunk, or the whole period when it
+    is shorter) and copies the rest from prev with the same bits.  No
+    period draws noise, so the search builds no random stream.  The last
+    period's path, found periodic, is kept as orbit.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),

@@ -35,7 +35,7 @@ _SHIFT_11 = np.uint64(11)
 _MASK_64 = (1 << 64) - 1
 
 _TABLE_SIZE = 4096
-_COS_BLOCK = 8192  # words per pass of mul_cos_2pi: one integrator chunk
+_COS_BLOCK = 8192  # words per pass of mul_cos_2pi: one chunk of a batch of two or more runs
 
 
 def _turn_tables(size: int):

@@ -19,30 +19,32 @@ transposed write stores the group into the step-major path buffer.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
-rng.py), so ensembles are order-independent.  simulate and iter_ensemble
-both go through one batch kernel, which integrates in CHUNK_STEPS-step
-chunks and hands each run's new samples to a per-run consumer, over
-GROUP_RUNS runs at a time from one run-major copy, so that every
-consumer is fed contiguous samples (a lone run's column already is, and
-is fed as it stands); a consumer copies what it keeps.  simulate
-(and the Floquet search through it) keeps the whole path in a
-PathConsumer and returns that array as it stands; given a path of the
-same (config, run_seed) from another x0, it stops at the first chunk
-end where its state has that path's bits and copies the rest, since
-from one equal state on the two paths step through the same g_k (the
-Floquet search passes each later period the one before).  Every ensemble
-run streams into a consumer that reduces it as it goes and may end it
-early (a features.FeatureStream in the feature pipeline and the figure
-level protocol).  A batch of two or
-more runs steps with five ufunc calls per step on rows, elementwise per
-run; a batch of one steps on Python floats in the same operation order
-(g + s and s + g are the same IEEE sum), since numpy's per-call cost
-dominates on one-element rows.  Either fills a whole chunk blind to
-divergence, which one check finds at any width, run by run on the
-samples about to be fed while they are in cache.
-That a run yields the same bits alone, inside a batch, or in a worker
-process is pinned by the parity tests in tests/test_sim.py, not by
-construction.
+rng.py), so ensembles are order-independent; a run with sigma = 0 and
+no d_min sampler draws nothing, so it builds no stream at all.
+simulate and iter_ensemble both go through one batch kernel, which
+integrates in chunks, LONE_CHUNK_STEPS steps for a batch of one and
+CHUNK_STEPS for a wider batch, and hands each run's new samples to a
+per-run consumer, over GROUP_RUNS runs at a time from one run-major
+copy, so that every consumer is fed contiguous samples (a lone run's
+column already is, and is fed as it stands); a consumer copies what it
+keeps.  simulate (and the Floquet search through it) keeps the whole
+path in a PathConsumer and returns that array as it stands; given a
+path of the same (config, run_seed) from another x0, it stops at the
+first chunk end where its state has that path's bits and copies the
+rest, since from one equal state on the two paths step through the same
+g_k (the Floquet search passes each later period the one before).
+Every ensemble run streams into a consumer that reduces it as it goes
+and may end it early (a features.FeatureStream in the feature pipeline
+and the figure level protocol).  A batch of two or more runs steps with
+five ufunc calls per step on rows, elementwise per run; a batch of one
+steps on Python floats in the same operation order (g + s and s + g are
+the same IEEE sum), since numpy's per-call cost dominates on
+one-element rows, and so a short chunk costs it almost nothing.  Either
+fills a whole chunk blind to divergence, which one check finds at any
+width, run by run on the samples about to be fed while they are in
+cache.  That a run yields the same bits alone, inside a batch, or in a
+worker process, whatever the chunk, is pinned by the parity tests in
+tests/test_sim.py, not by construction.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .base import CSV_BLOCK_ROWS, fork_map, require, write_csv
 from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
-CHUNK_STEPS = 8192
+CHUNK_STEPS = 8192  # steps per chunk of a batch of two or more runs
+LONE_CHUNK_STEPS = 2048  # steps per chunk of a batch of one
 GROUP_RUNS = 16  # runs per group of the batch kernel: one group's scratch block fits L2
 HANDOFF_TILE = 512  # steps per tile of the run-major copy of a group's samples
 
@@ -183,7 +186,8 @@ class SimConfig:
         require(self.t_total > 0.0, "t_total must be > 0")
         require(self.omega > 0.0, "omega must be > 0")
         require(self.sigma >= 0.0, "sigma must be >= 0")
-        require(math.isfinite(self.x0), "x0 must be finite")
+        require(abs(self.x0) <= STATE_GUARD,
+                f"x0 must be finite and within the divergence bound {STATE_GUARD:g}")
         require(0 <= int(self.master_seed) < 2 ** 64, "master_seed must be a 64-bit integer")
         _whole_steps(self.t_total, self.dt)
 
@@ -253,6 +257,11 @@ def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
         g[:, lo:lo + len(terms)] = terms.T
 
 
+def chunk_steps(batch: int) -> int:
+    """Steps per chunk of the kernel for a batch of `batch` runs (see _integrate)."""
+    return LONE_CHUNK_STEPS if batch == 1 else CHUNK_STEPS
+
+
 def kernel_samples(batch: int, n_steps: int) -> int:
     """At most how many float64 values the kernel holds for a batch of `batch` runs.
 
@@ -260,7 +269,7 @@ def kernel_samples(batch: int, n_steps: int) -> int:
     _integrate, at most GROUP_RUNS runs of chunk + 1 samples, which is
     also _increments' scratch block.
     """
-    return (min(CHUNK_STEPS, n_steps) + 1) * (batch + min(GROUP_RUNS, batch))
+    return (min(chunk_steps(batch), n_steps) + 1) * (batch + min(GROUP_RUNS, batch))
 
 
 class PathConsumer:
@@ -298,21 +307,24 @@ class PathConsumer:
 def rejoin_step(path: np.ndarray, rejoin: Optional[np.ndarray]) -> int:
     """How many steps simulate stepped to return path given rejoin (see PathConsumer).
 
-    A lone run is fed a chunk at a time and stops at the first chunk end
-    where path has rejoin's bits; without rejoin it steps to its end.
+    A lone run is fed a LONE_CHUNK_STEPS-step chunk at a time and stops
+    at the first chunk end where path has rejoin's bits; without rejoin
+    it steps to its end.
     """
     n_steps = len(path) - 1
     if rejoin is None:
         return n_steps
     same = path.view(np.int64) == rejoin.view(np.int64)
-    return next((end for end in range(CHUNK_STEPS, n_steps, CHUNK_STEPS) if same[end]), n_steps)
+    ends = range(LONE_CHUNK_STEPS, n_steps, LONE_CHUNK_STEPS)
+    return next((end for end in ends if same[end]), n_steps)
 
 
 def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     """Explicit Euler-Maruyama over a batch of runs, streamed chunk by chunk.
 
-    Steps go in CHUNK_STEPS blocks through one reused (chunk + 1) x
-    batch path buffer.  Each block first gets every step's
+    Steps go in chunks of chunk_steps(batch) steps, LONE_CHUNK_STEPS for
+    a lone run and CHUNK_STEPS for a wider batch, through one reused
+    (chunk + 1) x batch path buffer.  Each block first gets every step's
     state-independent term g_k (forcing and noise, see _increments) in
     rows 1.., vectorised over the block; stepping then overwrites every
     row k + 1 in place with x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k,
@@ -330,7 +342,8 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     leaves the batch, as does a run at its first bad step.  A consumer
     must copy what it keeps, since the buffers are reused.
     rates holds each ramped run's rate (None for other schedules) and
-    streams each run's RunStream, positioned at its step normals.
+    streams each run's RunStream, positioned at its step normals (it may
+    be None when sigma = 0, since no normal is drawn).
     Returns {batch index: first bad step} of those runs whose consumer
     was not done by then.  The arithmetic is elementwise per run, so a
     run's bits do not depend on its batch, and _step_floats keeps
@@ -339,7 +352,8 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     """
     n_steps, dt = config.n_steps, config.dt
     batch = len(consumers)
-    buf = np.empty((min(CHUNK_STEPS, n_steps) + 1, batch))
+    chunk = chunk_steps(batch)
+    buf = np.empty((min(chunk, n_steps) + 1, batch))
     buf[0] = config.x0
     handoff = np.empty((min(GROUP_RUNS, batch), len(buf)))
     c1, c2 = 1.0 + dt, -dt / 3.0
@@ -347,8 +361,8 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     diverged = {}
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for c0 in range(0, n_steps, CHUNK_STEPS):
-            c_end = min(c0 + CHUNK_STEPS, n_steps)
+        for c0 in range(0, n_steps, chunk):
+            c_end = min(c0 + chunk, n_steps)
             n, width = c_end - c0, len(active)
             xs = buf[:n + 1, :width]
             _increments(xs[1:], config, c0, None if rates is None else rates[active],
@@ -467,18 +481,23 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None, *,
     """Integrate the runs with the given seeds together; one RunResult each.
 
     The one integration path of the package: simulate is its one-run
-    case and iter_ensemble hands it one batch at a time.  Every stream
-    first draws its 2-uniform auxiliary block; with a d_min sampler the
-    first uniform sets the run's ramp floor.  Each run streams into
+    case and iter_ensemble hands it one batch at a time.  A run gets its
+    RunStream only when it draws from it: when sigma > 0 or a d_min
+    sampler is given.  Every stream first draws its 2-uniform auxiliary
+    block; with a d_min sampler the first uniform sets the run's ramp
+    floor.  Without either, each stream is None and nothing is drawn, so
+    a noise-free run does not load numpy.random.  Each run streams into
     consumer() (see _integrate) and its value is that consumer's
     result().  A diverged run comes back with value None and its
     DivergenceError set.
     """
     sched = config.amplitude_schedule
-    streams = [RunStream(seed) for seed in seeds]
-    aux = [s.uniforms(2) for s in streams]  # auxiliary block, see rng.RunStream
-    d_mins = [None if d_min_sampler is None else float(d_min_sampler.from_uniform(u[0]))
-              for u in aux]
+    streams, d_mins = [None] * len(seeds), [None] * len(seeds)
+    if config.sigma > 0.0 or d_min_sampler is not None:
+        streams = [RunStream(seed) for seed in seeds]
+        aux = [s.uniforms(2) for s in streams]  # auxiliary block, see rng.RunStream
+        if d_min_sampler is not None:
+            d_mins = [float(d_min_sampler.from_uniform(u[0])) for u in aux]
     schedules = [sched if dm is None else LinearRampAmplitude(sched.d_max, dm)
                  for dm in d_mins]
     rates = None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps, experiment,
-                      floquet_multiplier, simulate)
+                      floquet_multiplier, sim, simulate)
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
@@ -216,10 +216,15 @@ def run_cli(*args):
     return main(list(args))
 
 
-def test_python_m_cycleews_runs_from_a_checkout(tmp_path):
+def checkout_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for subprocesses."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_cycleews_runs_from_a_checkout(tmp_path):
+    env = checkout_env()
 
     def run(*args):
         return subprocess.run([sys.executable, "-m", "cycleews", *args], env=env,
@@ -520,13 +525,23 @@ def test_serial_commands_do_not_import_multiprocessing(tmp_path):
             "rc = main(['experiment'] + args); "
             f"rc += main(['classify', '--features', {str(features)!r}] + args); "
             "print(rc, 'multiprocessing' in sys.modules)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
     assert done.stdout.split() == ["0", "False"], done.stderr
     assert json.loads((tmp_path / "report.json").read_text())["cv"] is not None
+
+
+def test_diagnose_does_not_import_numpy_random(tmp_path):
+    # its runs are noise-free, so none builds a Philox stream
+    code = ("import sys; from cycleews.cli import main; "
+            "rc = main(['diagnose', '--da', '0.5,0.9,1.2', '--periods', '25,50', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
+    rows = json.loads((tmp_path / "diagnostics.json").read_text())["rows"]
+    assert sum(row["log_floquet"] is not None for row in rows) == 4
 
 
 def test_cli_simulate(tmp_path):
@@ -578,6 +593,18 @@ def test_cli_diagnose(tmp_path):
     assert above["measured_delay_phase"] > 0.0
     assert above["beta"] == pytest.approx(1.2 * (2 * math.pi / 50)
                                           * math.sqrt(1 - 4 / (9 * 1.44)))
+
+
+@pytest.mark.parametrize("command", ["experiment", "figures", "simulate", "diagnose"])
+def test_cli_rejects_x0_beyond_the_divergence_bound(monkeypatch, tmp_path, capsys, command):
+    # every run from there would diverge at its first step
+    monkeypatch.setattr(sim, "_integrate", lambda *args: pytest.fail("integrated"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("t_total = 450\nn_runs = 4\nx0 = 1e200\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert "divergence bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_diagnose_diverging_grid_gives_nulls(tmp_path):

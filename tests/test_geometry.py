@@ -8,12 +8,12 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig,
                       critical_manifold_roots, detect_jumps, floquet_multiplier,
                       fold_info, fold_sweep_rate, hazard_window_width,
                       jump_phase_decomposition, predicted_delay_phase, simulate)
-from cycleews import geometry
+from cycleews import geometry, sim
 from cycleews.base import ConvergenceError
 from cycleews.experiment import measured_delay_phase
 from cycleews.geometry import FOLD_FORCING_VALUE
 from cycleews.rng import generator
-from cycleews.sim import CHUNK_STEPS
+from cycleews.sim import LONE_CHUNK_STEPS
 
 OMEGA = 2.0 * math.pi / 225.0
 
@@ -207,16 +207,26 @@ def test_floquet_steps_integrated_stop_where_the_second_period_rejoins(lone_run_
         est = floquet_multiplier(_floquet_config(period, d_a))
         steps = round(period / 0.01)
         # the second period rejoins the first within its first chunk
-        assert est.steps_integrated == steps + min(CHUNK_STEPS, steps), period
+        assert est.steps_integrated == steps + min(LONE_CHUNK_STEPS, steps), period
         assert est.steps_integrated == sum(lone_run_steps), period
         assert est.periods_integrated == 2, period
 
 
 def test_floquet_steps_integrated_of_one_chunk_periods():
-    # at d_a 0.9, period 25 the second period does not rejoin the first, and
-    # a 2,500-step period is one chunk, which a rejoin cannot shorten
+    # at d_a 0.9, period 25 the second period does not rejoin the first, so it
+    # steps all 2,500 steps; the third rejoins the second at step 1,090, inside
+    # the first lone-run chunk
     est = floquet_multiplier(_floquet_config(25.0, 0.9))
-    assert (est.periods_integrated, est.steps_integrated) == (3, 3 * 2_500)
+    assert (est.periods_integrated, est.steps_integrated) == (3, 2 * 2_500 + LONE_CHUNK_STEPS)
+
+
+def test_floquet_search_builds_no_random_stream(monkeypatch):
+    def no_stream(seed):
+        raise AssertionError("a noise-free run built a random stream")
+
+    monkeypatch.setattr(sim, "RunStream", no_stream)
+    est = floquet_multiplier(_floquet_config(50.0, 1.2))
+    assert est.log_multiplier < 0.0
 
 
 def test_floquet_preconditions():

@@ -11,7 +11,7 @@ from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       simulate)
 from cycleews import sim
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import (CHUNK_STEPS, GROUP_RUNS, PathConsumer, _increments, _integrate,
+from cycleews.sim import (GROUP_RUNS, LONE_CHUNK_STEPS, PathConsumer, _increments, _integrate,
                           _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
                           write_trajectory_csv)
 
@@ -59,6 +59,18 @@ def test_schedule_invariants():
         # 0.013 does not divide 1.0 into whole steps
         SimConfig(dt=0.013, t_total=1.0, omega=OMEGA,
                   amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=1.0)
+
+
+def test_x0_must_lie_within_the_divergence_bound():
+    def config(x0):
+        return SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
+                         amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=x0)
+
+    for x0 in (sim.STATE_GUARD, -sim.STATE_GUARD):
+        assert config(x0).x0 == x0
+    for x0 in (1.000001e6, -1e7, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="divergence bound"):
+            config(x0)
 
 
 def test_grid_length():
@@ -188,7 +200,7 @@ def test_increments_match_per_column_oracle(width, sigma, schedule):
 
 def test_divergence_guard():
     config = SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
-                       amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0, x0=1e7)
+                       amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0, x0=2000.0)
     with pytest.raises(DivergenceError) as err:
         simulate(config, 0)
     assert err.value.step_index == 1
@@ -345,7 +357,7 @@ def test_d_min_law_of_large_numbers():
 def test_ensemble_divergence_flag_mode():
     config = SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0,
-                       x0=1e7, master_seed=3)
+                       x0=2000.0, master_seed=3)
     results = list(iter_ensemble(config, 2, consumer=partial(PathConsumer, config.n_steps)))
     assert all(r.value is None and r.error.run_index == r.run_index for r in results)
     assert all(isinstance(r.error, DivergenceError) for r in results)
@@ -554,11 +566,14 @@ def test_simulate_with_rejoin_gives_the_same_bytes(lone_run_steps, d_a, period, 
                        amplitude_schedule=ConstantAmplitude(d_a), sigma=sigma, x0=1.0)
     seed = run_seed_for(4, 0)
     prev = simulate(config, seed).x
-    for _ in range(2):
+    # a period that rejoins steps to the end of that lone-run chunk, one that does not
+    # steps its whole length; every rejoin here falls in the first chunk
+    first = config.n_steps if (d_a, period) == (0.9, 25.0) else LONE_CHUNK_STEPS
+    for steps in (first, LONE_CHUNK_STEPS):
         later = replace(config, x0=float(prev[-1]) + sigma)
         lone_run_steps.clear()
         cur = simulate(later, seed, rejoin=prev).x
-        assert sum(lone_run_steps) == min(CHUNK_STEPS, config.n_steps)
+        assert sum(lone_run_steps) == steps
         assert sim.rejoin_step(cur, prev) == sum(lone_run_steps)
         assert cur.tobytes() == simulate(later, seed).x.tobytes()
         prev = cur
