@@ -9,7 +9,6 @@ multiplier of the deterministic periodic orbit over one forcing period.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -25,6 +24,10 @@ _ROOT_MERGE_TOL = 1.0e-7
 _FLOQUET_TRANSIENT_PERIODS = 5
 _FLOQUET_TOL = 1.0e-9
 _FLOQUET_MAX_PERIODS = 64
+# -a_1, minus the first zero of Ai: the escape time of y' = y^2 + t past t = 0
+AIRY_FIRST_ZERO = 2.338107410459767
+# |f''(x*)/2| of f(x) = x - x^3/3 at its folds x* = +-1, where f'' = -2x
+FOLD_CURVATURE = 1.0
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,9 @@ class FloquetEstimate:
     """Contraction over one period; orbit is the periodic path x(i dt), i = 0 .. steps.
 
     periods_integrated counts the periods the search integrated (its
-    simulate calls); a period whose start state repeats the last
-    integrated one reuses that period's path and does not count.
-    steps_integrated counts the steps those calls stepped: a period
-    after the first stops at the first end of a LONE_CHUNK_STEPS-step
-    chunk where it rejoins the period before it.
+    simulate calls).  steps_integrated counts the steps those calls
+    stepped: a period after the first stops at the first end of a
+    lone-run chunk where it rejoins the period before it.
     """
 
     multiplier: float
@@ -133,12 +134,14 @@ def fold_sweep_rate(d_a: float, omega: float) -> float:
     return d_a * omega * math.sqrt(rad)
 
 
-def predicted_delay_phase(d_a: float, omega: float, c: float = 1.0) -> float:
-    """Slow-passage delay phase C omega^(2/3) (d_a sqrt(1 - 4/(9 d_a^2)))^(-1/3)."""
+def predicted_delay_phase(d_a: float, omega: float) -> float:
+    """Slow-passage delay phase -a_1 |f''(x*)/2|^(-1/3) omega beta^(-1/3) (Haberman 1979).
+
+    beta is fold_sweep_rate; omega turns the escape time past the fold into a phase.
+    """
     require(d_a > FOLD_FORCING_VALUE, "delay law needs d_a strictly above the fold value")
-    require(omega > 0.0 and c > 0.0, "omega and c must be > 0")
-    base = d_a * math.sqrt(1.0 - 4.0 / (9.0 * d_a * d_a))
-    return c * omega ** (2.0 / 3.0) * base ** (-1.0 / 3.0)
+    beta = fold_sweep_rate(d_a, omega)
+    return AIRY_FIRST_ZERO * FOLD_CURVATURE ** (-1.0 / 3.0) * omega * beta ** (-1.0 / 3.0)
 
 
 def hazard_window_width(sigma: float, beta: float) -> float:
@@ -165,7 +168,7 @@ def jump_phase_decomposition(t_jump: float, d_a: float, omega: float) -> JumpDec
     delta, eta = assign_extremum(phi)
     psi = float(delta)
     t_star = t_jump - psi / omega
-    theta = -math.acos(min(1.0, 2.0 / (3.0 * d_a)))
+    theta = fold_info(d_a).static_phase_offset
     t_fold = t_star + theta / omega
     return JumpDecomposition(psi=psi, theta=theta, phi_delay=psi - theta,
                              t_star=t_star, t_fold=t_fold, eta=int(eta))
@@ -178,25 +181,24 @@ def jump_phase_decomposition(t_jump: float, d_a: float, omega: float) -> JumpDec
 def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     """Contraction of the deterministic orbit over one forcing period.
 
-    Integrates the noise-free system period by period until, after the
-    transient periods, the path is periodic to within _FLOQUET_TOL (sup
-    norm over the grid), then evaluates
+    Integrates the noise-free system period by period, each period one
+    simulate call on the grid of the first period started from the
+    previous period's end state, so periodicity holds by construction in
+    the phase argument.  The search ends at the first period whose path
+    ends on its own start state's bits (-0.0 and 0.0 differ): at
+    sigma = 0 a simulate call is a pure function of its start state, so
+    that path is also the path of every later period.  Otherwise it ends
+    once, after the transient periods, the path is periodic to within
+    _FLOQUET_TOL (sup norm over the grid).  It then evaluates
     mu = exp(integral of 1 - x(t)^2 over one period) by trapezoidal
-    quadrature on the same grid.  Each period is one simulate call on
-    the grid of the first period, started from the previous period's
-    end state, so periodicity holds by construction in the phase
-    argument.  At sigma = 0 that call is a pure function of its start
-    state, so a period that starts from the same float as the last
-    integrated one (bit for bit: -0.0 and 0.0 differ) reuses that path
-    instead of integrating it again; once the float map reaches a fixed
-    point, no further period is integrated.  Every later period is
-    integrated with rejoin=prev, the period before it: both step through
-    the same g_k, so once one state equals prev's at the same index, so
-    do all later ones, and the call stops at the end of that chunk (a
-    lone run's LONE_CHUNK_STEPS-step chunk, or the whole period when it
-    is shorter) and copies the rest from prev with the same bits.  No
-    period draws noise, so the search builds no random stream.  The last
-    period's path, found periodic, is kept as orbit.
+    quadrature on the same grid, from the last period's path, kept as
+    orbit.  Every later period is integrated with rejoin=prev, the
+    period before it: both step through the same g_k, so once one state
+    equals prev's at the same index, so do all later ones, and the call
+    stops at the end of that chunk (a lone run's chunk_steps(1)-step
+    chunk, or the whole period when it is shorter) and copies the rest
+    from prev with the same bits.  No period draws noise, so the search
+    builds no random stream.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),
@@ -210,28 +212,22 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     require(steps >= 2, "period must span at least 2 steps of dt")
 
     one_period = replace(config, t_total=steps * config.dt)
-    x = config.x0
-    prev = start = None  # start: the bits of the last integrated period's x0
-    integrated = stepped = 0
+    x, prev, stepped = config.x0, None, 0
     for period in range(1, _FLOQUET_MAX_PERIODS + 1):
-        bits = struct.pack("<d", x)
-        if bits != start:
-            try:
-                cur = simulate(replace(one_period, x0=x), run_seed=0, rejoin=prev).x
-            except DivergenceError as exc:
-                raise ConvergenceError(
-                    "state diverged while seeking the periodic orbit") from exc
-            start = bits
-            integrated += 1
-            stepped += rejoin_step(cur, prev)
-        if period > _FLOQUET_TRANSIENT_PERIODS and prev is not None:
-            if float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL:
-                integrand = 1.0 - cur * cur
-                log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-                return FloquetEstimate(multiplier=math.exp(log_mu),
-                                       log_multiplier=float(log_mu),
-                                       periods_integrated=integrated,
-                                       steps_integrated=stepped, orbit=cur)
+        try:
+            cur = simulate(replace(one_period, x0=x), run_seed=0, rejoin=prev).x
+        except DivergenceError as exc:
+            raise ConvergenceError(
+                "state diverged while seeking the periodic orbit") from exc
+        stepped += rejoin_step(cur, prev)
+        first, last = cur[[0, -1]].view(np.int64)
+        if last == first or (period > _FLOQUET_TRANSIENT_PERIODS
+                             and float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL):
+            integrand = 1.0 - cur * cur
+            log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+            return FloquetEstimate(multiplier=math.exp(log_mu), log_multiplier=float(log_mu),
+                                   periods_integrated=period, steps_integrated=stepped,
+                                   orbit=cur)
         prev = cur
         x = float(cur[-1])
     raise ConvergenceError(

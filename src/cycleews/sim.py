@@ -307,7 +307,7 @@ class PathConsumer:
 def rejoin_step(path: np.ndarray, rejoin: Optional[np.ndarray]) -> int:
     """How many steps simulate stepped to return path given rejoin (see PathConsumer).
 
-    A lone run is fed a LONE_CHUNK_STEPS-step chunk at a time and stops
+    A lone run is fed a chunk_steps(1)-step chunk at a time and stops
     at the first chunk end where path has rejoin's bits; without rejoin
     it steps to its end.
     """
@@ -315,7 +315,8 @@ def rejoin_step(path: np.ndarray, rejoin: Optional[np.ndarray]) -> int:
     if rejoin is None:
         return n_steps
     same = path.view(np.int64) == rejoin.view(np.int64)
-    ends = range(LONE_CHUNK_STEPS, n_steps, LONE_CHUNK_STEPS)
+    chunk = chunk_steps(1)
+    ends = range(chunk, n_steps, chunk)
     return next((end for end in ends if same[end]), n_steps)
 
 

@@ -44,7 +44,9 @@ call whose bits depend on the SIMD code numpy dispatches to on the host
 (numpy's AVX-512 float64 log rounds differently from its other loops).
 The cosine factor does not depend on it: after its tables, mul_cos_2pi
 uses exact operations and IEEE + and * only, and its digest is checked
-again in a process whose numpy dispatch leaves out AVX-512.
+again in a process whose numpy dispatch leaves out AVX-512.  Neither do
+the noise-free diagnostics.json digests, which draw no normal; they are
+checked again in such a process too.
 """
 
 import hashlib
@@ -111,9 +113,11 @@ SIMULATE_OUTPUTS_SHA256 = {
 }
 
 # diagnose on d_a in (0.5, 0.75, 1.3) x periods (50, 100, 225) at the default dt and x0
+DIAGNOSTICS_GRID = ([0.5, 0.75, 1.3], [50.0, 100.0, 225.0])
 DIAGNOSTICS_SHA256 = "0849c2fb1c9948f3caebee69f06f424584556a05abd0a57a20cb482ca4d5707b"
 
 # diagnose on d_a in (0.5, 0.75, 0.9, 1.5) x periods (25, 100, 400)
+SEARCH_DIAGNOSTICS_GRID = ([0.5, 0.75, 0.9, 1.5], [25.0, 100.0, 400.0])
 SEARCH_DIAGNOSTICS_SHA256 = "f845b054124b75dfe89c615aee0c121eaa98fa00c5682db23835e2df3e0f2553"
 
 
@@ -126,6 +130,23 @@ def cos_factor_digest() -> str:
     return _sha256(mul_cos_2pi(words, np.ones(10 ** 5)).tobytes())
 
 
+def diagnostics_digest(out_dir, grid) -> str:
+    run_diagnose(ExperimentConfig(out_dir=str(out_dir)), *grid)
+    return _sha256((Path(out_dir) / "diagnostics.json").read_bytes())
+
+
+def run_without_avx512(script: str, *args: str) -> str:
+    """stdout of python -c script in a fresh process, since numpy reads
+    NPY_DISABLE_CPU_FEATURES at import."""
+    paths = [str(Path(cycleews.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip()
+
+
 def test_run_stream_normals_fingerprint():
     assert _sha256(RunStream(2025).normals(10 ** 5).tobytes()) == NORMALS_SHA256
 
@@ -135,15 +156,19 @@ def test_cos_factor_fingerprint():
 
 
 def test_cos_factor_fingerprint_without_avx512():
-    # a fresh process, since numpy reads NPY_DISABLE_CPU_FEATURES at import
-    paths = [str(Path(cycleews.__file__).parents[1]), str(Path(__file__).parent),
-             os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
-               PYTHONPATH=os.pathsep.join(p for p in paths if p))
     script = "from test_golden import cos_factor_digest; print(cos_factor_digest())"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == COS_FACTOR_SHA256
+    assert run_without_avx512(script) == COS_FACTOR_SHA256
+
+
+def test_diagnostics_fingerprints_without_avx512(tmp_path):
+    # sigma = 0 draws no normal, so no np.log enters the noise-free paths
+    script = ("import sys\n"
+              "from test_golden import DIAGNOSTICS_GRID, SEARCH_DIAGNOSTICS_GRID, "
+              "diagnostics_digest\n"
+              "print(diagnostics_digest(sys.argv[1] + '/grid', DIAGNOSTICS_GRID),\n"
+              "      diagnostics_digest(sys.argv[1] + '/search', SEARCH_DIAGNOSTICS_GRID))")
+    digests = run_without_avx512(script, str(tmp_path)).split()
+    assert digests == [DIAGNOSTICS_SHA256, SEARCH_DIAGNOSTICS_SHA256]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -177,15 +202,11 @@ def test_experiment_outputs_fingerprint(tmp_path, threads):
 
 
 def test_diagnostics_fingerprint(tmp_path):
-    run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 0.75, 1.3],
-                 [50.0, 100.0, 225.0])
-    assert _sha256((tmp_path / "diagnostics.json").read_bytes()) == DIAGNOSTICS_SHA256
+    assert diagnostics_digest(tmp_path, DIAGNOSTICS_GRID) == DIAGNOSTICS_SHA256
 
 
 def test_search_diagnostics_fingerprint(tmp_path):
-    run_diagnose(ExperimentConfig(out_dir=str(tmp_path)), [0.5, 0.75, 0.9, 1.5],
-                 [25.0, 100.0, 400.0])
-    assert _sha256((tmp_path / "diagnostics.json").read_bytes()) == SEARCH_DIAGNOSTICS_SHA256
+    assert diagnostics_digest(tmp_path, SEARCH_DIAGNOSTICS_GRID) == SEARCH_DIAGNOSTICS_SHA256
 
 
 def test_simulate_outputs_fingerprint(tmp_path):
