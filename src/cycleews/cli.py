@@ -16,13 +16,16 @@ from .experiment import (ConfigError, classify_from_csv, load_config, run_diagno
                          simulate_one)
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+def _add_shared(parser: argparse.ArgumentParser, runs: bool, threads: bool) -> None:
+    """--config, --out and --seed; --runs and --threads only where the command reads them."""
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", help="output directory (overrides out_dir)")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--runs", type=int, help="number of runs override")
-    parser.add_argument("--threads", type=int,
-                        help="worker processes for the ensemble and the SVM fits")
+    if runs:
+        parser.add_argument("--runs", type=int, help="number of runs override")
+    if threads:
+        parser.add_argument("--threads", type=int,
+                            help="worker processes for the ensemble and the SVM fits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,27 +36,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write one trajectory and its events")
-    _add_shared(p)
+    _add_shared(p, runs=False, threads=False)
     p.add_argument("--run-index", type=int, default=0,
                    help="ensemble run index to reproduce (default 0)")
     p.add_argument("--run-seed", type=int, help="explicit run seed (overrides index)")
 
     p = sub.add_parser("features", help="simulate the ensemble and extract features")
-    _add_shared(p)
+    _add_shared(p, runs=True, threads=True)
 
     p = sub.add_parser("classify", help="cross-validate features from a CSV")
-    _add_shared(p)
+    _add_shared(p, runs=False, threads=True)
     p.add_argument("--features", help="features CSV (default <out>/features.csv)")
 
     p = sub.add_parser("experiment",
                        help="full pipeline incl. importances, PCA and figure data (d, e)")
-    _add_shared(p)
+    _add_shared(p, runs=True, threads=True)
 
     p = sub.add_parser("figures", help="figure data (a)-(c): breakdown run, amplitude levels")
-    _add_shared(p)
+    _add_shared(p, runs=False, threads=True)
 
     p = sub.add_parser("diagnose", help="geometry diagnostics over a parameter grid")
-    _add_shared(p)
+    _add_shared(p, runs=False, threads=False)
     p.add_argument("--da", default="1.2",
                    help="comma-separated forcing amplitudes (default 1.2)")
     p.add_argument("--periods", default="225",
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args) -> dict:
     return {"out_dir": args.out, "master_seed": args.seed,
-            "n_runs": args.runs, "threads": args.threads}
+            "n_runs": getattr(args, "runs", None), "threads": getattr(args, "threads", None)}
 
 
 def _grid(text: str, flag: str) -> list:

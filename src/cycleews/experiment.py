@@ -41,8 +41,6 @@ from .sim import (ConstantAmplitude, LinearRampAmplitude, PiecewiseConstantAmpli
                   draw_d_min, iter_ensemble, kernel_samples,
                   run_seed_for, simulate, write_trajectory_csv)
 
-TWO_PI = 2.0 * math.pi
-
 
 class ConfigError(ValueError):
     pass
@@ -149,14 +147,10 @@ class ExperimentConfig:
                     f"{batches} up to {float(held):.6g} bytes (chunk buffers and per-run "
                     f"state), more than the {memory} bytes of physical memory")
 
-    @property
-    def omega(self) -> float:
-        return TWO_PI / self.forcing_period
-
     def sim_config(self, schedule=None) -> SimConfig:
         if schedule is None:
             schedule = LinearRampAmplitude(self.d_max, self.d_min_low)
-        return SimConfig(dt=self.dt, t_total=self.t_total, omega=self.omega,
+        return SimConfig(dt=self.dt, t_total=self.t_total, forcing_period=self.forcing_period,
                          amplitude_schedule=schedule, sigma=self.sigma, x0=self.x0,
                          master_seed=self.master_seed)
 
@@ -281,8 +275,8 @@ def _log(message: str) -> None:
 
 def _feature_streams(config: ExperimentConfig, sim_cfg: SimConfig, det: DetectorConfig):
     """iter_ensemble's consumer factory: a FeatureStream for each run of sim_cfg."""
-    return partial(FeatureStream, det, config.feature_config(), config.forcing_period,
-                   config.omega, sim_cfg.dt, sim_cfg.n_steps)
+    return partial(FeatureStream, det, config.feature_config(), sim_cfg.forcing_period,
+                   sim_cfg.dt, sim_cfg.n_steps)
 
 
 def run_feature_pipeline(config: ExperimentConfig) -> Iterator[RunResult]:
@@ -646,7 +640,7 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
                 require(math.isfinite(d_a) and d_a > 0.0, "d_a must be finite and > 0")
                 require(math.isfinite(period) and period > 0.0,
                         "period must be finite and > 0")
-                grid.append(SimConfig(dt=config.dt, t_total=period, omega=TWO_PI / period,
+                grid.append(SimConfig(dt=config.dt, t_total=period, forcing_period=period,
                                       amplitude_schedule=ConstantAmplitude(d_a),
                                       sigma=0.0, x0=config.x0))
                 require(grid[-1].n_steps >= 2, "period must span at least 2 steps of dt")
@@ -660,7 +654,7 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for sim_cfg in grid:
-        d_a, period, omega = sim_cfg.amplitude_schedule.value, sim_cfg.t_total, sim_cfg.omega
+        d_a = sim_cfg.amplitude_schedule.value
         log_mu = delay = None
         if d_a > FOLD_FORCING_VALUE:
             try:
@@ -670,8 +664,8 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
             else:
                 log_mu = floquet.log_multiplier
                 delay = measured_delay_phase(sim_cfg, floquet, config.detector())
-        row = diagnostics_record(d_a, omega, log_floquet=log_mu)
-        row["forcing_period"] = period
+        row = diagnostics_record(d_a, sim_cfg.omega, log_floquet=log_mu)
+        row["forcing_period"] = sim_cfg.forcing_period
         row["measured_delay_phase"] = delay
         rows.append(row)
     write_report({"rows": rows}, out_dir / "diagnostics.json")

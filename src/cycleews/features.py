@@ -240,7 +240,7 @@ def rolling_circ_std(deltas, window_w: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def extract_features(traj: Trajectory, det: DetectorConfig, fcfg: FeatureConfig,
-                     t_f: float, omega: float) -> FeatureVector:
+                     t_f: float) -> FeatureVector:
     """Four trend slopes for one run: a FeatureStream fed the whole path once.
 
     A run is invalid when fewer than min_cycles cycles are available,
@@ -248,7 +248,7 @@ def extract_features(traj: Trajectory, det: DetectorConfig, fcfg: FeatureConfig,
     windows (the minimum for a defined slope); the first failed
     requirement is recorded.
     """
-    stream = FeatureStream(det, fcfg, t_f, omega, traj.dt, len(traj.x) - 1)
+    stream = FeatureStream(det, fcfg, t_f, traj.dt, len(traj.x) - 1)
     stream.feed(traj.x)
     return stream.result()
 
@@ -303,13 +303,14 @@ class FeatureStream:
     It is known before the path ends once the open segment starts at a final
     boundary and already holds more samples than that; since merges only
     lengthen segments, no later sample can change it.  feed then returns
-    True: the run needs no more samples.
+    True: the run needs no more samples.  t_f is the forcing period, and
+    the jump phases use omega = 2 pi / t_f, as SimConfig.omega does.
     """
 
     def __init__(self, det: DetectorConfig, fcfg: FeatureConfig, t_f: float,
-                 omega: float, dt: float, n_steps: int):
+                 dt: float, n_steps: int):
         self.fcfg = fcfg
-        self.omega = omega
+        self.omega = TWO_PI / t_f
         self.dt = dt
         self.threshold = det.breakdown_factor * t_f
         self.jumps = JumpStream(det, n_steps)

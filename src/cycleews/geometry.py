@@ -33,7 +33,6 @@ FOLD_CURVATURE = 1.0
 @dataclass(frozen=True)
 class FoldInfo:
     exists: bool
-    fold_forcing_value: float
     static_phase_offset: Optional[float]
 
 
@@ -122,8 +121,7 @@ def fold_info(d_a: float) -> FoldInfo:
     offset = None
     if exists:
         offset = -math.acos(min(1.0, 2.0 / (3.0 * d_a)))
-    return FoldInfo(exists=exists, fold_forcing_value=FOLD_FORCING_VALUE,
-                    static_phase_offset=offset)
+    return FoldInfo(exists=exists, static_phase_offset=offset)
 
 
 def fold_sweep_rate(d_a: float, omega: float) -> float:
@@ -182,9 +180,10 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     """Contraction of the deterministic orbit over one forcing period.
 
     Integrates the noise-free system period by period, each period one
-    simulate call on the grid of the first period started from the
-    previous period's end state, so periodicity holds by construction in
-    the phase argument.  The search ends at the first period whose path
+    simulate call of t_total = config.forcing_period (a whole number of
+    dt steps, at least 2, by SimConfig's rule) started from the previous
+    period's end state, so periodicity holds by construction in the
+    phase argument.  The search ends at the first period whose path
     ends on its own start state's bits (-0.0 and 0.0 differ): at
     sigma = 0 a simulate call is a pure function of its start state, so
     that path is also the path of every later period.  Otherwise it ends
@@ -205,13 +204,8 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
             "Floquet estimate requires a constant amplitude")
     require(config.amplitude_schedule.value > FOLD_FORCING_VALUE,
             "jumping orbit requires amplitude above the fold value")
-    t_f = config.forcing_period
-    steps = int(round(t_f / config.dt))
-    require(abs(t_f / config.dt - steps) < 1.0e-6,
-            "forcing period must be a whole number of steps")
-    require(steps >= 2, "period must span at least 2 steps of dt")
-
-    one_period = replace(config, t_total=steps * config.dt)
+    one_period = replace(config, t_total=config.forcing_period)
+    require(one_period.n_steps >= 2, "period must span at least 2 steps of dt")
     x, prev, stepped = config.x0, None, 0
     for period in range(1, _FLOQUET_MAX_PERIODS + 1):
         try:

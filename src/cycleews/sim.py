@@ -175,7 +175,7 @@ class SimConfig:
 
     dt: float
     t_total: float
-    omega: float
+    forcing_period: float
     amplitude_schedule: AmplitudeSchedule
     sigma: float
     x0: float
@@ -184,7 +184,8 @@ class SimConfig:
     def __post_init__(self):
         require(self.dt > 0.0, "dt must be > 0")
         require(self.t_total > 0.0, "t_total must be > 0")
-        require(self.omega > 0.0, "omega must be > 0")
+        require(math.isfinite(self.forcing_period) and self.forcing_period > 0.0,
+                "forcing_period must be finite and > 0")
         require(self.sigma >= 0.0, "sigma must be >= 0")
         require(abs(self.x0) <= STATE_GUARD,
                 f"x0 must be finite and within the divergence bound {STATE_GUARD:g}")
@@ -196,8 +197,8 @@ class SimConfig:
         return _whole_steps(self.t_total, self.dt)
 
     @property
-    def forcing_period(self) -> float:
-        return 2.0 * math.pi / self.omega
+    def omega(self) -> float:
+        return 2.0 * math.pi / self.forcing_period
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import math
 import multiprocessing.pool
 
 import numpy as np
@@ -7,8 +6,6 @@ from hypothesis import settings
 
 from cycleews import ConstantAmplitude, DetectorConfig, SimConfig, simulate
 
-OMEGA_225 = 2.0 * math.pi / 225.0
-
 # CI runs with --hypothesis-profile=ci, so a failing example reproduces
 settings.register_profile("ci", derandomize=True)
 
@@ -16,7 +13,7 @@ settings.register_profile("ci", derandomize=True)
 @pytest.fixture(scope="session")
 def relaxation_run():
     """Deterministic jumping orbit: sigma=0, constant amplitude 1.2, 11 periods."""
-    config = SimConfig(dt=0.01, t_total=225.0 * 11, omega=OMEGA_225,
+    config = SimConfig(dt=0.01, t_total=225.0 * 11, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     return config, simulate(config, run_seed=0)
 

@@ -100,7 +100,7 @@ def test_criterion_3_floquet_scaling():
     periods = [25.0, 50.0, 100.0, 200.0]
     logs = []
     for period in periods:
-        config = SimConfig(dt=0.01, t_total=period, omega=2 * math.pi / period,
+        config = SimConfig(dt=0.01, t_total=period, forcing_period=period,
                            amplitude_schedule=ConstantAmplitude(1.2),
                            sigma=0.0, x0=1.0)
         logs.append(floquet_multiplier(config).log_multiplier)
@@ -108,7 +108,7 @@ def test_criterion_3_floquet_scaling():
     inv_omega = np.array([-period / (2 * math.pi) for period in periods])
     r = np.corrcoef(inv_omega, logs)[0, 1]
     r_squared = r * r
-    config_225 = SimConfig(dt=0.01, t_total=225.0, omega=2 * math.pi / 225.0,
+    config_225 = SimConfig(dt=0.01, t_total=225.0, forcing_period=225.0,
                            amplitude_schedule=ConstantAmplitude(1.2),
                            sigma=0.0, x0=1.0)
     mu_225 = floquet_multiplier(config_225).multiplier
@@ -128,7 +128,7 @@ def test_criterion_4_delay_exponent():
     omegas = [2 * math.pi / p for p in periods]
     delays = []
     for period, omega in zip(periods, omegas):
-        cfg = SimConfig(dt=0.01, t_total=period, omega=omega,
+        cfg = SimConfig(dt=0.01, t_total=period, forcing_period=period,
                         amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=1.0)
         delays.append(measured_delay_phase(cfg, floquet_multiplier(cfg), DetectorConfig()))
     slope = ols_slope_loglog(omegas, delays)
@@ -155,7 +155,7 @@ def test_criterion_5_phase_decomposition():
     max_residual = 0.0
     thetas = {}
     for d_a in (0.8, 1.0, 1.2):
-        config = SimConfig(dt=0.01, t_total=5 * period, omega=omega,
+        config = SimConfig(dt=0.01, t_total=5 * period, forcing_period=period,
                            amplitude_schedule=ConstantAmplitude(d_a),
                            sigma=0.0, x0=1.0)
         traj = simulate(config, 0)

@@ -10,8 +10,6 @@ from cycleews.events import LOWER, UPPER, JumpStream, write_events_csv
 from cycleews.features import FeatureConfig, FeatureStream
 from conftest import make_trajectory
 
-OMEGA = 2.0 * math.pi / 225.0
-
 
 def small_det(n_min=2, factor=0.75):
     return DetectorConfig(x_up=0.4, x_low=-0.4, n_min=n_min, breakdown_factor=factor)
@@ -259,7 +257,7 @@ def test_deterministic_relaxation_cadence(relaxation_run, detector):
 
 def test_breakdown_from_deterministic_ramp(detector):
     from cycleews import LinearRampAmplitude, SimConfig, simulate
-    config = SimConfig(dt=0.01, t_total=2500.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=2500.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.0, x0=1.0)
     traj = simulate(config, 0)
@@ -303,8 +301,7 @@ def test_non_finite_states_rejected(bad, where):
             detect_jumps(make_trajectory(x), det)
         for before in ([], [lead]):
             jumps = JumpStream(det, len(x) - 1)
-            features = FeatureStream(det, FeatureConfig(), 100.0, 2.0 * math.pi / 100.0,
-                                     1.0, len(x) - 1)
+            features = FeatureStream(det, FeatureConfig(), 100.0, 1.0, len(x) - 1)
             for piece in before:
                 jumps.feed(piece)
                 assert not features.feed(piece)

@@ -39,7 +39,7 @@ def fast_config(out_dir, **overrides):
 def test_defaults_match_protocol():
     ec = ExperimentConfig()
     assert ec.dt == 0.01 and ec.t_total == 2500.0
-    assert ec.omega == pytest.approx(2.0 * math.pi / 225.0)
+    assert ec.forcing_period == 225.0 and ec.sim_config().omega == 2.0 * math.pi / 225.0
     assert ec.d_max == 1.2 and (ec.d_min_low, ec.d_min_high) == (0.25, 0.9)
     assert ec.sigma == 0.3 and ec.x0 == 1.0 and ec.n_runs == 1000
     assert (ec.x_up, ec.x_low, ec.n_min_steps) == (0.4, -0.4, 80)
@@ -661,7 +661,7 @@ def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
     assert config.n_steps + 1 >= 10 ** 6
     protocol = ExperimentConfig().sim_config()
     protocol_run = simulate(protocol, 7)
-    orbit_cfg = SimConfig(dt=0.01, t_total=225.0, omega=2.0 * math.pi / 225.0,
+    orbit_cfg = SimConfig(dt=0.01, t_total=225.0, forcing_period=225.0,
                           amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     floquet = floquet_multiplier(orbit_cfg)
     window = 8 * (2 * orbit_cfg.n_steps + 1)
@@ -690,6 +690,19 @@ def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
 def test_cli_diagnose_rejects_bad_grid(tmp_path, flag, value):
     assert run_cli("diagnose", flag, value, "--out", str(tmp_path)) == 2
     assert not (tmp_path / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("simulate", "--runs"), ("simulate", "--threads"), ("classify", "--runs"),
+    ("figures", "--runs"), ("diagnose", "--runs"), ("diagnose", "--threads"),
+])
+def test_cli_rejects_overrides_the_command_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, flag, "2", "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_figures(tmp_path):

@@ -22,7 +22,6 @@ from cycleews.sim import (DivergenceError, PathConsumer, PiecewiseConstantAmplit
                           _simulate_batch, iter_ensemble, run_seed_for)
 from conftest import make_trajectory
 
-OMEGA = 2.0 * math.pi / 225.0
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 
 
@@ -329,11 +328,11 @@ def truncated_segments(traj, det, t_f):
     return truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
 
 
-def whole_path_features(traj, det, fcfg, t_f, omega):
+def whole_path_features(traj, det, fcfg, t_f):
     """Whole-path oracle of FeatureStream.result and extract_features."""
     segset = truncated_segments(traj, det, t_f)
     return trend_features(tuple(cycle_stats(segset, traj.x, fcfg)),
-                          jump_phases(segset.jump_indices, segset.dt, omega),
+                          jump_phases(segset.jump_indices, segset.dt, 2.0 * math.pi / t_f),
                           segset.breakdown, fcfg)
 
 
@@ -355,7 +354,7 @@ def test_cycle_pairing_and_skips():
     segset = detect_jumps(traj, det)
     assert segset.n_segments == 5
     # a 100-step period puts the breakdown limit at 75 steps, past every dwell
-    fv = extract_features(traj, det, fcfg, 100.0, 2.0 * math.pi / 100.0)
+    fv = extract_features(traj, det, fcfg, 100.0)
     assert not fv.label
     assert list(fv.cycles) == cycle_stats(segset, x, fcfg)
     assert [c.cycle_index for c in fv.cycles] == [0, 1]  # trailing segment dropped
@@ -372,7 +371,7 @@ def test_cycle_skips_zero_variance():
     segset = detect_jumps(traj, det)
     assert segset.boundaries.tolist() == [0, 40, 80]
     assert cycle_stats(segset, traj.x, fcfg) == []
-    fv = extract_features(traj, det, fcfg, 100.0, 2.0 * math.pi / 100.0)
+    fv = extract_features(traj, det, fcfg, 100.0)
     assert (fv.cycles, fv.n_cycles, fv.n_jumps) == ((), 0, 1)
     assert math.isnan(lag1_autocorrelation(np.zeros(50)))
 
@@ -401,12 +400,11 @@ def test_deterministic_jump_phase_slope_is_flat(relaxation_run, detector):
 
 def test_extract_features_requires_minimum_history(detector):
     from cycleews import ConstantAmplitude, SimConfig, simulate
-    config = SimConfig(dt=0.01, t_total=225.0 * 2, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=225.0 * 2, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     traj = simulate(config, 0)
-    fv = extract_features(traj, detector, FeatureConfig(), 225.0, config.omega)
-    _same_features(fv, whole_path_features(traj, detector, FeatureConfig(), 225.0,
-                                           config.omega))
+    fv = extract_features(traj, detector, FeatureConfig(), 225.0)
+    _same_features(fv, whole_path_features(traj, detector, FeatureConfig(), 225.0))
     assert not fv.valid
     assert fv.exclusion_reason == "too_few_cycles"
     assert math.isnan(fv.slope_var)
@@ -414,10 +412,9 @@ def test_extract_features_requires_minimum_history(detector):
 
 def test_extract_features_valid_run(relaxation_run, detector):
     config, traj = relaxation_run
-    fv = extract_features(traj, detector, FeatureConfig(), config.forcing_period,
-                          config.omega)
+    fv = extract_features(traj, detector, FeatureConfig(), config.forcing_period)
     _same_features(fv, whole_path_features(traj, detector, FeatureConfig(),
-                                           config.forcing_period, config.omega))
+                                           config.forcing_period))
     assert fv.valid and not fv.label
     assert np.isfinite([fv.slope_var, fv.slope_ac1, fv.slope_jump_phase,
                         fv.slope_phase_std]).all()
@@ -426,7 +423,7 @@ def test_extract_features_valid_run(relaxation_run, detector):
 def test_decomposition_consistent_with_jump_phases(detector):
     from cycleews import LinearRampAmplitude, SimConfig, simulate
     from cycleews.geometry import jump_phase_decomposition
-    config = SimConfig(dt=0.01, t_total=2500.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=2500.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=8)
     traj = simulate(config, 42)
@@ -480,12 +477,12 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=n_min, breakdown_factor=0.5)
     fcfg = FeatureConfig(p_buf=0.05, detrend_degree=1, window_w=2, min_cycles=2,
                          min_jumps=2)
-    t_f, omega = 2.0 * limit, 2.0 * math.pi / 50.0
+    t_f = 2.0 * limit
     traj = make_trajectory(x)
     segset = truncated_segments(traj, det, t_f)
-    expected = whole_path_features(traj, det, fcfg, t_f, omega)
+    expected = whole_path_features(traj, det, fcfg, t_f)
 
-    stream = FeatureStream(det, fcfg, t_f, omega, 1.0, len(x) - 1)
+    stream = FeatureStream(det, fcfg, t_f, 1.0, len(x) - 1)
     pos = 0
     for chunk in itertools.cycle(chunks):
         if stream.feed(x[pos:pos + chunk]):
@@ -493,7 +490,7 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
         pos += chunk
     fv = stream.result()
     _same_features(fv, expected)
-    _same_features(extract_features(traj, det, fcfg, t_f, omega), expected)
+    _same_features(extract_features(traj, det, fcfg, t_f), expected)
     # a run that stops early has its onset segment already too long
     if stream.jumps.seen < len(x):
         assert expected.label and segset.boundaries[-1] + limit < stream.jumps.seen
@@ -514,7 +511,7 @@ def test_feature_stream_holds_within_its_bound():
                          min_jumps=2)
     t_f, chunk, n_steps = 200.0, 64, len(x) - 1
     longest = 101  # samples of a segment at the 100-step breakdown limit
-    stream = FeatureStream(det, fcfg, t_f, 2.0 * math.pi / 80.0, 1.0, n_steps)
+    stream = FeatureStream(det, fcfg, t_f, 1.0, n_steps)
     bound = FeatureStream.held_samples(det, t_f, 1.0, n_steps, chunk, 1)
     held = []
     for pos in range(0, len(x), chunk):
@@ -535,8 +532,8 @@ def test_feature_stream_holds_its_path_from_the_first_unpaired_segment(chunk):
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
     fcfg = FeatureConfig(p_buf=0.05, detrend_degree=1, window_w=2, min_cycles=2,
                          min_jumps=2)
-    t_f, omega = 200.0, 2.0 * math.pi / 80.0
-    stream = FeatureStream(det, fcfg, t_f, omega, 1.0, len(x) - 1)
+    t_f = 200.0
+    stream = FeatureStream(det, fcfg, t_f, 1.0, len(x) - 1)
     for pos in range(0, len(x), chunk):
         stream.feed(x[pos:pos + chunk])
         if not stream.done:
@@ -544,8 +541,7 @@ def test_feature_stream_holds_its_path_from_the_first_unpaired_segment(chunk):
             assert sum(map(len, stream._pieces)) == stream.jumps.seen - stream._base
             assert all(piece.base is None for piece in stream._pieces)
     assert stream.done
-    _same_features(stream.result(), whole_path_features(make_trajectory(x), det, fcfg,
-                                                        t_f, omega))
+    _same_features(stream.result(), whole_path_features(make_trajectory(x), det, fcfg, t_f))
 
 
 def test_one_cycle_run_is_excluded_not_fatal():
@@ -558,7 +554,7 @@ def test_one_cycle_run_is_excluded_not_fatal():
     fcfg = FeatureConfig(p_buf=0.0, detrend_degree=1, window_w=2, min_cycles=2,
                          min_jumps=1)
     x = square_wave([40, 40, 40, 400]) + 0.01 * generator(0).standard_normal(520)
-    stream = FeatureStream(det, fcfg, 100.0, 2.0 * math.pi / 100.0, 1.0, len(x) - 1)
+    stream = FeatureStream(det, fcfg, 100.0, 1.0, len(x) - 1)
     assert stream.feed(x)
     fv = stream.result()
     assert (fv.n_cycles, fv.n_jumps, fv.label) == (1, 3, True)
@@ -568,8 +564,7 @@ def test_one_cycle_run_is_excluded_not_fatal():
 def _stream_factory(config, sim_cfg, made):
     def consumer():
         made.append(FeatureStream(config.detector(), config.feature_config(),
-                                  config.forcing_period, config.omega, sim_cfg.dt,
-                                  sim_cfg.n_steps))
+                                  sim_cfg.forcing_period, sim_cfg.dt, sim_cfg.n_steps))
         return made[-1]
     return consumer
 
@@ -580,8 +575,7 @@ def test_streamed_ensemble_matches_whole_paths():
     sim_cfg = config.sim_config()
 
     def whole_path(x):
-        return whole_path_features(make_trajectory(x, sim_cfg.dt), det, fcfg, t_f,
-                                   config.omega)
+        return whole_path_features(make_trajectory(x, sim_cfg.dt), det, fcfg, t_f)
 
     made = []
     streamed = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,

@@ -11,6 +11,7 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig,
 from cycleews import geometry, sim
 from cycleews.base import ConvergenceError
 from cycleews.experiment import measured_delay_phase
+from cycleews.features import FeatureConfig, FeatureStream
 from cycleews.geometry import FOLD_FORCING_VALUE
 from cycleews.rng import generator
 from cycleews.sim import LONE_CHUNK_STEPS
@@ -141,7 +142,7 @@ def test_hazard_window_width():
 
 
 def _floquet_config(period, d_a=1.2):
-    return SimConfig(dt=0.01, t_total=period, omega=2.0 * math.pi / period,
+    return SimConfig(dt=0.01, t_total=period, forcing_period=period,
                      amplitude_schedule=ConstantAmplitude(d_a), sigma=0.0, x0=1.0)
 
 
@@ -154,6 +155,15 @@ def test_floquet_multiplier_contraction():
     assert est.multiplier < 1e-8
 
 
+@pytest.mark.parametrize("period", [25.0, 100.0, 400.0, 800.0])
+def test_floquet_orbit_spans_the_configured_period(period):
+    # 2 pi / (2 pi / T) is not T at these periods, so T is held, not rebuilt from omega
+    config = _floquet_config(period)
+    assert len(floquet_multiplier(config).orbit) == round(period / 0.01) + 1
+    stream = FeatureStream(DetectorConfig(), FeatureConfig(), period, 0.01, config.n_steps)
+    assert config.omega.hex() == stream.omega.hex() == (2.0 * math.pi / period).hex()
+
+
 def test_floquet_monotone_in_period():
     small = floquet_multiplier(_floquet_config(25.0))
     large = floquet_multiplier(_floquet_config(50.0))
@@ -162,8 +172,7 @@ def test_floquet_monotone_in_period():
 
 def floquet_every_period(config):
     """Oracle: the search integrating every period, (multiplier, log_multiplier, orbit)."""
-    steps = int(round(config.forcing_period / config.dt))
-    one_period = replace(config, t_total=steps * config.dt)
+    one_period = replace(config, t_total=config.forcing_period)
     x, prev = config.x0, None
     for period in range(1, geometry._FLOQUET_MAX_PERIODS + 1):
         cur = simulate(replace(one_period, x0=x), run_seed=0).x
@@ -236,7 +245,7 @@ def test_floquet_search_builds_no_random_stream(monkeypatch):
 
 def test_floquet_preconditions():
     with pytest.raises(ValueError):
-        floquet_multiplier(SimConfig(dt=0.01, t_total=25.0, omega=2 * math.pi / 25,
+        floquet_multiplier(SimConfig(dt=0.01, t_total=25.0, forcing_period=25,
                                      amplitude_schedule=ConstantAmplitude(1.2),
                                      sigma=0.1, x0=1.0))
     with pytest.raises(ValueError):
@@ -248,7 +257,7 @@ def test_floquet_period_step_messages():
     with pytest.raises(ValueError, match="period must span at least 2 steps of dt"):
         floquet_multiplier(_floquet_config(0.01))
     with pytest.raises(ValueError, match="whole number of steps"):
-        floquet_multiplier(SimConfig(dt=0.01, t_total=1.0, omega=2.0 * math.pi / 0.015,
+        floquet_multiplier(SimConfig(dt=0.01, t_total=1.0, forcing_period=0.015,
                                      amplitude_schedule=ConstantAmplitude(1.2),
                                      sigma=0.0, x0=1.0))
 
@@ -268,14 +277,12 @@ def test_jump_decomposition_identity_random():
         assert abs(t_j - dec.t_star) <= math.pi / omega / 2.0 + 1e-9
 
 
-def delay_phase_by_resimulation(d_a, omega, dt=0.01, x0=1.0):
-    """Oracle: integrate 5 periods from x0 and average the jumps of the last 2."""
-    t_f = 2.0 * math.pi / omega
-    steps_period = round(t_f / dt)
-    config = SimConfig(dt=dt, t_total=5 * steps_period * dt, omega=omega,
-                       amplitude_schedule=ConstantAmplitude(d_a), sigma=0.0, x0=x0)
-    segset = detect_jumps(simulate(config, run_seed=0), DetectorConfig())
-    delays = [jump_phase_decomposition(t_j, d_a, omega).phi_delay
+def delay_phase_by_resimulation(config):
+    """Oracle: integrate 5 periods of config from its x0 and average the jumps of the last 2."""
+    t_f, d_a = config.forcing_period, config.amplitude_schedule.value
+    segset = detect_jumps(simulate(replace(config, t_total=5 * t_f), run_seed=0),
+                          DetectorConfig())
+    delays = [jump_phase_decomposition(t_j, d_a, config.omega).phi_delay
               for t_j in segset.jump_times if t_j >= 3 * t_f]
     return float(np.mean(delays)) if delays else None
 
@@ -285,7 +292,7 @@ def test_delay_phase_from_orbit_matches_resimulation(d_a):
     for period in (25.0, 50.0, 100.0):
         config = _floquet_config(period, d_a)
         mine = measured_delay_phase(config, floquet_multiplier(config), DetectorConfig())
-        oracle = delay_phase_by_resimulation(d_a, config.omega)
+        oracle = delay_phase_by_resimulation(config)
         assert (mine is None) == (oracle is None), period
         if oracle is not None:
             assert mine == pytest.approx(oracle, rel=1e-12, abs=0.0), period

@@ -53,17 +53,24 @@ def test_schedule_invariants():
     with pytest.raises(ValueError):
         LinearRampAmplitude(1.2, 0.0)  # d_min must be positive
     with pytest.raises(ValueError):
-        SimConfig(dt=0.01, t_total=2500.0, omega=OMEGA,
+        SimConfig(dt=0.01, t_total=2500.0, forcing_period=225.0,
                   amplitude_schedule=ConstantAmplitude(1.0), sigma=-0.1, x0=1.0)
     with pytest.raises(ValueError):
         # 0.013 does not divide 1.0 into whole steps
-        SimConfig(dt=0.013, t_total=1.0, omega=OMEGA,
+        SimConfig(dt=0.013, t_total=1.0, forcing_period=225.0,
+                  amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=1.0)
+
+
+@pytest.mark.parametrize("period", [0.0, -225.0, math.inf, math.nan])
+def test_forcing_period_must_be_finite_and_positive(period):
+    with pytest.raises(ValueError, match="forcing_period must be finite and > 0"):
+        SimConfig(dt=0.01, t_total=1.0, forcing_period=period,
                   amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=1.0)
 
 
 def test_x0_must_lie_within_the_divergence_bound():
     def config(x0):
-        return SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
+        return SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
                          amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=x0)
 
     for x0 in (sim.STATE_GUARD, -sim.STATE_GUARD):
@@ -74,7 +81,7 @@ def test_x0_must_lie_within_the_divergence_bound():
 
 
 def test_grid_length():
-    config = SimConfig(dt=0.01, t_total=25.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=25.0, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(0.5), sigma=0.0, x0=1.0)
     traj = simulate(config, 1)
     assert len(traj.x) == config.n_steps + 1 == round(25.0 / 0.01) + 1
@@ -82,14 +89,14 @@ def test_grid_length():
 
 
 def test_zero_forcing_fixed_point():
-    config = SimConfig(dt=0.01, t_total=20.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=20.0, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0, x0=1.0)
     traj = simulate(config, 0)
     assert abs(traj.x[-1] - math.sqrt(3.0)) < 1e-6
 
 
 def test_bit_identical_repetition():
-    config = SimConfig(dt=0.01, t_total=30.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=30.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.5),
                        sigma=0.3, x0=1.0, master_seed=5)
     a = simulate(config, 123)
@@ -106,7 +113,7 @@ def test_euler_self_consistency_oracle():
     below 1e-3, and the whole-trajectory deviation between dt and dt/2
     runs halves again when dt is halved (first-order convergence).
     """
-    base = dict(t_total=225.0, omega=OMEGA,
+    base = dict(t_total=225.0, forcing_period=225.0,
                 amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
     full = simulate(SimConfig(dt=0.01, **base), 0)
     x, t = full.x[:-1], np.arange(len(full.x) - 1) * 0.01
@@ -180,7 +187,7 @@ def _increments_by_column(config, c0, n, rates, streams):
 def test_increments_match_per_column_oracle(width, sigma, schedule):
     # 16-run groups: widths below, at and across one and two group bounds;
     # steps 3,900-4,199 cross the piecewise schedule's level change at 4,000
-    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA, amplitude_schedule=schedule,
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0, amplitude_schedule=schedule,
                        sigma=sigma, x0=1.0)
     c0, n = 3_900, 300
     rates = None
@@ -199,7 +206,7 @@ def test_increments_match_per_column_oracle(width, sigma, schedule):
 
 
 def test_divergence_guard():
-    config = SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0, x0=2000.0)
     with pytest.raises(DivergenceError) as err:
         simulate(config, 0)
@@ -208,7 +215,7 @@ def test_divergence_guard():
 
 def test_divergence_step_alone_matches_batch_past_first_chunk():
     # the 1e9 level starts at step 9,000, past the first 8,192-step chunk
-    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=PiecewiseConstantAmplitude((1.0, 1e9), 90.0),
                        sigma=0.3, x0=1.0, master_seed=2)
     seed = run_seed_for(2, 0)
@@ -225,7 +232,7 @@ def test_diverged_run_leaves_the_batch_at_its_step():
     # a diverged run just to the end of its 8,192-step chunk and restarted
     # it from 0 in the next one
     levels = (1.0,) * 9 + (1e9,) + (1.0,) * 10
-    config = SimConfig(dt=0.01, t_total=200.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=200.0, forcing_period=225.0,
                        amplitude_schedule=PiecewiseConstantAmplitude(levels, 10.0),
                        sigma=0.3, x0=1.0, master_seed=2)
     streams = [RunStream(run_seed_for(2, i)) for i in range(2)]
@@ -247,7 +254,7 @@ def test_divergence_after_batch_shrinks_to_one_run():
     # run 1 diverges on the 1e9 level from step 9,000, past the first
     # 8,192-step chunk; in the first batch run 0 leaves after its first
     # chunk, so run 1 steps alone on Python floats from then on
-    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=PiecewiseConstantAmplitude((1.0, 1e9), 90.0),
                        sigma=0.3, x0=1.0, master_seed=2)
 
@@ -271,7 +278,7 @@ def test_divergence_in_second_group_only():
     # a batch of 20 ramped runs spans two 16-run groups; only run 17, whose
     # rate of -40 drives the amplitude up, diverges, past the first
     # 8,192-step chunk; the check runs on each group's run-major rows
-    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=2)
     rates = np.full(20, config.amplitude_schedule.rate(config.t_total))
@@ -296,7 +303,7 @@ def test_divergence_in_second_group_only():
 
 
 def _ramp_config(t_total=20.0, seed=7):
-    return SimConfig(dt=0.01, t_total=t_total, omega=OMEGA,
+    return SimConfig(dt=0.01, t_total=t_total, forcing_period=225.0,
                      amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                      sigma=0.3, x0=1.0, master_seed=seed)
 
@@ -330,7 +337,7 @@ def test_ensemble_matches_standalone_simulate():
     for i, (path, d_min) in enumerate(runs):
         assert d_min == 0.7
         solo = simulate(
-            SimConfig(dt=0.01, t_total=20.0, omega=OMEGA,
+            SimConfig(dt=0.01, t_total=20.0, forcing_period=225.0,
                       amplitude_schedule=solo_schedule, sigma=0.3, x0=1.0),
             run_seed_for(config.master_seed, i))
         assert np.array_equal(path, solo.x)
@@ -355,7 +362,7 @@ def test_d_min_law_of_large_numbers():
 
 
 def test_ensemble_divergence_flag_mode():
-    config = SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(0.0), sigma=0.0,
                        x0=2000.0, master_seed=3)
     results = list(iter_ensemble(config, 2, consumer=partial(PathConsumer, config.n_steps)))
@@ -372,7 +379,7 @@ def test_divergence_error_pickles():
 
 
 def _diverging_config():
-    return SimConfig(dt=0.01, t_total=1.0, omega=OMEGA,
+    return SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
                      amplitude_schedule=ConstantAmplitude(0.0), sigma=0.3,
                      x0=2000.0, master_seed=3)
 
@@ -470,7 +477,7 @@ def _textbook_euler(config, seed, schedule):
 def test_simulate_matches_textbook_euler_maruyama(schedule, sigma, t_total):
     # the kernel's regrouped step g + ((x x) c2 + c1) x is the same scheme:
     # it moves a path by rounding only
-    config = SimConfig(dt=0.01, t_total=t_total, omega=OMEGA, amplitude_schedule=schedule,
+    config = SimConfig(dt=0.01, t_total=t_total, forcing_period=225.0, amplitude_schedule=schedule,
                        sigma=sigma, x0=1.0, master_seed=4)
     seed = run_seed_for(4, 0)
     expected = _textbook_euler(config, seed, schedule)
@@ -486,7 +493,7 @@ _SCHEDULES = pytest.mark.parametrize("schedule,sigma", [
 
 def _long_config(schedule, sigma):
     # 10,000 steps cross the integrator's 8,192-step noise chunk
-    return SimConfig(dt=0.01, t_total=100.0, omega=OMEGA, amplitude_schedule=schedule,
+    return SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0, amplitude_schedule=schedule,
                      sigma=sigma, x0=1.0, master_seed=4)
 
 
@@ -510,7 +517,7 @@ def test_simulate_alone_matches_batch_loop(schedule, sigma):
 
 
 def test_ensemble_matches_scalar_euler_at_drawn_d_min():
-    config = SimConfig(dt=0.01, t_total=100.0, omega=OMEGA,
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=6)
     sampler = UniformSampler(0.25, 0.9)
@@ -562,7 +569,7 @@ def test_simulate_with_rejoin_gives_the_same_bytes(lone_run_steps, d_a, period, 
     # each later period of the Floquet search from the end of the one before; at
     # d_a 0.9, period 25 the second period does not rejoin the first; with noise,
     # the same seed from another start state
-    config = SimConfig(dt=0.01, t_total=period, omega=2.0 * math.pi / period,
+    config = SimConfig(dt=0.01, t_total=period, forcing_period=period,
                        amplitude_schedule=ConstantAmplitude(d_a), sigma=sigma, x0=1.0)
     seed = run_seed_for(4, 0)
     prev = simulate(config, seed).x
