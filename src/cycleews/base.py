@@ -51,7 +51,9 @@ def fork_map(fn: Callable[[int], object], n_tasks: int, workers: int = 1) -> Ite
     calls run in-line.  Every worker is reaped before the generator
     finishes; an exception from fn is re-raised here and stops the pool.
     Forking copies only the calling thread, so call this from a process
-    that runs no other Python threads at the time.
+    that runs no other Python threads at the time.  Workers inherit the
+    parent's BLAS setting: the command line pins BLAS to one thread before
+    numpy loads (cli.py), so there each worker computes on one core.
     """
     workers = min(workers, n_tasks)
     if workers <= 1:

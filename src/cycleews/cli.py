@@ -8,16 +8,30 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
-from .experiment import (ConfigError, classify_from_csv, load_config, run_diagnose,
+# Before numpy loads: a command's only parallelism is its --threads worker
+# processes, which inherit this, and one BLAS thread per process keeps
+# OpenBLAS from starting (and spinning) a server thread.  A value the caller
+# exported wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .experiment import (ConfigError, classify_from_csv, load_config, run_diagnose,  # noqa: E402
                          run_experiment, run_features_command, run_figures,
                          simulate_one)
 
 
 def _add_shared(parser: argparse.ArgumentParser, runs: bool, threads: bool) -> None:
-    """--config, --out and --seed; --runs and --threads only where the command reads them."""
+    """--config, --out and --seed; --runs and --threads only where the command reads them.
+
+    The subcommand's parser is kept as args.command_parser, so that main
+    reports a flag it does not take under its own usage line.
+    """
+    parser.set_defaults(command_parser=parser)
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", help="output directory (overrides out_dir)")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -77,7 +91,9 @@ def _grid(text: str, flag: str) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         config = load_config(args.config, _overrides(args))
         if args.command == "simulate":

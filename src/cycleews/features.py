@@ -141,9 +141,12 @@ def detrend_segment(samples, fcfg: FeatureConfig):
     u = -1.0 + (2.0 / (n - 1)) * np.arange(n, dtype=float)
     residual = y - y.mean()
     p_prev, p, sq_prev = 1.0, u, float(n)
-    # Inner products are (a * b).sum(), never np.dot, @ or np.linalg: BLAS
-    # threads in each forked ensemble worker oversubscribe the cores (a 256-run
-    # experiment at 2 workers on 2 cores took 2.5-12x the wall time).
+    # Inner products are (a * b).sum(), never np.dot, @ or np.linalg: numpy's
+    # pairwise sum gives the same bits on every build, where a BLAS dot's
+    # order depends on its kernel, and a library caller's process may run
+    # BLAS threads that would oversubscribe the cores beside forked workers
+    # (a 256-run experiment at 2 workers on 2 cores once took 2.5-12x the
+    # wall time).
     for k in range(deg):
         if k:
             p_prev, p, sq_prev = p, u * p - (sq / sq_prev) * p_prev, sq

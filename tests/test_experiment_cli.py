@@ -544,6 +544,64 @@ def test_diagnose_does_not_import_numpy_random(tmp_path):
     assert sum(row["log_floquet"] is not None for row in rows) == 4
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                         "VECLIB_MAXIMUM_THREADS")
+
+
+def run_python(code, **preset):
+    """Run code in a fresh interpreter on this checkout, with no BLAS thread
+    variable set but those in preset; returns its stdout split into words."""
+    env = {k: v for k, v in checkout_env().items() if k not in BLAS_THREAD_VARIABLES}
+    done = subprocess.run([sys.executable, "-c", code], env=dict(env, **preset),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_cycleews_loads_no_numpy_and_leaves_blas_threads_alone():
+    code = ("import os, sys, cycleews; "
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert run_python(code) == ["False", "None"]
+
+
+def test_package_names_are_their_home_modules_objects():
+    code = """
+import importlib, cycleews
+for name in cycleews.__all__:
+    home = importlib.import_module(f"cycleews.{cycleews._HOME[name]}")
+    assert getattr(cycleews, name) is getattr(home, name), name
+    assert name in dir(cycleews), name
+try:
+    cycleews.no_such_name
+except AttributeError:
+    print("ok")
+"""
+    assert run_python(code) == ["ok"]
+    import cycleews
+    assert {"simulate", "SimConfig", "cross_validate", "run_experiment", "main"} <= set(
+        cycleews.__all__)
+
+
+def test_cli_runs_blas_on_one_thread_unless_the_caller_set_it():
+    code = ("import os, cycleews.cli; "
+            f"print(*(os.environ[name] for name in {BLAS_THREAD_VARIABLES!r}))")
+    assert run_python(code) == ["1", "1", "1", "1"]
+    assert run_python(code, OPENBLAS_NUM_THREADS="3") == ["3", "1", "1", "1"]
+
+
+def test_cli_process_starts_no_blas_thread():
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs Linux /proc")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        pytest.skip("this numpy does not report its BLAS build")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
+    code = "import os, cycleews.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    assert run_python(code) == ["1"]
+
+
 def test_cli_simulate(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("t_total = 450\nn_runs = 4\nmaster_seed = 5\n")
@@ -701,7 +759,10 @@ def test_cli_rejects_overrides_the_command_does_not_read(tmp_path, capsys, comma
     with pytest.raises(SystemExit) as exc:
         run_cli(command, flag, "2", "--out", str(out))
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the subcommand's, which lists the flags it does take
+    assert err.startswith(f"usage: cycleews {command} ")
+    assert f"cycleews {command}: error: unrecognized arguments: {flag} 2" in err
     assert not out.exists()
 
 
