@@ -17,9 +17,8 @@ _HOMES = {
     "features": ("FEATURE_NAMES", "FeatureConfig", "FeatureVector", "circular_std",
                  "extract_features", "jump_phases", "ols_slope", "rolling_circ_std",
                  "wrap_angle"),
-    "geometry": ("FloquetEstimate", "FoldInfo", "critical_manifold_roots",
-                 "floquet_multiplier", "fold_info", "fold_sweep_rate",
-                 "hazard_window_width", "jump_phase_decomposition",
+    "geometry": ("FloquetEstimate", "FoldInfo", "floquet_multiplier", "fold_info",
+                 "fold_sweep_rate", "hazard_window_width", "jump_phase_decomposition",
                  "predicted_delay_phase"),
     "classify": ("Dataset", "FeatureScaler", "LinearHingeSVM", "SvmHyperParams",
                  "balanced_accuracy", "cross_validate", "drop_column_importance",

@@ -24,11 +24,6 @@ def as_float_2d(x, name: str = "array") -> np.ndarray:
     return arr
 
 
-def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
-    require(bool(np.isfinite(arr).all()), f"{name} contains non-finite values")
-    return arr
-
-
 _worker_task = None  # the task function, set in each forked worker by _install_task
 
 

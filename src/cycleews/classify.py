@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .base import ConvergenceError, as_float_2d, check_finite, fork_map, require
+from .base import ConvergenceError, as_float_2d, fork_map, require
 from .features import FEATURE_NAMES
 from .rng import derive_seed, generator
 
@@ -40,7 +40,7 @@ class Dataset:
 
     def __post_init__(self):
         X = as_float_2d(self.X, "X")
-        check_finite(X, "X")
+        require(bool(np.isfinite(X).all()), "X contains non-finite values")
         require(len(self.y) == len(X) == len(self.run_ids), "row count mismatch")
         require(X.shape[1] == len(self.feature_names), "feature name count mismatch")
 

@@ -63,16 +63,8 @@ class SegmentSet:
                     "boundaries must be strictly increasing")
 
     @property
-    def n_segments(self) -> int:
-        return max(0, len(self.boundaries) - 1)
-
-    @property
-    def jump_mask(self) -> np.ndarray:
-        return ~self.artificial
-
-    @property
     def jump_indices(self) -> np.ndarray:
-        return self.boundaries[self.jump_mask]
+        return self.boundaries[~self.artificial]
 
     @property
     def jump_times(self) -> np.ndarray:
@@ -80,15 +72,12 @@ class SegmentSet:
 
     @property
     def n_jumps(self) -> int:
-        return int(self.jump_mask.sum())
-
-    def segment_durations(self) -> np.ndarray:
-        return np.diff(self.boundaries) * self.dt
+        return int((~self.artificial).sum())
 
     def jump_directions(self):
         """'down' / 'up' per real jump, ordered in time."""
         out = []
-        for pos in np.flatnonzero(self.jump_mask):
+        for pos in np.flatnonzero(~self.artificial):
             out.append("down" if self.wells[pos - 1] == UPPER else "up")
         return out
 
@@ -199,7 +188,8 @@ def detect_jumps(traj: Trajectory, det: DetectorConfig) -> SegmentSet:
 
 def label_breakdown(segset: SegmentSet, t_f: float, det: DetectorConfig) -> SegmentSet:
     """Mark the first segment strictly longer than breakdown_factor * t_f."""
-    too_long = np.flatnonzero(segset.segment_durations() > det.breakdown_factor * t_f)
+    durations = np.diff(segset.boundaries) * segset.dt
+    too_long = np.flatnonzero(durations > det.breakdown_factor * t_f)
     onset = int(too_long[0]) if len(too_long) else None
     return replace(segset, breakdown_onset=onset, breakdown=onset is not None)
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .base import require, write_csv
-from .classify import (Dataset, FeatureScaler, LinearHingeSVM, StratificationError,
-                       SvmHyperParams, cross_validate, drop_column_importance,
-                       pca_2d, permutation_importance, stratified_kfold)
+from .classify import (Dataset, DegenerateFeatureError, FeatureScaler, LinearHingeSVM,
+                       StratificationError, SvmHyperParams, cross_validate,
+                       drop_column_importance, pca_2d, permutation_importance, stratified_kfold)
 # perfbench's tracer wraps iter_ensemble, simulate, detect_jumps, label_breakdown,
 # truncate_at_onset and extract_features where this module looks them up, so
 # each stays importable from here even where this module no longer calls it
@@ -244,11 +244,6 @@ def _build(values: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse flat key = value text into one validated ExperimentConfig, else ConfigError."""
-    return _build(_config_values(text))
-
-
 def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Config from file values (or defaults), then non-None overrides, then validation.
 
@@ -428,9 +423,10 @@ def add_classification(report: dict, data: Dataset, config: ExperimentConfig,
                        out_dir: Path) -> None:
     """Fill report's cv, drop_column, permutation and pca entries.
 
-    With fewer than 2 valid runs all four stay null; when a class has
-    fewer than k_folds members only the PCA (without decision line) is
-    filled.  Either reason is appended to report["warnings"].
+    With fewer than 2 valid runs all four stay null.  When a class has
+    fewer than k_folds members or a fold has a constant feature column,
+    only the PCA (without decision line) is filled, unless the column is
+    constant over all runs.  The reason is appended to report["warnings"].
     """
     report.update(cv=None, drop_column=None, permutation=None, pca=None)
     if data.n_samples < 2:
@@ -439,10 +435,13 @@ def add_classification(report: dict, data: Dataset, config: ExperimentConfig,
         try:
             report.update(classify_dataset(data, config))
             reason = None
-        except StratificationError as exc:
+        except (StratificationError, DegenerateFeatureError) as exc:
             reason = str(exc)
-        report["pca"] = pca_block(data, config, out_dir,
-                                  with_decision_line=reason is None)
+        try:
+            report["pca"] = pca_block(data, config, out_dir,
+                                      with_decision_line=reason is None)
+        except DegenerateFeatureError:
+            pass  # constant in every fold too, so reason already says why
     if reason is not None:
         report["warnings"].append(f"classification skipped: {reason}")
         _log(f"warning: classification skipped: {reason}")

@@ -155,20 +155,6 @@ def detrend_segment(samples, fcfg: FeatureConfig):
     return residual
 
 
-def sample_variance(y: np.ndarray) -> float:
-    d = y - y.mean()
-    return float((d * d).mean())
-
-
-def lag1_autocorrelation(y: np.ndarray) -> float:
-    """AC1 = sum (y_i - ybar)(y_{i+1} - ybar) / sum (y_i - ybar)^2."""
-    d = y - y.mean()
-    den = float((d * d).sum())
-    if den == 0.0:
-        return math.nan
-    return float((d[:-1] * d[1:]).sum() / den)
-
-
 def _cycle(ci: int, a, b) -> Optional[CycleStats]:
     """Statistics of cycle ci from its two residual series; None if omitted."""
     if a is None or b is None:
@@ -176,10 +162,10 @@ def _cycle(ci: int, a, b) -> Optional[CycleStats]:
     y = np.concatenate([a, b])
     d = y - y.mean()
     ss = float((d * d).sum())
-    var = ss / len(y)  # sample_variance(y): numpy's mean is the sum over the count
+    var = ss / len(y)  # conftest's sample_variance(y): numpy's mean is the sum over the count
     if var == 0.0:
         return None
-    # lag1_autocorrelation(y), whose denominator ss is not 0 here
+    # conftest's lag1_autocorrelation(y), whose denominator ss is not 0 here
     return CycleStats(ci, var, float((d[:-1] * d[1:]).sum() / ss), len(y))
 
 
@@ -204,11 +190,6 @@ def jump_phases(jump_index, dt: float, omega: float) -> PhaseSeries:
     return PhaseSeries(jump_index=jump_index, phi=phi, delta=delta, eta=eta)
 
 
-def mean_resultant_length(deltas) -> float:
-    z = np.exp(1j * np.asarray(deltas, dtype=float))
-    return float(np.abs(z.mean()))
-
-
 def circular_std(deltas) -> float:
     """sqrt(-2 log R), R the mean resultant length clamped to [1e-12, 1].
 
@@ -219,7 +200,8 @@ def circular_std(deltas) -> float:
     deltas = np.asarray(deltas, dtype=float)
     require(len(deltas) >= 1, "circular_std needs a non-empty window")
     equal = bool((deltas == deltas[0]).all())
-    r = 1.0 if equal else np.clip(mean_resultant_length(deltas), MIN_RESULTANT, 1.0)
+    r = 1.0 if equal else np.clip(float(np.abs(np.exp(1j * deltas).mean())),
+                                  MIN_RESULTANT, 1.0)
     return math.sqrt(-2.0 * math.log(r)) if r < 1.0 else 0.0  # +0.0, where sqrt gives -0.0
 
 

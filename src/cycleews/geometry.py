@@ -1,16 +1,16 @@
 """Fast-slow geometry diagnostics of the forced bistable oscillator.
 
-Closed-form and semi-analytic quantities: roots of the cubic critical
-manifold, fold existence and static phase offset, fold sweep rate,
-slow-passage delay scaling, hazard-window width, and the contraction
-multiplier of the deterministic periodic orbit over one forcing period.
+Closed-form and semi-analytic quantities: fold existence and static
+phase offset, fold sweep rate, slow-passage delay scaling, hazard-window
+width, the jump-phase decomposition, and the contraction multiplier of
+the deterministic periodic orbit over one forcing period.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .features import assign_extremum
 from .sim import ConstantAmplitude, DivergenceError, SimConfig, rejoin_step, simulate
 
 FOLD_FORCING_VALUE = 2.0 / 3.0
-_ROOT_RESIDUAL_TOL = 1.0e-10
-_ROOT_MERGE_TOL = 1.0e-7
 _FLOQUET_TRANSIENT_PERIODS = 5
 _FLOQUET_TOL = 1.0e-9
 _FLOQUET_MAX_PERIODS = 64
@@ -66,53 +64,8 @@ class JumpDecomposition:
 
 
 # --------------------------------------------------------------------------
-# critical manifold
+# folds of the critical manifold x - x^3/3 + d_a cos(s) = 0, slow passage
 # --------------------------------------------------------------------------
-
-def _cubic_roots_shifted(c: float) -> List[float]:
-    """Real roots of x - x^3/3 + c = 0 (equivalently x^3 - 3x - 3c = 0)."""
-    arg = 1.5 * c
-    if abs(arg) <= 1.0:
-        # three-real-root (or tangent) regime: trigonometric form
-        phase = math.acos(max(-1.0, min(1.0, arg)))
-        return [2.0 * math.cos(phase / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    # one real root: Cardano with real cube roots
-    disc = math.sqrt(arg * arg - 1.0)
-    u = math.copysign(abs(arg + disc) ** (1.0 / 3.0), arg + disc)
-    v = math.copysign(abs(arg - disc) ** (1.0 / 3.0), arg - disc)
-    return [u + v]
-
-
-def critical_manifold_roots(s: float, d_a: float) -> List[float]:
-    """Sorted real solutions x of x - x^3/3 + d_a cos(s) = 0."""
-    require(d_a >= 0.0, "d_a must be >= 0")
-    c = d_a * math.cos(s)
-    roots = _cubic_roots_shifted(c)
-    polished = []
-    for x in roots:
-        for _ in range(4):  # Newton polish; skipped near the fold double root
-            fp = 1.0 - x * x
-            if abs(fp) < 1.0e-6:
-                break
-            step = (x - x ** 3 / 3.0 + c) / fp
-            x -= step
-            if abs(step) < 1.0e-14:
-                break
-        polished.append(x)
-    polished.sort()
-    merged = []
-    for x in polished:
-        if merged and abs(x - merged[-1]) < _ROOT_MERGE_TOL:
-            continue
-        merged.append(x)
-    for x in merged:
-        residual = abs(x - x ** 3 / 3.0 + c)
-        if not residual < _ROOT_RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"critical manifold root {x!r} at s={s!r}, d_a={d_a!r} has "
-                f"residual {residual:.3g}")
-    return merged
-
 
 def fold_info(d_a: float) -> FoldInfo:
     """Fold existence (d_a >= 2/3) and the static extremum-to-fold offset."""

@@ -131,11 +131,6 @@ def derive_seed(master_seed: int, *labels) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def raw_to_uniform(raw: np.ndarray) -> np.ndarray:
-    """Map raw uint64 words to float64 uniforms in [0, 1)."""
-    return (raw >> _SHIFT_11) * _INV_2_53
-
-
 class RunStream:
     """Sequential draw stream for one run.
 
@@ -153,7 +148,7 @@ class RunStream:
         return self._bitgen.random_raw(n)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return raw_to_uniform(self.raws(n))
+        return (self.raws(n) >> _SHIFT_11) * _INV_2_53
 
     def normals(self, n: int, out=None) -> np.ndarray:
         """Draw n standard normals, consuming 2n raws (Box-Muller, cosine branch).

@@ -1,3 +1,4 @@
+import math
 import multiprocessing.pool
 
 import numpy as np
@@ -55,3 +56,18 @@ def make_trajectory(x, dt=1.0):
     """Synthetic trajectory around a hand-built state array."""
     from cycleews import Trajectory
     return Trajectory(np.asarray(x, dtype=float), dt, 0)
+
+
+def sample_variance(y: np.ndarray) -> float:
+    """Plain estimator: the mean squared deviation from the mean."""
+    d = y - y.mean()
+    return float((d * d).mean())
+
+
+def lag1_autocorrelation(y: np.ndarray) -> float:
+    """AC1 = sum (y_i - ybar)(y_{i+1} - ybar) / sum (y_i - ybar)^2; NaN for constant y."""
+    d = y - y.mean()
+    den = float((d * d).sum())
+    if den == 0.0:
+        return math.nan
+    return float((d[:-1] * d[1:]).sum() / den)

@@ -21,10 +21,10 @@ from cycleews.classify import FeatureScaler
 from cycleews.events import DetectorConfig
 from cycleews.experiment import (ExperimentConfig, measured_delay_phase,
                                  run_experiment, run_figures)
-from cycleews.features import (circular_mean, circular_std,
-                               lag1_autocorrelation, sample_variance)
+from cycleews.features import circular_mean, circular_std
 from cycleews.geometry import jump_phase_decomposition
 from cycleews.rng import RunStream, derive_seed, generator
+from conftest import lag1_autocorrelation, sample_variance
 
 
 def check(criterion, description, ok, detail=""):

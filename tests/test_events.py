@@ -19,7 +19,7 @@ def test_constant_path_no_jumps():
     traj = make_trajectory(np.ones(50))
     segset = detect_jumps(traj, small_det())
     assert segset.n_jumps == 0
-    assert segset.n_segments == 1
+    assert len(segset.boundaries) - 1 == 1
     assert list(segset.wells) == [UPPER]
     assert segset.boundaries.tolist() == [0, 49]
 
@@ -47,7 +47,7 @@ def test_chatter_dip_is_merged():
     assert list(raw.jump_indices) == [10, 13]
     merged = detect_jumps(traj, small_det(n_min=n_min))
     assert merged.n_jumps == 0
-    assert merged.n_segments == 1
+    assert len(merged.boundaries) - 1 == 1
     assert list(merged.wells) == [UPPER]
 
 
@@ -105,7 +105,7 @@ def test_truncate_at_onset():
     truncated = truncate_at_onset(segset)
     assert truncated.breakdown  # label survives truncation
     assert truncated.breakdown_onset is None
-    assert truncated.n_segments == 3
+    assert len(truncated.boundaries) - 1 == 3
     # bounding jump of the last retained segment is kept
     assert list(truncated.jump_indices) == list(segset.jump_indices[:3])
     again = truncate_at_onset(truncated)

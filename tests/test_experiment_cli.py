@@ -15,9 +15,9 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
-                                 feature_rows, load_config, parse_config_text,
-                                 read_features_csv, run_diagnose, run_experiment,
-                                 write_features_csv, write_report)
+                                 feature_rows, load_config, read_features_csv,
+                                 run_diagnose, run_experiment, write_features_csv,
+                                 write_report)
 from cycleews.features import FeatureStream
 from cycleews.rng import generator
 from cycleews.sim import CHUNK_STEPS, RunResult, kernel_samples, write_trajectory_csv
@@ -49,8 +49,9 @@ def test_defaults_match_protocol():
     assert ec.k_folds == 5
 
 
-def test_parse_config_text():
-    ec = parse_config_text("""
+def test_parse_config_text(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("""
 # comment
 n_runs = 20
 sigma = 0.1   # trailing comment
@@ -58,6 +59,7 @@ figure_levels = 1.0,0.8
 svm_lambda = auto
 out_dir = results
 """)
+    ec = load_config(path)
     assert ec.n_runs == 20 and ec.sigma == 0.1
     assert ec.figure_levels == (1.0, 0.8)
     assert ec.svm_lambda is None
@@ -71,9 +73,11 @@ out_dir = results
     "just some words",
     "sigma = -1",
 ])
-def test_bad_config_rejected(text):
+def test_bad_config_rejected(text, tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
     with pytest.raises(ConfigError):
-        parse_config_text(text)
+        load_config(path)
 
 
 def test_load_config_overrides(tmp_path):
@@ -448,6 +452,25 @@ def test_cli_classify_stratification_warning_text(tmp_path):
         "classification skipped: class True has 3 members, fewer than k=5"]
     assert report["cv"] is None and report["drop_column"] is None
     assert report["pca"] is not None and "decision_line" not in report["pca"]
+
+
+def test_cli_classify_constant_column(tmp_path, capsys):
+    # a constant slope_ac1 column is degenerate in every fold and overall,
+    # so classification is skipped with a warning rather than a traceback
+    rng = generator(9)
+    features = tmp_path / "features.csv"
+    with open(features, "w") as fh:
+        fh.write(FEATURES_HEADER)
+        for i in range(20):
+            var, phase, std = (f"{v:.17g}" for v in rng.standard_normal(3))
+            fh.write(f"{i},0.5,{var},0.25,{phase},{std},{i % 2},1\n")
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    warning = "classification skipped: fold 0: zero-variance columns: [1]"
+    assert report["warnings"] == [warning]
+    assert [report[k] for k in ("cv", "drop_column", "permutation", "pca")] == [None] * 4
+    assert not (tmp_path / "pca_coords.csv").exists()
+    assert warning in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,line", [

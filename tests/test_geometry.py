@@ -4,12 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig,
-                      critical_manifold_roots, detect_jumps, floquet_multiplier,
-                      fold_info, fold_sweep_rate, hazard_window_width,
+from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps,
+                      floquet_multiplier, fold_info, fold_sweep_rate, hazard_window_width,
                       jump_phase_decomposition, predicted_delay_phase, simulate)
 from cycleews import geometry, sim
-from cycleews.base import ConvergenceError
 from cycleews.experiment import measured_delay_phase
 from cycleews.features import FeatureConfig, FeatureStream
 from cycleews.geometry import FOLD_FORCING_VALUE
@@ -42,59 +40,15 @@ def cubic_roots_by_bisection(c, lo=-4.0, hi=4.0, n_scan=20001):
     return roots
 
 
-def test_roots_at_quarter_phase():
-    for d_a in (0.0, 0.5, 1.2, 3.0):
-        roots = critical_manifold_roots(math.pi / 2.0, d_a)
-        assert len(roots) == 3
-        assert roots[0] == pytest.approx(-math.sqrt(3.0), abs=1e-9)
-        assert roots[1] == pytest.approx(0.0, abs=1e-9)
-        assert roots[2] == pytest.approx(math.sqrt(3.0), abs=1e-9)
-
-
-def test_root_residual_check_survives_optimization(monkeypatch):
-    # a raised error, not an assert, so python -O keeps the check
-    monkeypatch.setattr(geometry, "_ROOT_RESIDUAL_TOL", 0.0)
-    with pytest.raises(ConvergenceError):
-        critical_manifold_roots(0.3, 1.2)
-
-
-def test_roots_at_fold_tangency():
-    roots = critical_manifold_roots(0.0, 2.0 / 3.0)
-    assert any(abs(r + 1.0) < 1e-6 for r in roots)  # double root at -1
-    assert any(abs(r - 2.0) < 1e-9 for r in roots)
-
-
-def test_roots_single_regime_with_bisection_oracle():
-    roots = critical_manifold_roots(0.0, 1.2)
-    assert len(roots) == 1
-    oracle = cubic_roots_by_bisection(1.2)
-    assert len(oracle) == 1
-    assert roots[0] == pytest.approx(oracle[0], abs=1e-7)
-
-
-def test_roots_match_bisection_on_random_instances():
-    rng = generator(31)
-    for _ in range(100):
-        d_a = float(rng.uniform(0.0, 2.5))
-        s = float(rng.uniform(0.0, 2.0 * math.pi))
-        mine = critical_manifold_roots(s, d_a)
-        oracle = cubic_roots_by_bisection(d_a * math.cos(s))
-        # compare away from tangencies, where both methods are stable
-        if min((abs(abs(d_a * math.cos(s)) - 2.0 / 3.0), 1.0)) < 1e-3:
-            continue
-        assert len(mine) == len(oracle)
-        for a, b in zip(mine, sorted(oracle)):
-            assert a == pytest.approx(b, abs=1e-7)
-
-
-def test_root_count_characterizes_fold():
-    # Below the fold amplitude the manifold keeps three branches at every
-    # phase; above it, an open phase interval collapses to a single branch.
-    s_grid = np.linspace(0.0, 2.0 * math.pi, 721)
-    for d_a, has_single_interval in ((0.3, False), (0.6, False),
-                                     (0.7, True), (1.2, True)):
-        counts = np.array([len(critical_manifold_roots(s, d_a)) for s in s_grid])
-        assert (counts == 1).sum() > 1 if has_single_interval else (counts == 3).all()
+@pytest.mark.parametrize("d_a", [0.3, 0.6, 2.0 / 3.0 - 0.01, 2.0 / 3.0 + 0.01, 0.7, 1.2],
+                         ids=lambda d_a: f"{d_a:.4g}")
+def test_root_count_characterizes_fold(d_a):
+    # The fold exists exactly when, at some phase s, the critical manifold
+    # x - x^3/3 + d_a cos(s) = 0 loses two of its three branches.
+    counts = {len(cubic_roots_by_bisection(d_a * math.cos(s), n_scan=2001))
+              for s in np.linspace(0.0, 2.0 * math.pi, 181)}
+    assert counts <= {1, 3}
+    assert fold_info(d_a).exists == (1 in counts)
 
 
 def test_fold_info():
