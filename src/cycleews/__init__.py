@@ -20,9 +20,9 @@ _HOMES = {
     "geometry": ("FloquetEstimate", "FoldInfo", "floquet_multiplier", "fold_info",
                  "fold_sweep_rate", "hazard_window_width", "jump_phase_decomposition",
                  "predicted_delay_phase"),
-    "classify": ("Dataset", "FeatureScaler", "LinearHingeSVM", "SvmHyperParams",
-                 "balanced_accuracy", "cross_validate", "drop_column_importance",
-                 "pca_2d", "permutation_importance", "stratified_kfold"),
+    "classify": ("Dataset", "FeatureScaler", "LinearHingeSVM", "balanced_accuracy",
+                 "cross_validate", "drop_column_importance", "pca_2d",
+                 "permutation_importance", "stratified_kfold"),
     "experiment": ("ConfigError", "ExperimentConfig", "load_config", "run_experiment"),
     "cli": ("main",),
 }

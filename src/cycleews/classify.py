@@ -11,8 +11,9 @@ function of its inputs, so results do not depend on the worker count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,14 +76,6 @@ class FeatureScaler:
         return (X - self.mean_) / self.scale_
 
 
-@dataclass(frozen=True)
-class SvmHyperParams:
-    lambda_reg: Optional[float] = None  # None -> 1 / (2 m)
-    n_iter: int = 100_000  # cap on SMO pair updates
-    tol: float = 1.0e-10  # duality-gap stop
-    class_weight: Optional[str] = "balanced"
-
-
 _TAU = 1.0e-12  # curvature floor for a pair of coinciding samples (Fan et al. 2005)
 _RANK_RTOL = 1.0e-10  # squared singular values below this share of the largest count as 0
 
@@ -118,6 +111,12 @@ class LinearHingeSVM:
 
     def __init__(self, lambda_reg: Optional[float] = None, n_iter: int = 100_000,
                  tol: float = 1.0e-10, class_weight: Optional[str] = "balanced"):
+        # lambda_reg None is 1 / (2 m); n_iter caps the SMO pair updates, tol is the gap stop
+        require(lambda_reg is None or 0.0 < lambda_reg < math.inf,
+                "lambda_reg must be None or finite and > 0")
+        require(n_iter >= 1, "n_iter must be >= 1")
+        require(0.0 < tol < math.inf, "tol must be finite and > 0")
+        require(class_weight in (None, "balanced"), "class_weight must be None or 'balanced'")
         self.lambda_reg = lambda_reg
         self.n_iter = n_iter
         self.tol = tol
@@ -126,7 +125,6 @@ class LinearHingeSVM:
     def _sample_weights(self, ys) -> np.ndarray:
         if self.class_weight is None:
             return np.ones(len(ys))
-        require(self.class_weight == "balanced", "class_weight must be None or 'balanced'")
         m = len(ys)
         pos = ys > 0
         weights = np.empty(m)
@@ -369,7 +367,7 @@ class CVResult:
     scores: np.ndarray
     folds: np.ndarray
     fold_models: List[FoldModel]
-    hp: Optional[SvmHyperParams]  # the fold models were fitted with it
+    make_model: Callable[[], LinearHingeSVM]  # the fold models were made by it
 
     @property
     def mean(self) -> float:
@@ -377,14 +375,13 @@ class CVResult:
 
 
 def _fit_fold(data: Dataset, folds: np.ndarray, f: int,
-              hp: Optional[SvmHyperParams]) -> FoldModel:
+              make_model: Callable[[], LinearHingeSVM]) -> FoldModel:
     """Scale on the training rows of fold f only, train, score its validation rows."""
     val = folds == f
     train = ~val
     try:
         scaler = FeatureScaler().fit(data.X[train])
-        model = LinearHingeSVM(**asdict(hp or SvmHyperParams()))
-        model.fit(scaler.transform(data.X[train]), data.y[train])
+        model = make_model().fit(scaler.transform(data.X[train]), data.y[train])
         pred = model.predict(scaler.transform(data.X[val]))
         score = balanced_accuracy(data.y[val], pred)
     except ValueError as exc:
@@ -393,16 +390,17 @@ def _fit_fold(data: Dataset, folds: np.ndarray, f: int,
 
 
 def cross_validate(data: Dataset, folds: np.ndarray,
-                   hp: Optional[SvmHyperParams] = None, workers: int = 1) -> CVResult:
-    """Per-fold: scale on the training rows only, train, score validation.
+                   make_model: Callable[[], LinearHingeSVM] = LinearHingeSVM,
+                   workers: int = 1) -> CVResult:
+    """Per-fold: scale on the training rows only, train make_model(), score validation.
 
     folds holds a fold id in {0..k-1} per sample (see stratified_kfold);
     the k fold fits are spread over up to `workers` processes.
     """
     k = int(folds.max()) + 1
-    fold_models = list(fork_map(lambda f: _fit_fold(data, folds, f, hp), k, workers))
+    fold_models = list(fork_map(lambda f: _fit_fold(data, folds, f, make_model), k, workers))
     return CVResult(scores=np.array([fm.score for fm in fold_models]), folds=folds,
-                    fold_models=fold_models, hp=hp)
+                    fold_models=fold_models, make_model=make_model)
 
 
 def drop_column_importance(data: Dataset, cv: CVResult,
@@ -410,14 +408,15 @@ def drop_column_importance(data: Dataset, cv: CVResult,
     """Full-set CV mean minus CV mean without each feature, on cv's folds.
 
     cv is the full-set result (see cross_validate) and is not refitted;
-    the reduced sets are fitted with its hyperparameters.  The (feature,
-    fold) fits are spread over up to `workers` processes.
+    the reduced sets are fitted with models from cv.make_model.  The
+    (feature, fold) fits are spread over up to `workers` processes.
     """
     require(data.n_features >= 2, "need at least 2 features to drop one")
     k = len(cv.fold_models)
     reduced = [data.drop_feature(j) for j in range(data.n_features)]
-    scores = list(fork_map(lambda t: _fit_fold(reduced[t // k], cv.folds, t % k, cv.hp).score,
-                           data.n_features * k, workers))
+    scores = list(fork_map(
+        lambda t: _fit_fold(reduced[t // k], cv.folds, t % k, cv.make_model).score,
+        data.n_features * k, workers))
     return {name: cv.mean - float(np.mean(scores[j * k:(j + 1) * k]))
             for j, name in enumerate(data.feature_names)}
 

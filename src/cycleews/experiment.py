@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .base import require, write_csv
 from .classify import (Dataset, DegenerateFeatureError, FeatureScaler, LinearHingeSVM,
-                       StratificationError, SvmHyperParams, cross_validate,
+                       StratificationError, cross_validate,
                        drop_column_importance, pca_2d, permutation_importance, stratified_kfold)
 # perfbench's tracer wraps iter_ensemble, simulate, detect_jumps, label_breakdown,
 # truncate_at_onset and extract_features where this module looks them up, so
@@ -180,9 +180,10 @@ class ExperimentConfig:
                         master_seed=derive_seed(self.master_seed, "figure-levels"))
         return ramp, piece
 
-    def svm_hyperparams(self) -> SvmHyperParams:
-        return SvmHyperParams(lambda_reg=self.svm_lambda, n_iter=self.svm_iterations,
-                              tol=self.svm_tolerance, class_weight=self.svm_class_weight)
+    def svm_hyperparams(self):
+        """The SVM factory: LinearHingeSVM with the svm_* settings."""
+        return partial(LinearHingeSVM, lambda_reg=self.svm_lambda, n_iter=self.svm_iterations,
+                       tol=self.svm_tolerance, class_weight=self.svm_class_weight)
 
     # execution details with no effect on results; kept out of provenance
     EXECUTION_FIELDS = ("out_dir", "threads", "batch_size")
@@ -386,10 +387,9 @@ def classify_dataset(data: Dataset, config: ExperimentConfig) -> dict:
     reported CV, the drop-column baseline and the permutation analysis;
     fold fits are spread over config.threads worker processes.
     """
-    hp = config.svm_hyperparams()
     folds = stratified_kfold(data.y, config.k_folds,
                              derive_seed(config.master_seed, "folds"))
-    cv = cross_validate(data, folds, hp, workers=config.threads)
+    cv = cross_validate(data, folds, config.svm_hyperparams(), workers=config.threads)
     drop = drop_column_importance(data, cv, workers=config.threads)
     perm = permutation_importance(data, cv, derive_seed(config.master_seed, "importance"),
                                   repeats=config.permutation_repeats)
@@ -412,7 +412,7 @@ def pca_block(data: Dataset, config: ExperimentConfig, out_dir: Path,
     block = {"coords_path": coords_path.name,
              "explained_variance": explained.tolist()}
     if with_decision_line:
-        model = LinearHingeSVM(**asdict(config.svm_hyperparams())).fit(X_std, data.y)
+        model = config.svm_hyperparams()().fit(X_std, data.y)
         coef_pc = components @ model.coef_
         intercept = float(model.intercept_ + model.coef_ @ X_std.mean(axis=0))
         block["decision_line"] = {"coef_pc": coef_pc.tolist(), "intercept": intercept}

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .base import ConvergenceError, require
 from .features import assign_extremum
-from .sim import ConstantAmplitude, DivergenceError, SimConfig, rejoin_step, simulate
+from .sim import ConstantAmplitude, PathConsumer, SimConfig, iter_ensemble
 
 FOLD_FORCING_VALUE = 2.0 / 3.0
 _FLOQUET_TRANSIENT_PERIODS = 5
@@ -38,10 +39,9 @@ class FoldInfo:
 class FloquetEstimate:
     """Contraction over one period; orbit is the periodic path x(i dt), i = 0 .. steps.
 
-    periods_integrated counts the periods the search integrated (its
-    simulate calls).  steps_integrated counts the steps those calls
-    stepped: a period after the first stops at the first end of a
-    lone-run chunk where it rejoins the period before it.
+    periods_integrated counts the periods the search integrated, one
+    lone run each, and steps_integrated the steps they stepped: a later
+    period stops where it rejoins the one before (see _PeriodPath).
     """
 
     multiplier: float
@@ -129,28 +129,51 @@ def jump_phase_decomposition(t_jump: float, d_a: float, omega: float) -> JumpDec
 # Floquet multiplier of the deterministic periodic orbit
 # --------------------------------------------------------------------------
 
+class _PeriodPath(PathConsumer):
+    """A Floquet period's path, stopped where it rejoins prev; result() is (path, steps).
+
+    prev, the period before (None for the first), steps through the same
+    g_k from another start state, so once the last sample of a fed chunk
+    has prev's bits at its index (compared as int64: -0.0 and 0.0
+    differ), so do all later ones: feed copies the rest from prev and
+    returns True.
+    """
+
+    def __init__(self, n_steps: int, prev: Optional[np.ndarray]):
+        super().__init__(n_steps)
+        self._prev = prev
+
+    def feed(self, samples) -> bool:
+        super().feed(samples)
+        end, prev = self.n_fed, self._prev
+        if prev is None or self.x.view(np.int64)[end - 1] != prev.view(np.int64)[end - 1]:
+            return False
+        self.x[end:] = prev[end:]
+        return True
+
+    def result(self):
+        return self.x, self.n_fed - 1
+
+
 def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     """Contraction of the deterministic orbit over one forcing period.
 
-    Integrates the noise-free system period by period, each period one
-    simulate call of t_total = config.forcing_period (a whole number of
-    dt steps, at least 2, by SimConfig's rule) started from the previous
-    period's end state, so periodicity holds by construction in the
-    phase argument.  The search ends at the first period whose path
-    ends on its own start state's bits (-0.0 and 0.0 differ): at
-    sigma = 0 a simulate call is a pure function of its start state, so
-    that path is also the path of every later period.  Otherwise it ends
-    once, after the transient periods, the path is periodic to within
-    _FLOQUET_TOL (sup norm over the grid).  It then evaluates
-    mu = exp(integral of 1 - x(t)^2 over one period) by trapezoidal
-    quadrature on the same grid, from the last period's path, kept as
-    orbit.  Every later period is integrated with rejoin=prev, the
-    period before it: both step through the same g_k, so once one state
-    equals prev's at the same index, so do all later ones, and the call
-    stops at the end of that chunk (a lone run's chunk_steps(1)-step
-    chunk, or the whole period when it is shorter) and copies the rest
-    from prev with the same bits.  No period draws noise, so the search
-    builds no random stream.
+    Integrates the noise-free system period by period, each period a
+    lone run (iter_ensemble) of t_total = config.forcing_period (a whole
+    number of dt steps, at least 2, by SimConfig's rule) started from
+    the previous period's end state, so periodicity holds by
+    construction in the phase argument.  The search ends at the first
+    period whose path ends on its own start state's bits (-0.0 and 0.0
+    differ): at sigma = 0 a period is a pure function of its start
+    state, so that path is also the path of every later period.
+    Otherwise it ends once, after the transient periods, the path is
+    periodic to within _FLOQUET_TOL (sup norm over the grid).  It then
+    evaluates mu = exp(integral of 1 - x(t)^2 over one period) by
+    trapezoidal quadrature on the same grid, from the last period's
+    path, kept as orbit.  A later period stops at the first lone-run
+    chunk end where it rejoins the period before (_PeriodPath).  No
+    period draws noise, so the run seed iter_ensemble derives goes
+    unused.  A diverged period raises ConvergenceError.
     """
     require(config.sigma == 0.0, "Floquet estimate requires sigma = 0")
     require(isinstance(config.amplitude_schedule, ConstantAmplitude),
@@ -161,12 +184,13 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     require(one_period.n_steps >= 2, "period must span at least 2 steps of dt")
     x, prev, stepped = config.x0, None, 0
     for period in range(1, _FLOQUET_MAX_PERIODS + 1):
-        try:
-            cur = simulate(replace(one_period, x0=x), run_seed=0, rejoin=prev).x
-        except DivergenceError as exc:
+        (res,) = iter_ensemble(replace(one_period, x0=x), 1,
+                               consumer=partial(_PeriodPath, one_period.n_steps, prev))
+        if res.error is not None:
             raise ConvergenceError(
-                "state diverged while seeking the periodic orbit") from exc
-        stepped += rejoin_step(cur, prev)
+                "state diverged while seeking the periodic orbit") from res.error
+        cur, steps = res.value
+        stepped += steps
         first, last = cur[[0, -1]].view(np.int64)
         if last == first or (period > _FLOQUET_TRANSIENT_PERIODS
                              and float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL):

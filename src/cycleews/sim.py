@@ -27,15 +27,10 @@ CHUNK_STEPS for a wider batch, and hands each run's new samples to a
 per-run consumer, over GROUP_RUNS runs at a time from one run-major
 copy, so that every consumer is fed contiguous samples (a lone run's
 column already is, and is fed as it stands); a consumer copies what it
-keeps.  simulate (and the Floquet search through it) keeps the whole
-path in a PathConsumer and returns that array as it stands; given a
-path of the same (config, run_seed) from another x0, it stops at the
-first chunk end where its state has that path's bits and copies the
-rest, since from one equal state on the two paths step through the same
-g_k (the Floquet search passes each later period the one before).
-Every ensemble run streams into a consumer that reduces it as it goes
-and may end it early (a features.FeatureStream in the feature pipeline
-and the figure level protocol).  A batch of two or more runs steps with
+keeps.  simulate returns the whole path a PathConsumer kept.  Every
+ensemble run streams into a consumer that reduces it as it goes and
+may end it early (a features.FeatureStream in the feature pipeline and
+the figure level protocol).  A batch of two or more runs steps with
 five ufunc calls per step on rows, elementwise per run; a batch of one
 steps on Python floats in the same operation order (g + s and s + g are
 the same IEEE sum), since numpy's per-call cost dominates on
@@ -274,51 +269,20 @@ def kernel_samples(batch: int, n_steps: int) -> int:
 
 
 class PathConsumer:
-    """Run consumer that keeps the whole path; samples never fed stay 0.
+    """Run consumer keeping the whole path; n_fed counts the samples fed, the rest stay 0."""
 
-    rejoin, if given, is a path of the same run (the same config and
-    seed, so the same g_k; only x0 may differ).  Once the last sample of
-    a fed chunk has rejoin's bits at its index (compared as int64, so
-    -0.0 and 0.0 differ), every later state of the recurrence is
-    rejoin's too: the rest of the path is copied from rejoin and feed
-    returns True, so the run stops there.
-    """
-
-    def __init__(self, n_steps: int, rejoin: Optional[np.ndarray] = None):
-        require(rejoin is None or len(rejoin) == n_steps + 1,
-                f"a rejoin path must have the run's {n_steps + 1} samples")
+    def __init__(self, n_steps: int):
         self.x = np.zeros(n_steps + 1)
-        self._n = 0
-        self._rejoin = None if rejoin is None else np.asarray(rejoin, dtype=np.float64)
+        self.n_fed = 0
 
     def feed(self, samples) -> bool:
-        end = self._n + len(samples)
-        self.x[self._n:end] = samples
-        self._n = end
-        rejoin = self._rejoin
-        if rejoin is None or self.x.view(np.int64)[end - 1] != rejoin.view(np.int64)[end - 1]:
-            return False
-        self.x[end:] = rejoin[end:]
-        return True
+        end = self.n_fed + len(samples)
+        self.x[self.n_fed:end] = samples
+        self.n_fed = end
+        return False
 
     def result(self) -> np.ndarray:
         return self.x
-
-
-def rejoin_step(path: np.ndarray, rejoin: Optional[np.ndarray]) -> int:
-    """How many steps simulate stepped to return path given rejoin (see PathConsumer).
-
-    A lone run is fed a chunk_steps(1)-step chunk at a time and stops
-    at the first chunk end where path has rejoin's bits; without rejoin
-    it steps to its end.
-    """
-    n_steps = len(path) - 1
-    if rejoin is None:
-        return n_steps
-    same = path.view(np.int64) == rejoin.view(np.int64)
-    chunk = chunk_steps(1)
-    ends = range(chunk, n_steps, chunk)
-    return next((end for end in ends if same[end]), n_steps)
 
 
 def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
@@ -518,16 +482,10 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None, *,
     return out
 
 
-def simulate(config: SimConfig, run_seed: int,
-             rejoin: Optional[np.ndarray] = None) -> Trajectory:
-    """Simulate one path, bit-identical for identical (config, run_seed), or raise.
-
-    rejoin, a path of the same (config, run_seed) from another x0, lets
-    the run stop at the first chunk end where it meets that path and take
-    the rest from it (see PathConsumer); the path's bits are the same.
-    """
+def simulate(config: SimConfig, run_seed: int) -> Trajectory:
+    """Simulate one path, bit-identical for identical (config, run_seed), or raise."""
     res = _simulate_batch(config, [None], [run_seed],
-                          consumer=partial(PathConsumer, config.n_steps, rejoin))[0]
+                          consumer=partial(PathConsumer, config.n_steps))[0]
     if res.error is not None:
         raise res.error
     return Trajectory(res.value, config.dt, int(run_seed))

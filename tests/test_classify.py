@@ -1,12 +1,13 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from cycleews import (Dataset, FeatureScaler, LinearHingeSVM, SvmHyperParams,
-                      balanced_accuracy, cross_validate, drop_column_importance,
-                      pca_2d, permutation_importance, stratified_kfold)
+from cycleews import (Dataset, FeatureScaler, LinearHingeSVM, balanced_accuracy,
+                      cross_validate, drop_column_importance, pca_2d, permutation_importance,
+                      stratified_kfold)
 from cycleews.base import ConvergenceError
 from cycleews.classify import DegenerateFeatureError, StratificationError
 from cycleews.rng import derive_seed, generator
@@ -193,6 +194,19 @@ def test_svm_iteration_cap_raises():
         LinearHingeSVM(n_iter=5).fit(X, y)
 
 
+@pytest.mark.parametrize("setting,message", [
+    ({"lambda_reg": -1.0}, "lambda_reg"), ({"lambda_reg": 0.0}, "lambda_reg"),
+    ({"lambda_reg": math.inf}, "lambda_reg"), ({"lambda_reg": math.nan}, "lambda_reg"),
+    ({"n_iter": 0}, "n_iter"), ({"tol": 0.0}, "tol"), ({"tol": -1e-9}, "tol"),
+    ({"tol": math.inf}, "tol"), ({"tol": math.nan}, "tol"),
+    ({"class_weight": "bogus"}, "class_weight")])
+def test_svm_rejects_settings_without_a_convex_objective_or_a_stop(setting, message):
+    # a negative lambda makes the objective nonconvex, 0 leaves it undefined, and an
+    # infinite tol would certify any point; each is refused before any fit
+    with pytest.raises(ValueError, match=message):
+        LinearHingeSVM(**setting)
+
+
 @pytest.mark.parametrize("seed", [3, 15, 19])
 def test_svm_unscaled_input_stops_at_rounding_floor(seed):
     # on unscaled input with a small lambda the dual is optimal to rounding
@@ -317,7 +331,8 @@ def test_cross_validate_separable():
     X = rng.standard_normal((n, 2))
     X[:, 0] = np.where(y, 10.0, -10.0) + X[:, 0]
     data = make_dataset(X, y)
-    result = cross_validate(data, stratified_kfold(data.y, 5, 1), SvmHyperParams(n_iter=2000))
+    result = cross_validate(data, stratified_kfold(data.y, 5, 1),
+                            partial(LinearHingeSVM, n_iter=2000))
     assert result.mean == 1.0
 
 
@@ -325,7 +340,8 @@ def test_cross_validate_label_permutation_null():
     rng = generator(derive_seed(2, "cv-null"))
     X, y = gaussian_two_class(200, derive_seed(2, "cv-null-data"), separation=2.0)
     data = make_dataset(X, rng.permutation(y))
-    result = cross_validate(data, stratified_kfold(data.y, 5, 3), SvmHyperParams(n_iter=2000))
+    result = cross_validate(data, stratified_kfold(data.y, 5, 3),
+                            partial(LinearHingeSVM, n_iter=2000))
     assert abs(result.mean - 0.5) < 0.1
 
 
@@ -367,8 +383,8 @@ def test_drop_column_redundant_copies():
     X = np.column_stack([informative, informative + 1e-9 * rng.standard_normal(n),
                          rng.standard_normal(n)])
     data = make_dataset(X, y)
-    hp = SvmHyperParams(n_iter=2000)
-    cv = cross_validate(data, stratified_kfold(data.y, 5, 4), hp)
+    svm = partial(LinearHingeSVM, n_iter=2000)
+    cv = cross_validate(data, stratified_kfold(data.y, 5, 4), svm)
     deltas = drop_column_importance(data, cv)
     assert abs(deltas["f0"]) < 0.03  # dropping either copy changes nothing
     assert abs(deltas["f1"]) < 0.03
@@ -382,9 +398,9 @@ def test_drop_column_pure_noise_feature():
     # one 5-fold split moves the importance of a noise column by about
     # 0.009 (sd over split seeds); averaging ten splits of the same data
     # leaves the spread between data draws, which a 0.01 bound covers
-    hp = SvmHyperParams(n_iter=2000)
+    svm = partial(LinearHingeSVM, n_iter=2000)
     repeats = [drop_column_importance(
-                   data, cross_validate(data, stratified_kfold(data.y, 5, seed), hp))
+                   data, cross_validate(data, stratified_kfold(data.y, 5, seed), svm))
                for seed in range(10)]
     assert abs(np.mean([d["f2"] for d in repeats])) <= 0.01
     assert np.mean([d["f0"] for d in repeats]) > 0.2  # the informative column counts
@@ -397,7 +413,7 @@ def test_permutation_importance_informative_column_collapses():
     X = np.column_stack([np.where(y, 3.0, -3.0) + 0.1 * rng.standard_normal(n),
                          rng.standard_normal(n)])
     data = make_dataset(X, y)
-    cv = cross_validate(data, stratified_kfold(data.y, 5, 8), SvmHyperParams(n_iter=2000))
+    cv = cross_validate(data, stratified_kfold(data.y, 5, 8), partial(LinearHingeSVM, n_iter=2000))
     imp = permutation_importance(data, cv, 8, repeats=10)
     assert 0.35 < imp["f0"]["mean"] < 0.65  # score collapses to chance
     assert abs(imp["f1"]["mean"]) < 0.05
@@ -414,10 +430,10 @@ def test_permutation_identity_on_equal_values():
 def test_importances_deterministic():
     X, y = gaussian_two_class(90, derive_seed(2, "imp-det"))
     data = make_dataset(X, y)
-    hp = SvmHyperParams(n_iter=500)
-    a = permutation_importance(data, cross_validate(data, stratified_kfold(data.y, 3, 11), hp),
+    svm = partial(LinearHingeSVM, n_iter=500)
+    a = permutation_importance(data, cross_validate(data, stratified_kfold(data.y, 3, 11), svm),
                                11, repeats=5)
-    b = permutation_importance(data, cross_validate(data, stratified_kfold(data.y, 3, 11), hp),
+    b = permutation_importance(data, cross_validate(data, stratified_kfold(data.y, 3, 11), svm),
                                11, repeats=5)
     assert a == b
 
@@ -425,10 +441,10 @@ def test_importances_deterministic():
 def test_fold_fits_independent_of_workers(pool_sizes):
     X, y = gaussian_two_class(90, derive_seed(2, "workers"), n_features=3)
     data = make_dataset(X, y)
-    hp = SvmHyperParams(n_iter=300)
+    svm = partial(LinearHingeSVM, n_iter=300)
     folds = stratified_kfold(data.y, 3, 5)
-    serial = cross_validate(data, folds, hp)
-    forked = cross_validate(data, folds, hp, workers=2)
+    serial = cross_validate(data, folds, svm)
+    forked = cross_validate(data, folds, svm, workers=2)
     assert serial.scores.tobytes() == forked.scores.tobytes()
     for a, b in zip(serial.fold_models, forked.fold_models):
         assert a.model.coef_.tobytes() == b.model.coef_.tobytes()
@@ -441,11 +457,11 @@ def test_fold_fits_independent_of_workers(pool_sizes):
 def test_importances_reuse_given_cv(monkeypatch):
     X, y = gaussian_two_class(90, derive_seed(2, "reuse"), n_features=3)
     data = make_dataset(X, y)
-    hp = SvmHyperParams(n_iter=300)
+    svm = partial(LinearHingeSVM, n_iter=300)
     folds = stratified_kfold(data.y, 3, 5)
-    cv = cross_validate(data, folds, hp)
-    expected_drop = drop_column_importance(data, cross_validate(data, folds, hp))
-    expected_perm = permutation_importance(data, cross_validate(data, folds, hp), 8,
+    cv = cross_validate(data, folds, svm)
+    expected_drop = drop_column_importance(data, cross_validate(data, folds, svm))
+    expected_perm = permutation_importance(data, cross_validate(data, folds, svm), 8,
                                            repeats=4)
     fits = []
     real_fit = LinearHingeSVM.fit

@@ -699,6 +699,13 @@ def test_cli_diagnose_diverging_grid_gives_nulls(tmp_path):
                for r in rows)
 
 
+def test_run_diagnose_nulls_a_diverged_floquet_search(tmp_path):
+    config = ExperimentConfig(x0=1.0e6, out_dir=str(tmp_path))
+    (row,) = run_diagnose(config, [1.2], [225.0])
+    assert row["log_floquet"] is None and row["measured_delay_phase"] is None
+    assert json.loads((tmp_path / "diagnostics.json").read_text())["rows"] == [row]
+
+
 def test_run_diagnose_integrates_only_the_floquet_search(monkeypatch, tmp_path):
     def no_simulate(*args, **kwargs):
         raise AssertionError("diagnose simulated outside the Floquet search")

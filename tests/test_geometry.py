@@ -8,11 +8,12 @@ from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps
                       floquet_multiplier, fold_info, fold_sweep_rate, hazard_window_width,
                       jump_phase_decomposition, predicted_delay_phase, simulate)
 from cycleews import geometry, sim
+from cycleews.base import ConvergenceError
 from cycleews.experiment import measured_delay_phase
 from cycleews.features import FeatureConfig, FeatureStream
 from cycleews.geometry import FOLD_FORCING_VALUE
 from cycleews.rng import generator
-from cycleews.sim import LONE_CHUNK_STEPS
+from cycleews.sim import DivergenceError, LONE_CHUNK_STEPS, iter_ensemble
 
 OMEGA = 2.0 * math.pi / 225.0
 
@@ -149,9 +150,9 @@ TOLERANCE_ENDED = {(0.68, 2.0): 8, (1.2, 1.0): 13, (1.2, 10.0): 24}
 def test_floquet_matches_the_every_period_search_bit_for_bit(monkeypatch, d_a):
     calls = []
 
-    def counting_simulate(*args, **kwargs):
+    def counting_iter_ensemble(*args, **kwargs):
         calls.append(1)
-        return simulate(*args, **kwargs)
+        return iter_ensemble(*args, **kwargs)
 
     # the float map reaches a fixed point after one period at periods 25-400
     cases = dict.fromkeys((25.0, 50.0, 100.0, 225.0, 400.0), 2)
@@ -161,7 +162,7 @@ def test_floquet_matches_the_every_period_search_bit_for_bit(monkeypatch, d_a):
         multiplier, log_multiplier, orbit = floquet_every_period(config)
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(geometry, "simulate", counting_simulate)
+            patch.setattr(geometry, "iter_ensemble", counting_iter_ensemble)
             est = floquet_multiplier(config)
         assert (est.multiplier, est.log_multiplier) == (multiplier, log_multiplier), period
         assert est.orbit.tobytes() == orbit.tobytes(), period
@@ -195,6 +196,14 @@ def test_floquet_search_builds_no_random_stream(monkeypatch):
     monkeypatch.setattr(sim, "RunStream", no_stream)
     est = floquet_multiplier(_floquet_config(50.0, 1.2))
     assert est.log_multiplier < 0.0
+
+
+def test_floquet_divergence_is_a_convergence_error():
+    # the first step from x0 = 1e6 lands beyond the divergence bound
+    config = replace(_floquet_config(225.0, 1.2), x0=1.0e6)
+    with pytest.raises(ConvergenceError, match="while seeking the periodic orbit") as info:
+        floquet_multiplier(config)
+    assert isinstance(info.value.__cause__, DivergenceError)
 
 
 def test_floquet_preconditions():

@@ -9,7 +9,7 @@ import pytest
 from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       PiecewiseConstantAmplitude, SimConfig, Trajectory, UniformSampler,
                       simulate)
-from cycleews import sim
+from cycleews import geometry, sim
 from cycleews.rng import RunStream, derive_seed
 from cycleews.sim import (GROUP_RUNS, LONE_CHUNK_STEPS, PathConsumer, _increments, _integrate,
                           _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
@@ -535,54 +535,56 @@ def _fed_pieces(path, ends):
     return [path[lo:end + 1] for lo, end in zip(starts, ends)]
 
 
+def test_path_consumer_keeps_the_whole_path_and_counts_the_samples_fed():
+    path = np.linspace(-1.0, 1.0, 13)
+    consumer = PathConsumer(13)
+    assert [consumer.feed(piece) for piece in _fed_pieces(path, [4, 9, 12])] == [False] * 3
+    assert consumer.n_fed == 13
+    assert consumer.result().tobytes() == np.append(path, 0.0).tobytes()
+
+
 def test_path_consumer_stops_at_first_chunk_ending_on_rejoin():
     rejoin = np.linspace(-1.0, 1.0, 13)
     path = rejoin + 0.5
     path[3] = rejoin[3]  # shared inside the first chunk only
     path[7:10] = rejoin[7:10]  # shared from step 7 into the second chunk's end
-    consumer = PathConsumer(12, rejoin)
+    consumer = geometry._PeriodPath(12, rejoin)
     fed = [consumer.feed(piece) for piece in _fed_pieces(path, [4, 9])]
     assert fed == [False, True]
-    assert consumer.result()[:10].tobytes() == path[:10].tobytes()
-    assert consumer.result()[10:].tobytes() == rejoin[10:].tobytes()
+    x, steps = consumer.result()
+    assert x[:10].tobytes() == path[:10].tobytes()
+    assert x[10:].tobytes() == rejoin[10:].tobytes()
+    assert steps == 9
 
 
 def test_path_consumer_rejoin_tells_minus_zero_from_zero():
     rejoin = np.array([1.0, 2.0, -0.0, 3.0])
-    assert PathConsumer(3, rejoin).feed(np.array([1.0, 2.0, 0.0])) is False
-    consumer = PathConsumer(3, rejoin)
+    assert geometry._PeriodPath(3, rejoin).feed(np.array([1.0, 2.0, 0.0])) is False
+    consumer = geometry._PeriodPath(3, rejoin)
     assert consumer.feed(np.array([5.0, 2.0, -0.0])) is True
-    assert consumer.result().tobytes() == np.array([5.0, 2.0, -0.0, 3.0]).tobytes()
+    x, steps = consumer.result()
+    assert x.tobytes() == np.array([5.0, 2.0, -0.0, 3.0]).tobytes()
+    assert steps == 2
 
 
-def test_rejoin_of_wrong_length_raises_before_integrating(monkeypatch):
-    config = _long_config(ConstantAmplitude(1.2), 0.0)
-    monkeypatch.setattr(sim, "_integrate", lambda *args: pytest.fail("integrated"))
-    for n in (config.n_steps, config.n_steps + 2):
-        with pytest.raises(ValueError, match="rejoin path"):
-            simulate(config, 0, rejoin=np.zeros(n))
-
-
-@pytest.mark.parametrize("d_a,period,sigma", [
-    (1.2, 100.0, 0.0), (1.5, 400.0, 0.0), (0.9, 25.0, 0.0), (1.2, 100.0, 0.3)])
-def test_simulate_with_rejoin_gives_the_same_bytes(lone_run_steps, d_a, period, sigma):
+@pytest.mark.parametrize("d_a,period", [(1.2, 100.0), (1.5, 400.0), (0.9, 25.0)])
+def test_period_path_gives_the_bytes_of_a_whole_period(lone_run_steps, d_a, period):
     # each later period of the Floquet search from the end of the one before; at
-    # d_a 0.9, period 25 the second period does not rejoin the first; with noise,
-    # the same seed from another start state
+    # d_a 0.9, period 25 the second period does not rejoin the first
     config = SimConfig(dt=0.01, t_total=period, forcing_period=period,
-                       amplitude_schedule=ConstantAmplitude(d_a), sigma=sigma, x0=1.0)
-    seed = run_seed_for(4, 0)
-    prev = simulate(config, seed).x
+                       amplitude_schedule=ConstantAmplitude(d_a), sigma=0.0, x0=1.0)
+    prev = simulate(config, 0).x
     # a period that rejoins steps to the end of that lone-run chunk, one that does not
     # steps its whole length; every rejoin here falls in the first chunk
     first = config.n_steps if (d_a, period) == (0.9, 25.0) else LONE_CHUNK_STEPS
     for steps in (first, LONE_CHUNK_STEPS):
-        later = replace(config, x0=float(prev[-1]) + sigma)
+        later = replace(config, x0=float(prev[-1]))
         lone_run_steps.clear()
-        cur = simulate(later, seed, rejoin=prev).x
-        assert sum(lone_run_steps) == steps
-        assert sim.rejoin_step(cur, prev) == sum(lone_run_steps)
-        assert cur.tobytes() == simulate(later, seed).x.tobytes()
+        (res,) = iter_ensemble(later, 1,
+                               consumer=partial(geometry._PeriodPath, config.n_steps, prev))
+        cur, stepped = res.value
+        assert sum(lone_run_steps) == stepped == steps
+        assert cur.tobytes() == simulate(later, 0).x.tobytes()
         prev = cur
 
 
