@@ -29,7 +29,7 @@ from .classify import (Dataset, DegenerateFeatureError, FeatureScaler, LinearHin
 # perfbench's tracer wraps iter_ensemble, simulate, detect_jumps, label_breakdown,
 # truncate_at_onset and extract_features where this module looks them up, so
 # each stays importable from here even where this module no longer calls it
-from .events import (DetectorConfig, detect_jumps, label_breakdown,  # noqa: F401
+from .events import (DetectorConfig, JumpStream, detect_jumps, label_breakdown,  # noqa: F401
                      truncate_at_onset, write_events_csv)
 from .features import (FEATURE_NAMES, FeatureConfig, FeatureStream,  # noqa: F401
                        circular_mean, circular_std, extract_features)
@@ -610,15 +610,19 @@ def measured_delay_phase(config: SimConfig, floquet: FloquetEstimate,
                          det: DetectorConfig) -> Optional[float]:
     """Mean fold-to-jump delay phase over the jumps of two periods of floquet.orbit.
 
-    The orbit of config, found periodic by floquet_multiplier, is laid on
-    the grid t = i dt; the chatter rules drop a jump within n_min steps
-    of either end of that window.  The window is all it holds.  None
-    when no jump is detected.
+    The orbit of config, found periodic by floquet_multiplier, is laid
+    twice on the grid t = i dt, i = 0 .. 2 steps; the chatter rules
+    drop a jump within n_min steps of either end of those two periods.
+    One JumpStream is fed the orbit twice, orbit[:-1] and then orbit, so
+    no two-period window is built: beside the orbit it holds at most two
+    threshold masks of a byte a sample.  None when no jump is detected.
     """
-    d_a = config.amplitude_schedule.value
-    window = np.concatenate((floquet.orbit[:-1], floquet.orbit))
+    d_a, orbit = config.amplitude_schedule.value, floquet.orbit
+    stream = JumpStream(det, 2 * (len(orbit) - 1))
+    for path in (orbit[:-1], orbit):
+        stream.feed(path)
     delays = [jump_phase_decomposition(t_j, d_a, config.omega).phi_delay
-              for t_j in detect_jumps(Trajectory(window, config.dt, 0), det).jump_times]
+              for t_j in stream.segments(config.dt).jump_times]
     return float(np.mean(delays)) if delays else None
 
 
@@ -628,9 +632,11 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
 
     Every grid point is checked before any is computed: each d_a must be
     finite and > 0, each period a whole number of dt steps, at least 2,
-    and the two-period delay window, 8 * (2 * steps + 1) bytes, within
-    physical memory, else ConfigError.  A failed Floquet search nulls
-    log_floquet and the delay.
+    and the two period paths a point holds, 16 * (steps + 1) bytes,
+    within physical memory, else ConfigError.  A point holds the Floquet
+    search's last period and the one before it; the delay is read off
+    the last, and the point's FloquetEstimate goes once its row is
+    built.  A failed Floquet search nulls log_floquet and the delay.
     """
     grid = []
     for d_a in d_a_values:
@@ -643,9 +649,9 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
                                       amplitude_schedule=ConstantAmplitude(d_a),
                                       sigma=0.0, x0=config.x0))
                 require(grid[-1].n_steps >= 2, "period must span at least 2 steps of dt")
-                window = 8 * (2 * grid[-1].n_steps + 1)
-                require(window <= physical_memory(),
-                        f"two-period delay window of {window} bytes exceeds physical memory")
+                paths = 16 * (grid[-1].n_steps + 1)
+                require(paths <= physical_memory(),
+                        f"two period paths of {paths} bytes exceed physical memory")
             except ValueError as exc:
                 raise ConfigError(f"diagnose grid point d_a = {d_a}, period = {period}: "
                                   f"{exc}") from exc
@@ -663,6 +669,7 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
             else:
                 log_mu = floquet.log_multiplier
                 delay = measured_delay_phase(sim_cfg, floquet, config.detector())
+                del floquet  # so the next point's search holds only its own two periods
         row = diagnostics_record(d_a, sim_cfg.omega, log_floquet=log_mu)
         row["forcing_period"] = sim_cfg.forcing_period
         row["measured_delay_phase"] = delay

@@ -171,7 +171,9 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
     evaluates mu = exp(integral of 1 - x(t)^2 over one period) by
     trapezoidal quadrature on the same grid, from the last period's
     path, kept as orbit.  A later period stops at the first lone-run
-    chunk end where it rejoins the period before (_PeriodPath).  No
+    chunk end where it rejoins the period before (_PeriodPath).  The
+    search holds two period paths, the last and the one before, whose
+    buffer takes the sup distance and the integrand once spent.  No
     period draws noise, so the run seed iter_ensemble derives goes
     unused.  A diverged period raises ConvergenceError.
     """
@@ -192,9 +194,12 @@ def floquet_multiplier(config: SimConfig) -> FloquetEstimate:
         cur, steps = res.value
         stepped += steps
         first, last = cur[[0, -1]].view(np.int64)
-        if last == first or (period > _FLOQUET_TRANSIENT_PERIODS
-                             and float(np.max(np.abs(cur - prev))) < _FLOQUET_TOL):
-            integrand = 1.0 - cur * cur
+        # prev is spent once cur is in hand, so its buffer takes |cur - prev| and
+        # then the integrand (if the first period already repeats, out=None allocates)
+        if last == first or (period > _FLOQUET_TRANSIENT_PERIODS and float(np.max(
+                np.abs(np.subtract(cur, prev, out=prev), out=prev))) < _FLOQUET_TOL):
+            integrand = np.multiply(cur, cur, out=prev)
+            np.subtract(1.0, integrand, out=integrand)
             log_mu = config.dt * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
             return FloquetEstimate(multiplier=math.exp(log_mu), log_multiplier=float(log_mu),
                                    periods_integrated=period, steps_integrated=stepped,

@@ -99,8 +99,8 @@ class LinearRampAmplitude:
     d_min: float
 
     def __post_init__(self):
-        require(self.d_max >= self.d_min > 0.0,
-                "linear ramp requires d_max >= d_min > 0")
+        require(math.inf > self.d_max >= self.d_min > 0.0,
+                "linear ramp requires finite d_max >= d_min > 0")
 
     def rate(self, t_total: float) -> float:
         return (self.d_max - self.d_min) / t_total
@@ -120,7 +120,8 @@ class PiecewiseConstantAmplitude:
         require(len(self.levels) >= 1, "piecewise schedule needs at least one level")
         require(all(math.isfinite(v) and v >= 0.0 for v in self.levels),
                 "piecewise levels must be finite and >= 0")
-        require(self.level_duration > 0.0, "level_duration must be > 0")
+        require(math.isfinite(self.level_duration) and self.level_duration > 0.0,
+                "level_duration must be finite and > 0")
 
     def level_index(self, t):
         """Index of the level in force at time(s) t."""
@@ -144,7 +145,8 @@ class UniformSampler:
     high: float
 
     def __post_init__(self):
-        require(0.0 < self.low <= self.high, "uniform sampler needs 0 < low <= high")
+        require(0.0 < self.low <= self.high < math.inf,
+                "uniform sampler needs finite 0 < low <= high")
 
     def from_uniform(self, u: float) -> float:
         return self.low + (self.high - self.low) * u
@@ -181,7 +183,8 @@ class SimConfig:
         require(self.t_total > 0.0, "t_total must be > 0")
         require(math.isfinite(self.forcing_period) and self.forcing_period > 0.0,
                 "forcing_period must be finite and > 0")
-        require(self.sigma >= 0.0, "sigma must be >= 0")
+        require(math.isfinite(self.sigma) and self.sigma >= 0.0,
+                "sigma must be finite and >= 0")
         require(abs(self.x0) <= STATE_GUARD,
                 f"x0 must be finite and within the divergence bound {STATE_GUARD:g}")
         require(0 <= int(self.master_seed) < 2 ** 64, "master_seed must be a 64-bit integer")
@@ -381,15 +384,17 @@ def _step_rows(xs, c1: float, c2: float) -> None:
     arrays and out as a positional argument, because numpy's per-call
     cost, not the arithmetic, sets the time of a step on a short row.
     """
-    rows, width = list(xs), xs.shape[1]
+    rows, width = iter(xs), xs.shape[1]
     c1, c2, s = np.full(width, c1), np.full(width, c2), np.empty(width)
     multiply, add = np.multiply, np.add
-    for row, nxt in zip(rows, rows[1:]):
+    row = next(rows)
+    for nxt in rows:
         multiply(row, row, s)
         multiply(s, c2, s)
         add(s, c1, s)
         multiply(s, row, s)
         add(nxt, s, nxt)
+        row = nxt
 
 
 def _step_floats(xs, c1: float, c2: float) -> None:

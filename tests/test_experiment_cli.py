@@ -718,13 +718,13 @@ def test_run_diagnose_integrates_only_the_floquet_search(monkeypatch, tmp_path):
 
 def test_diagnose_rejects_delay_window_above_memory(monkeypatch, tmp_path):
     config = ExperimentConfig(out_dir=str(tmp_path))
-    # period 50 at dt 0.01: two periods hold 2 * 5,000 + 1 points of 8 bytes
-    window = 8 * (2 * 5_000 + 1)
-    monkeypatch.setattr(experiment, "physical_memory", lambda: window - 1)
-    with pytest.raises(ConfigError, match="delay window"):
+    # period 50 at dt 0.01: a point holds two period paths of 5,000 + 1 points of 8 bytes
+    paths = 16 * (5_000 + 1)
+    monkeypatch.setattr(experiment, "physical_memory", lambda: paths - 1)
+    with pytest.raises(ConfigError, match="two period paths of 80016 bytes"):
         run_diagnose(config, [1.2], [50.0])
     assert not (tmp_path / "diagnostics.json").exists()
-    monkeypatch.setattr(experiment, "physical_memory", lambda: window)
+    monkeypatch.setattr(experiment, "physical_memory", lambda: paths)
     assert run_diagnose(config, [1.2], [50.0])[0]["measured_delay_phase"] > 0.0
 
 
@@ -739,20 +739,22 @@ def _traced_peak(fn, *args):
 def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
     # simulate holds the 8 bytes a point that ExperimentConfig admits for one
     # run path, plus the kernel's chunk buffers; detecting the path's jumps
-    # and writing a path's CSV each add at most 1 MB; the diagnose delay
-    # window, admitted at 8 * (2 * steps + 1) bytes, is held once.  The CSV
-    # is written for the protocol's 250,001-point path, where one array over
-    # the whole path would take 2 MB: formatting a million rows under
-    # tracemalloc takes about 20 s on a 2-core AVX-512 Xeon host (4.3 s for
-    # the 250,001 rows).
+    # and writing a path's CSV each add at most 1 MB.  A diagnose point is
+    # admitted at two period paths: the Floquet search holds the last period
+    # and the one before, plus a lone run's chunk buffers and its chunk of
+    # Python floats (about 140 KB at period 400), and the delay holds no copy
+    # of a period beside the orbit: it stays under half a period path, a
+    # quarter of a two-period window.  The CSV is written for the protocol's
+    # 250,001-point path, where one array over the whole path would take
+    # 2 MB: formatting a million rows under tracemalloc takes about 20 s on a
+    # 2-core AVX-512 Xeon host (4.3 s for the 250,001 rows).
     config = ExperimentConfig(t_total=10_000.0).sim_config()
     assert config.n_steps + 1 >= 10 ** 6
     protocol = ExperimentConfig().sim_config()
     protocol_run = simulate(protocol, 7)
-    orbit_cfg = SimConfig(dt=0.01, t_total=225.0, forcing_period=225.0,
+    orbit_cfg = SimConfig(dt=0.01, t_total=400.0, forcing_period=400.0,
                           amplitude_schedule=ConstantAmplitude(1.2), sigma=0.0, x0=1.0)
-    floquet = floquet_multiplier(orbit_cfg)
-    window = 8 * (2 * orbit_cfg.n_steps + 1)
+    path = 8 * (orbit_cfg.n_steps + 1)
     tracemalloc.start()
     try:
         traj, peak = _traced_peak(simulate, config, 7)
@@ -763,9 +765,11 @@ def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
         _, peak = _traced_peak(write_trajectory_csv, protocol_run, protocol,
                                tmp_path / "traj.csv")
         assert peak <= 10 ** 6
+        floquet, peak = _traced_peak(floquet_multiplier, orbit_cfg)
+        assert peak < 2 * path + 8 * kernel_samples(1, orbit_cfg.n_steps) + 3 * path // 4
         delay, peak = _traced_peak(experiment.measured_delay_phase, orbit_cfg, floquet,
                                    DetectorConfig())
-        assert delay is not None and peak < 1.5 * window
+        assert delay is not None and peak < path // 2
     finally:
         tracemalloc.stop()
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps,
+from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, Trajectory, detect_jumps,
                       floquet_multiplier, fold_info, fold_sweep_rate, hazard_window_width,
                       jump_phase_decomposition, predicted_delay_phase, simulate)
 from cycleews import geometry, sim
@@ -259,6 +259,28 @@ def test_delay_phase_from_orbit_matches_resimulation(d_a):
         assert (mine is None) == (oracle is None), period
         if oracle is not None:
             assert mine == pytest.approx(oracle, rel=1e-12, abs=0.0), period
+
+
+def delay_phase_from_window(config, floquet, det):
+    """Oracle: detect_jumps on a copied two-period window of the orbit."""
+    window = np.concatenate((floquet.orbit[:-1], floquet.orbit))
+    d_a = config.amplitude_schedule.value
+    delays = [jump_phase_decomposition(t_j, d_a, config.omega).phi_delay
+              for t_j in detect_jumps(Trajectory(window, config.dt, 0), det).jump_times]
+    return float(np.mean(delays)) if delays else None
+
+
+@pytest.mark.parametrize("d_a", [0.68, 0.9, 1.2, 1.5])
+def test_delay_phase_streamed_equals_the_copied_window(d_a):
+    # at d_a 1.2 the period-10 search ends by tolerance (TOLERANCE_ENDED)
+    for period in (10.0, 25.0, 100.0, 400.0):
+        config = _floquet_config(period, d_a)
+        floquet = floquet_multiplier(config)
+        if (d_a, period) in TOLERANCE_ENDED:
+            assert floquet.periods_integrated == TOLERANCE_ENDED[d_a, period]
+        det = DetectorConfig()
+        assert (measured_delay_phase(config, floquet, det)
+                == delay_phase_from_window(config, floquet, det)), period
 
 
 def test_delay_law_constant_matches_the_orbit():

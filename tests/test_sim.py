@@ -68,6 +68,19 @@ def test_forcing_period_must_be_finite_and_positive(period):
                   amplitude_schedule=ConstantAmplitude(1.0), sigma=0.0, x0=1.0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
+                       amplitude_schedule=ConstantAmplitude(1.0), sigma=math.inf, x0=1.0),
+     "sigma must be finite"),
+    (lambda: LinearRampAmplitude(math.inf, 0.25), "finite d_max"),
+    (lambda: UniformSampler(0.25, math.inf), "finite 0 < low <= high"),
+    (lambda: PiecewiseConstantAmplitude((1.0, 0.5), math.inf), "level_duration must be finite"),
+], ids=["sigma", "ramp_d_max", "sampler_high", "level_duration"])
+def test_library_inputs_must_be_finite(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_x0_must_lie_within_the_divergence_bound():
     def config(x0):
         return SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
