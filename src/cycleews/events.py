@@ -1,12 +1,12 @@
-"""Hysteresis jump detection, segmentation, and breakdown labeling.
+"""Hysteresis jump detection, segmentation, and the breakdown onset.
 
 A two-threshold state machine converts a trajectory into an alternating
-sequence of well-to-well jumps.  Grid endpoints are artificial segment
-boundaries.  In the same pass over the crossings, each segment shorter
+sequence of well-to-well jumps.  The path's two ends bound the first and
+last segments.  In the same pass over the crossings, each segment shorter
 than n_min steps is treated as threshold chatter and merged away as it
-closes, so detection is linear in the number of crossings.  A run is
-labeled a breakdown when some between-jump segment lasts strictly longer
-than breakdown_factor times the forcing period.
+closes, so detection is linear in the number of crossings.  A run's
+breakdown onset is its first segment that lasts strictly longer than
+breakdown_factor times the forcing period.
 """
 
 from __future__ import annotations
@@ -39,23 +39,20 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class SegmentSet:
-    """Segment boundaries on the grid, well labels, and the breakdown state.
+    """Segment boundaries on the grid and the well of each segment.
 
     boundaries[k] .. boundaries[k+1] is segment k (indices, left-closed
-    right-open in samples); artificial marks appended endpoints that are
-    not jumps.  wells holds one label per segment (+1 upper / -1 lower)
-    and alternates across real jumps.
+    right-open in samples).  The first and last boundaries are the ends of
+    the span the set covers, and every boundary between them is a jump.
+    wells holds one label per segment (+1 upper / -1 lower) and alternates
+    across the jumps.
     """
 
     boundaries: np.ndarray
-    artificial: np.ndarray
     wells: np.ndarray
     dt: float
-    breakdown_onset: Optional[int] = None
-    breakdown: bool = False
 
     def __post_init__(self):
-        require(len(self.boundaries) == len(self.artificial), "boundary/flag length mismatch")
         require(len(self.wells) == max(0, len(self.boundaries) - 1),
                 "need one well label per segment")
         if len(self.boundaries) > 1:
@@ -64,7 +61,7 @@ class SegmentSet:
 
     @property
     def jump_indices(self) -> np.ndarray:
-        return self.boundaries[~self.artificial]
+        return self.boundaries[1:-1]
 
     @property
     def jump_times(self) -> np.ndarray:
@@ -72,14 +69,11 @@ class SegmentSet:
 
     @property
     def n_jumps(self) -> int:
-        return int((~self.artificial).sum())
+        return max(0, len(self.boundaries) - 2)
 
     def jump_directions(self):
-        """'down' / 'up' per real jump, ordered in time."""
-        out = []
-        for pos in np.flatnonzero(~self.artificial):
-            out.append("down" if self.wells[pos - 1] == UPPER else "up")
-        return out
+        """'down' / 'up' per jump, ordered in time: the well each jump leaves."""
+        return ["down" if well == UPPER else "up" for well in self.wells[:-1]]
 
 
 class JumpStream:
@@ -161,10 +155,7 @@ class JumpStream:
     def segments(self, dt: float) -> SegmentSet:
         """The SegmentSet of the whole path; the path must be finished."""
         require(self.finished, "segments need the whole path")
-        artificial = np.zeros(len(self.boundaries), dtype=bool)
-        artificial[[0, -1]] = True
         return SegmentSet(boundaries=np.array(self.boundaries, dtype=np.int64),
-                          artificial=artificial,
                           wells=np.array(self.wells, dtype=np.int8), dt=dt)
 
 
@@ -186,28 +177,22 @@ def detect_jumps(traj: Trajectory, det: DetectorConfig) -> SegmentSet:
     return stream.segments(traj.dt)
 
 
-def label_breakdown(segset: SegmentSet, t_f: float, det: DetectorConfig) -> SegmentSet:
-    """Mark the first segment strictly longer than breakdown_factor * t_f."""
-    durations = np.diff(segset.boundaries) * segset.dt
-    too_long = np.flatnonzero(durations > det.breakdown_factor * t_f)
-    onset = int(too_long[0]) if len(too_long) else None
-    return replace(segset, breakdown_onset=onset, breakdown=onset is not None)
+def label_breakdown(segset: SegmentSet, t_f: float, det: DetectorConfig) -> Optional[int]:
+    """The breakdown onset: the first segment longer than breakdown_factor * t_f, or None."""
+    too_long = np.flatnonzero(np.diff(segset.boundaries) * segset.dt
+                              > det.breakdown_factor * t_f)
+    return int(too_long[0]) if len(too_long) else None
 
 
-def truncate_at_onset(segset: SegmentSet) -> SegmentSet:
-    """Keep only segments (and their bounding jumps) before the breakdown onset."""
-    if segset.breakdown_onset is None:
+def truncate_at_onset(segset: SegmentSet, onset: Optional[int]) -> SegmentSet:
+    """The segments before the onset; the onset's left boundary ends the span."""
+    if onset is None:
         return segset
-    k = segset.breakdown_onset
-    return replace(segset,
-                   boundaries=segset.boundaries[:k + 1],
-                   artificial=segset.artificial[:k + 1],
-                   wells=segset.wells[:k],
-                   breakdown_onset=None,
-                   breakdown=segset.breakdown)
+    return replace(segset, boundaries=segset.boundaries[:onset + 1],
+                   wells=segset.wells[:onset])
 
 
 def write_events_csv(segset: SegmentSet, path) -> None:
-    """A CSV of the real jumps: grid index, time and direction of each."""
+    """A CSV of the jumps: grid index, time and direction of each."""
     write_csv(path, (("jump_index", "%d"), ("jump_time", "%.17g"), ("direction", "%s")),
               zip(segset.jump_indices, segset.jump_times, segset.jump_directions()))

@@ -546,14 +546,13 @@ def run_figures(config: ExperimentConfig) -> None:
     onset_cfg, piece_cfg = config.figure_sim_configs()
     seed = derive_seed(config.master_seed, "figure-breakdown")
     traj = simulate(onset_cfg, seed)
-    segset = label_breakdown(detect_jumps(traj, det), config.forcing_period, det)
+    segset = detect_jumps(traj, det)
+    onset = label_breakdown(segset, config.forcing_period, det)
     write_trajectory_csv(traj, onset_cfg, out_dir / "fig_breakdown_timeseries.csv")
     write_events_csv(segset, out_dir / "fig_breakdown_events.csv")
-    onset_time = None
-    if segset.breakdown_onset is not None:
-        onset_time = float(segset.boundaries[segset.breakdown_onset] * segset.dt)
+    onset_time = None if onset is None else float(segset.boundaries[onset] * segset.dt)
     write_report({"seed": seed, "d_min": config.figure_d_min,
-                  "breakdown": segset.breakdown, "onset_time": onset_time},
+                  "breakdown": onset is not None, "onset_time": onset_time},
                  out_dir / "fig_breakdown_meta.json")
 
     # (b, c) piecewise-constant level protocol; each run's stream keeps
@@ -683,11 +682,11 @@ def simulate_one(config: ExperimentConfig, run_index: int = 0,
                  run_seed: Optional[int] = None) -> Trajectory:
     """One ensemble member (ramp d_min drawn exactly as the ensemble would).
 
-    A negative run_index, or a run_seed outside [0, 2**64), raises
-    ConfigError before anything is simulated or written.
+    A run_index or run_seed outside [0, 2**64) raises ConfigError before
+    anything is simulated or written (run seeds derive from 64-bit labels).
     """
-    if run_index < 0:
-        raise ConfigError(f"run index must be >= 0, got {run_index}")
+    if not 0 <= run_index < 2 ** 64:
+        raise ConfigError(f"run index must lie in [0, 2**64), got {run_index}")
     if run_seed is not None and not 0 <= run_seed < 2 ** 64:
         raise ConfigError(f"run seed must lie in [0, 2**64), got {run_seed}")
     out_dir = Path(config.out_dir)

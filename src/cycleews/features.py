@@ -57,11 +57,6 @@ class PhaseSeries:
     jump_index: np.ndarray   # grid index of each jump
     phi: np.ndarray          # forcing phase in [0, 2pi)
     delta: np.ndarray        # wrapped offset from nearest extremum, (-pi, pi]
-    eta: np.ndarray          # +1 nearest extremum is a maximum, -1 a minimum
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.delta)
 
 
 @dataclass(frozen=True)
@@ -73,8 +68,6 @@ class FeatureVector:
     label: bool
     valid: bool
     exclusion_reason: Optional[str] = None
-    n_cycles: int = 0
-    n_jumps: int = 0
     # the per-cycle and per-jump series the slopes were fitted to
     cycles: Tuple[CycleStats, ...] = field(default=(), compare=False, repr=False)
     phases: Optional[PhaseSeries] = field(default=None, compare=False, repr=False)
@@ -163,7 +156,7 @@ def _cycle(ci: int, a, b) -> Optional[CycleStats]:
     d = y - y.mean()
     ss = float((d * d).sum())
     var = ss / len(y)  # conftest's sample_variance(y): numpy's mean is the sum over the count
-    if var == 0.0:
+    if not var > 0.0:  # 0, or NaN where a high-degree detrend underflowed
         return None
     # conftest's lag1_autocorrelation(y), whose denominator ss is not 0 here
     return CycleStats(ci, var, float((d[:-1] * d[1:]).sum() / ss), len(y))
@@ -186,8 +179,7 @@ def jump_phases(jump_index, dt: float, omega: float) -> PhaseSeries:
     """Forcing phase and extremum offset of the jumps at grid indices jump_index."""
     jump_index = np.array(jump_index, dtype=np.int64)
     phi = np.mod(omega * (jump_index * dt), TWO_PI)
-    delta, eta = assign_extremum(phi)
-    return PhaseSeries(jump_index=jump_index, phi=phi, delta=delta, eta=eta)
+    return PhaseSeries(jump_index=jump_index, phi=phi, delta=assign_extremum(phi)[0])
 
 
 def circular_std(deltas) -> float:
@@ -241,18 +233,14 @@ def extract_features(traj: Trajectory, det: DetectorConfig, fcfg: FeatureConfig,
 def trend_features(cycles: Tuple[CycleStats, ...], phases: PhaseSeries, label: bool,
                    fcfg: FeatureConfig) -> FeatureVector:
     """The FeatureVector of a run's cycle and jump-phase series (see extract_features)."""
-    n_cycles = len(cycles)
-    n_jumps = phases.n_jumps
-
     def invalid(reason):
         return FeatureVector(math.nan, math.nan, math.nan, math.nan,
                              label=label, valid=False, exclusion_reason=reason,
-                             n_cycles=n_cycles, n_jumps=n_jumps,
                              cycles=cycles, phases=phases)
 
-    if n_cycles < fcfg.min_cycles:
+    if len(cycles) < fcfg.min_cycles:
         return invalid("too_few_cycles")
-    if n_jumps < fcfg.min_jumps:
+    if len(phases.delta) < fcfg.min_jumps:
         return invalid("too_few_jumps")
     rolled = rolling_circ_std(phases.delta, fcfg.window_w)
     if len(rolled) < 2:
@@ -263,8 +251,7 @@ def trend_features(cycles: Tuple[CycleStats, ...], phases: PhaseSeries, label: b
         slope_ac1=ols_slope([c.ac1 for c in cycles]),
         slope_jump_phase=ols_slope(phases.delta),
         slope_phase_std=ols_slope(rolled),
-        label=label, valid=True,
-        n_cycles=n_cycles, n_jumps=n_jumps, cycles=cycles, phases=phases)
+        label=label, valid=True, cycles=cycles, phases=phases)
 
 
 class FeatureStream:

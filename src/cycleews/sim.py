@@ -489,6 +489,7 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None, *,
 
 def simulate(config: SimConfig, run_seed: int) -> Trajectory:
     """Simulate one path, bit-identical for identical (config, run_seed), or raise."""
+    require(0 <= run_seed < 2 ** 64, f"run_seed must lie in [0, 2**64), got {run_seed}")
     res = _simulate_batch(config, [None], [run_seed],
                           consumer=partial(PathConsumer, config.n_steps))[0]
     if res.error is not None:

@@ -32,7 +32,7 @@ def test_two_crossings():
     assert list(segset.jump_indices) == [20, 40]
     assert segset.jump_directions() == ["down", "up"]
     assert list(segset.wells) == [UPPER, LOWER, UPPER]
-    assert list(segset.artificial) == [True, False, False, True]
+    assert segset.boundaries.tolist() == [0, 20, 40, 59]  # the path's ends bound the jumps
 
 
 def test_chatter_dip_is_merged():
@@ -84,36 +84,36 @@ def test_breakdown_labeling_boundaries():
     det = small_det(n_min=2)
     ok = label_breakdown(detect_jumps(square_wave_trajectory([4, 4, 4, 4]), det),
                          t_f, det)
-    assert not ok.breakdown and ok.breakdown_onset is None
+    assert ok is None
 
     # interior dwell of exactly 6 samples: duration 6.0 is not > 6.0
     exact = label_breakdown(detect_jumps(square_wave_trajectory([4, 6, 4, 4]), det),
                             t_f, det)
-    assert not exact.breakdown
+    assert exact is None
 
     long = label_breakdown(detect_jumps(square_wave_trajectory([4, 9, 4, 4]), det),
                            t_f, det)
-    assert long.breakdown and long.breakdown_onset == 1
+    assert long == 1
 
 
 def test_truncate_at_onset():
     t_f = 8.0
     det = small_det(n_min=2)
-    segset = label_breakdown(
-        detect_jumps(square_wave_trajectory([4, 4, 4, 9, 4]), det), t_f, det)
-    assert segset.breakdown_onset == 3
-    truncated = truncate_at_onset(segset)
-    assert truncated.breakdown  # label survives truncation
-    assert truncated.breakdown_onset is None
+    segset = detect_jumps(square_wave_trajectory([4, 4, 4, 9, 4]), det)
+    onset = label_breakdown(segset, t_f, det)
+    assert onset == 3
+    truncated = truncate_at_onset(segset, onset)
     assert len(truncated.boundaries) - 1 == 3
-    # bounding jump of the last retained segment is kept
-    assert list(truncated.jump_indices) == list(segset.jump_indices[:3])
-    again = truncate_at_onset(truncated)
-    assert np.array_equal(again.boundaries, truncated.boundaries)
-    assert again.breakdown == truncated.breakdown
+    assert list(truncated.wells) == list(segset.wells[:3])
+    # the bounding jump of the last retained segment is kept, as the span's end
+    assert truncated.boundaries.tolist() == [0, *segset.jump_indices[:onset]]
+    assert list(truncated.jump_indices) == list(segset.jump_indices[:onset - 1])
+    # what is left has no onset, so truncating it again keeps it
+    again = label_breakdown(truncated, t_f, det)
+    assert again is None and truncate_at_onset(truncated, again) is truncated
 
     no_label = detect_jumps(square_wave_trajectory([4, 4, 4, 4]), det)
-    assert truncate_at_onset(no_label) is no_label
+    assert truncate_at_onset(no_label, label_breakdown(no_label, t_f, det)) is no_label
 
 
 def test_detection_idempotent():
@@ -145,7 +145,8 @@ def reference_detect_jumps(x, det):
     """Two-pass reference: all hysteresis crossings first, then chatter
     merging that rescans from the first segment after every merge.
 
-    Returns (boundaries, artificial, wells) as detect_jumps builds them.
+    Returns (boundaries, artificial, wells): the boundaries and wells as
+    detect_jumps builds them, and which boundaries are the path's ends.
     """
     n_last = len(x) - 1
     state = UPPER if x[0] >= 0.0 else LOWER
@@ -212,7 +213,7 @@ def test_one_pass_detection_matches_two_pass_reference(path, n_min):
     boundaries, artificial, wells = reference_detect_jumps(x, det)
     assert segset.boundaries.dtype == boundaries.dtype
     assert np.array_equal(segset.boundaries, boundaries)
-    assert np.array_equal(segset.artificial, artificial)
+    assert np.array_equal(segset.jump_indices, boundaries[~artificial])
     assert segset.wells.dtype == wells.dtype
     assert np.array_equal(segset.wells, wells)
 
@@ -240,7 +241,6 @@ def test_chunked_detection_matches_whole_path(path, n_min, sizes):
         assert final == whole.boundaries[:len(final)].tolist()
     chunked = stream.segments(1.0)
     assert np.array_equal(chunked.boundaries, whole.boundaries)
-    assert np.array_equal(chunked.artificial, whole.artificial)
     assert np.array_equal(chunked.wells, whole.wells)
 
 
@@ -261,11 +261,11 @@ def test_breakdown_from_deterministic_ramp(detector):
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.0, x0=1.0)
     traj = simulate(config, 0)
-    segset = label_breakdown(detect_jumps(traj, detector), 225.0, detector)
-    assert segset.breakdown
-    truncated = truncate_at_onset(segset)
-    assert truncated.n_jumps >= 10  # jumping regime retained before the onset
-    assert truncated.breakdown
+    segset = detect_jumps(traj, detector)
+    onset = label_breakdown(segset, 225.0, detector)
+    assert onset is not None
+    # jumping regime retained before the onset
+    assert len(segset.jump_indices[:onset]) >= 10
 
 
 def test_events_csv(tmp_path):

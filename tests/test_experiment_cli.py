@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from cycleews import (ConstantAmplitude, DetectorConfig, SimConfig, detect_jumps, experiment,
-                      floquet_multiplier, sim, simulate)
+                      floquet_multiplier, label_breakdown, sim, simulate)
 from cycleews.classify import Dataset, LinearHingeSVM
 from cycleews.cli import main
 from cycleews.experiment import (ConfigError, ExperimentConfig, classify_dataset,
                                  feature_rows, load_config, read_features_csv,
-                                 run_diagnose, run_experiment, write_features_csv,
-                                 write_report)
+                                 run_diagnose, run_experiment, run_figures,
+                                 write_features_csv, write_report)
 from cycleews.features import FeatureStream
-from cycleews.rng import generator
+from cycleews.rng import derive_seed, generator
 from cycleews.sim import CHUNK_STEPS, RunResult, kernel_samples, write_trajectory_csv
 
 FAST = dict(n_runs=12, t_total=450.0, master_seed=77, out_dir="")
@@ -635,8 +635,9 @@ def test_cli_simulate(tmp_path):
     assert (tmp_path / "events.csv").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--run-index", "-1"), ("--run-seed", "-3"),
-                                        ("--run-seed", str(2 ** 64))])
+# seeds derive from 64-bit labels, so run index 2**64 would alias run index 0
+@pytest.mark.parametrize("flag,value", [("--run-index", "-1"), ("--run-index", str(2 ** 64)),
+                                        ("--run-seed", "-3"), ("--run-seed", str(2 ** 64))])
 def test_cli_simulate_rejects_seed_out_of_range(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert run_cli("simulate", "--out", str(out), flag, value) == 2
@@ -816,6 +817,26 @@ def test_cli_figures(tmp_path):
     meta = json.loads((tmp_path / "fig_breakdown_meta.json").read_text())
     assert meta["breakdown"] is True
     assert meta["onset_time"] > 0.0
+
+
+def test_figure_breakdown_onset_matches_the_feature_stream(tmp_path):
+    # figure (a) takes its onset from label_breakdown on the whole path; a
+    # FeatureStream fed that path in chunks, as the ensemble's runs are, finds
+    # the same onset, and the meta file's label and onset time follow from it
+    config = ExperimentConfig(figure_runs=1, figure_level_periods=2, out_dir=str(tmp_path))
+    run_figures(config)
+    onset_cfg, _ = config.figure_sim_configs()
+    traj = simulate(onset_cfg, derive_seed(config.master_seed, "figure-breakdown"))
+    det, t_f = config.detector(), config.forcing_period
+    stream = FeatureStream(det, config.feature_config(), t_f, onset_cfg.dt, onset_cfg.n_steps)
+    for lo in range(0, len(traj.x), CHUNK_STEPS):
+        if stream.feed(traj.x[lo:lo + CHUNK_STEPS]):
+            break
+    assert stream.onset is not None
+    assert stream.onset == label_breakdown(detect_jumps(traj, det), t_f, det)
+    meta = json.loads((tmp_path / "fig_breakdown_meta.json").read_text())
+    assert meta["breakdown"] is True
+    assert meta["onset_time"] == float(stream.jumps.boundaries[stream.onset] * onset_cfg.dt)
 
 
 def test_cli_experiment_end_to_end(tmp_path):

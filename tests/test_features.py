@@ -308,8 +308,8 @@ def cycle_stats(segset, x, fcfg):
 
     Pairing starts at the first segment of segset, and a trailing
     unpaired segment is dropped.  A cycle with a skipped segment, or
-    with exactly zero residual variance, is omitted.  Its variance and
-    AC1 come from the plain estimators.
+    whose residual variance is not positive (exactly zero, or NaN), is
+    omitted.  Its variance and AC1 come from the plain estimators.
     """
     bounds = segset.boundaries
     residuals = [detrend_segment(x[i0:i1], fcfg) for i0, i1 in zip(bounds, bounds[1:])]
@@ -320,22 +320,23 @@ def cycle_stats(segset, x, fcfg):
             continue
         y = np.concatenate([a, b])
         var = sample_variance(y)
-        if var != 0.0:
+        if var > 0.0:
             cycles.append(CycleStats(ci, var, lag1_autocorrelation(y), len(y)))
     return cycles
 
 
-def truncated_segments(traj, det, t_f):
-    """Whole-path oracle of a run's segments up to its breakdown onset."""
-    return truncate_at_onset(label_breakdown(detect_jumps(traj, det), t_f, det))
-
-
 def whole_path_features(traj, det, fcfg, t_f):
-    """Whole-path oracle of FeatureStream.result and extract_features."""
-    segset = truncated_segments(traj, det, t_f)
-    return trend_features(tuple(cycle_stats(segset, traj.x, fcfg)),
-                          jump_phases(segset.jump_indices, segset.dt, 2.0 * math.pi / t_f),
-                          segset.breakdown, fcfg)
+    """Whole-path oracle of FeatureStream.result and extract_features.
+
+    Cycles pair the segments before the breakdown onset, and the jumps
+    are those before it: the onset segment's left boundary is the last.
+    """
+    segset = detect_jumps(traj, det)
+    onset = label_breakdown(segset, t_f, det)
+    return trend_features(tuple(cycle_stats(truncate_at_onset(segset, onset), traj.x, fcfg)),
+                          jump_phases(segset.jump_indices[:onset], segset.dt,
+                                      2.0 * math.pi / t_f),
+                          onset is not None, fcfg)
 
 
 def square_wave(dwells, level0=1.0):
@@ -374,22 +375,42 @@ def test_cycle_skips_zero_variance():
     assert segset.boundaries.tolist() == [0, 40, 80]
     assert cycle_stats(segset, traj.x, fcfg) == []
     fv = extract_features(traj, det, fcfg, 100.0)
-    assert (fv.cycles, fv.n_cycles, fv.n_jumps) == ((), 0, 1)
+    assert (fv.cycles, len(fv.phases.delta)) == ((), 1)
     assert math.isnan(lag1_autocorrelation(np.zeros(50)))
+
+
+def test_cycle_skips_underflowed_high_degree_detrend():
+    # at degree 600 the squared norms of the detrend's Forsythe recursion
+    # underflow to 0 and a 700-sample segment's residual is NaN, so its cycle
+    # is skipped: no cycle carries a non-finite statistic into a valid run.
+    # Degree 400 stays finite on the same path and keeps all three cycles.
+    x = np.repeat([(-1.0) ** k for k in range(6)], 700)
+    x = x + 0.05 * generator(derive_seed(6, "degree")).standard_normal(len(x))
+    det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=4, breakdown_factor=0.75)
+    for degree, n_cycles in ((400, 3), (600, 0)):
+        fcfg = FeatureConfig(p_buf=0.0, detrend_degree=degree, window_w=2, min_cycles=2,
+                             min_jumps=1)
+        stream = FeatureStream(det, fcfg, 1000.0, 1.0, len(x) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the underflowed recursion
+            assert stream.feed(x)
+        cycles = stream.result().cycles
+        assert all(math.isfinite(c.var) and math.isfinite(c.ac1) for c in cycles)
+        assert len(cycles) == n_cycles
 
 
 def test_jump_phases_excludes_endpoints(relaxation_run, detector):
     config, traj = relaxation_run
     segset = detect_jumps(traj, detector)
     phases = jump_phases(segset.jump_indices, segset.dt, config.omega)
-    assert phases.n_jumps == segset.n_jumps
-    assert len(phases.delta) == len(phases.phi) == len(phases.eta)
+    eta = assign_extremum(phases.phi)[1]
+    assert len(phases.delta) == segset.n_jumps
+    assert len(phases.delta) == len(phases.phi) == len(eta)
     assert np.all((phases.phi >= 0.0) & (phases.phi < 2.0 * math.pi))
     assert np.all((phases.delta > -math.pi) & (phases.delta <= math.pi))
     # down jumps associate with forcing minima, up jumps with maxima
     directions = segset.jump_directions()
-    for direction, eta in zip(directions, phases.eta):
-        assert eta == (-1 if direction == "down" else 1)
+    for direction, sign in zip(directions, eta):
+        assert sign == (-1 if direction == "down" else 1)
 
 
 def test_deterministic_jump_phase_slope_is_flat(relaxation_run, detector):
@@ -453,8 +474,7 @@ def test_circular_mean_range():
 def _same_features(a, b):
     slopes = [[getattr(fv, name) for name in FEATURE_NAMES] for fv in (a, b)]
     assert np.array_equal(*slopes, equal_nan=True)
-    assert (a.label, a.valid, a.exclusion_reason, a.n_cycles, a.n_jumps) == \
-        (b.label, b.valid, b.exclusion_reason, b.n_cycles, b.n_jumps)
+    assert (a.label, a.valid, a.exclusion_reason) == (b.label, b.valid, b.exclusion_reason)
     assert a.cycles == b.cycles
     assert a.phases.jump_index.tobytes() == b.phases.jump_index.tobytes()
     assert a.phases.delta.tobytes() == b.phases.delta.tobytes()
@@ -481,7 +501,9 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
                          min_jumps=2)
     t_f = 2.0 * limit
     traj = make_trajectory(x)
-    segset = truncated_segments(traj, det, t_f)
+    whole = detect_jumps(traj, det)
+    onset = label_breakdown(whole, t_f, det)
+    segset = truncate_at_onset(whole, onset)
     expected = whole_path_features(traj, det, fcfg, t_f)
 
     stream = FeatureStream(det, fcfg, t_f, 1.0, len(x) - 1)
@@ -491,6 +513,7 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
             break
         pos += chunk
     fv = stream.result()
+    assert stream.onset == onset
     _same_features(fv, expected)
     _same_features(extract_features(traj, det, fcfg, t_f), expected)
     # a run that stops early has its onset segment already too long
@@ -520,7 +543,7 @@ def test_feature_stream_holds_within_its_bound():
         stream.feed(x[pos:pos + chunk])
         if not stream.done:
             held.append(sum(map(len, stream._pieces)))
-    assert stream.done and stream.onset is None and stream.result().n_cycles == 150
+    assert stream.done and stream.onset is None and len(stream.result().cycles) == 150
     assert max(held) <= 2 * longest + det.n_min <= bound < n_steps // 10
 
 
@@ -559,7 +582,7 @@ def test_one_cycle_run_is_excluded_not_fatal():
     stream = FeatureStream(det, fcfg, 100.0, 1.0, len(x) - 1)
     assert stream.feed(x)
     fv = stream.result()
-    assert (fv.n_cycles, fv.n_jumps, fv.label) == (1, 3, True)
+    assert (len(fv.cycles), len(fv.phases.delta), fv.label) == (1, 3, True)
     assert (fv.valid, fv.exclusion_reason) == (False, "too_few_cycles")
 
 
@@ -576,21 +599,21 @@ def test_streamed_ensemble_matches_whole_paths():
     det, fcfg, t_f = config.detector(), config.feature_config(), config.forcing_period
     sim_cfg = config.sim_config()
 
-    def whole_path(x):
-        return whole_path_features(make_trajectory(x, sim_cfg.dt), det, fcfg, t_f)
-
     made = []
     streamed = list(iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
                                   consumer=_stream_factory(config, sim_cfg, made)))
     paths = iter_ensemble(sim_cfg, 6, config.d_min_sampler(), batch_size=4,
                           consumer=partial(PathConsumer, sim_cfg.n_steps))
-    whole = [whole_path(res.value) for res in paths]
-    labels = [fv.label for fv in whole]
-    assert 0 < sum(labels) < 6
-    for a, b, stream in zip(streamed, whole, made):
+    labels = []
+    for a, path, stream in zip(streamed, paths, made):
+        traj = make_trajectory(path.value, sim_cfg.dt)
+        b = whole_path_features(traj, det, fcfg, t_f)
         _same_features(a.value, b)
+        assert stream.onset == label_breakdown(detect_jumps(traj, det), t_f, det)
         # a run leaves its batch once its onset is certain
         assert (stream.jumps.seen < sim_cfg.n_steps + 1) == b.label
+        labels.append(b.label)
+    assert 0 < sum(labels) < 6
 
 
 def test_divergence_after_the_onset_keeps_the_run():

@@ -93,6 +93,17 @@ def test_x0_must_lie_within_the_divergence_bound():
             config(x0)
 
 
+def test_simulate_rejects_seed_out_of_range():
+    # a run's Philox key is its seed's low 64 bits: 2**64 would run seed 0's
+    # noise and -1 seed 2**64 - 1's
+    config = SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
+                       amplitude_schedule=ConstantAmplitude(1.0), sigma=0.3, x0=1.0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"run_seed must lie in \[0, 2\*\*64\)"):
+            simulate(config, seed)
+    assert simulate(config, 2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 def test_grid_length():
     config = SimConfig(dt=0.01, t_total=25.0, forcing_period=225.0,
                        amplitude_schedule=ConstantAmplitude(0.5), sigma=0.0, x0=1.0)
