@@ -119,9 +119,10 @@ class ExperimentConfig:
                 "svm_lambda must be auto or finite and > 0")
         require(self.permutation_repeats >= 1, "permutation_repeats must be >= 1")
         require(self.figure_runs >= 1, "figure_runs must be >= 1")
-        det = self.detector()  # the sub-configs check their own fields
-        self.feature_config()
-        self.d_min_sampler()
+        det = self._built(self.detector, "x_up x_low n_min_steps breakdown_factor")
+        self._built(self.feature_config,
+                    "buffer_fraction detrend_degree phase_window min_cycles min_jumps")
+        self._built(self.d_min_sampler, "d_min_low d_min_high")
         memory = physical_memory()
         sim_cfg = self.sim_config()
         # simulate and the figure ramp hold one whole path as long as an ensemble run
@@ -131,7 +132,8 @@ class ExperimentConfig:
                 f"{memory} bytes of physical memory")
         # a streamed batch holds the kernel's buffers plus each run's FeatureStream,
         # and fork_map runs one batch per worker, min(threads, batches) at once
-        _, piece = self.figure_sim_configs()
+        _, piece = self._built(self.figure_sim_configs,
+                               "d_max figure_d_min figure_levels figure_level_periods")
         for what, cfg, run_det, n_runs in (
                 ("ensemble", sim_cfg, det, self.n_runs),
                 ("figure level", piece, self.level_detector(), self.figure_runs)):
@@ -146,6 +148,18 @@ class ExperimentConfig:
             require(held <= memory,
                     f"{batches} up to {float(held):.6g} bytes (chunk buffers and per-run "
                     f"state), more than the {memory} bytes of physical memory")
+
+    def _built(self, build, keys: str):
+        """build(), re-raising its ValueError with the settings it is built from.
+
+        A derived object checks its own fields, under names (n_min, p_buf,
+        low, level_duration, ...) that are not the settings' keys.
+        """
+        try:
+            return build()
+        except ValueError as exc:
+            settings = ", ".join(f"{key} = {getattr(self, key)}" for key in keys.split())
+            raise ValueError(f"{settings}: {exc}") from exc
 
     def sim_config(self, schedule=None) -> SimConfig:
         if schedule is None:

@@ -116,8 +116,9 @@ def detrend_segment(samples, fcfg: FeatureConfig):
 
     Drops floor(p_buf * n) samples from each end and returns the residual
     of the least-squares polynomial fit of the configured degree against
-    the local index, or None when fewer than deg + 2 samples remain (the
-    segment is skipped, not fatal).  On the symmetric grid u = -1 + 2i/(n-1)
+    the local index, or None when fewer than deg + 2 samples remain or a
+    squared norm |p_k|^2 below is not a positive normal float (the segment
+    is skipped, not fatal).  On the symmetric grid u = -1 + 2i/(n-1)
     the discrete orthogonal polynomials p_0 = 1, p_1 = u and
     p_{k+1} = u p_k - (|p_k|^2 / |p_{k-1}|^2) p_{k-1} (Forsythe 1957) span
     the fit, so the residual is y - mean(y) - sum_{k=1..deg} <y,p_k>/|p_k|^2 p_k,
@@ -134,6 +135,7 @@ def detrend_segment(samples, fcfg: FeatureConfig):
     u = -1.0 + (2.0 / (n - 1)) * np.arange(n, dtype=float)
     residual = y - y.mean()
     p_prev, p, sq_prev = 1.0, u, float(n)
+    tiny = np.finfo(float).tiny
     # Inner products are (a * b).sum(), never np.dot, @ or np.linalg: numpy's
     # pairwise sum gives the same bits on every build, where a BLAS dot's
     # order depends on its kernel, and a library caller's process may run
@@ -144,6 +146,8 @@ def detrend_segment(samples, fcfg: FeatureConfig):
         if k:
             p_prev, p, sq_prev = p, u * p - (sq / sq_prev) * p_prev, sq
         sq = (p * p).sum()
+        if not sq >= tiny:  # underflowed (on 700 samples from degree 495): skip
+            return None
         residual -= ((y * p).sum() / sq) * p
     return residual
 
@@ -156,7 +160,7 @@ def _cycle(ci: int, a, b) -> Optional[CycleStats]:
     d = y - y.mean()
     ss = float((d * d).sum())
     var = ss / len(y)  # conftest's sample_variance(y): numpy's mean is the sum over the count
-    if not var > 0.0:  # 0, or NaN where a high-degree detrend underflowed
+    if not var > 0.0:  # a flat cycle
         return None
     # conftest's lag1_autocorrelation(y), whose denominator ss is not 0 here
     return CycleStats(ci, var, float((d[:-1] * d[1:]).sum() / ss), len(y))

@@ -6,7 +6,11 @@ Every run owns an independent Philox4x64 counter stream keyed by
 fixed rule u = (raw >> 11) * 2**-53 and to standard normals by the
 cosine branch of the Box-Muller transform, consuming exactly two raws
 per normal.  Draw i is therefore a pure function of (key, position):
-results do not depend on chunk size, batching, or worker count.
+results do not depend on chunk size, batching, or worker count.  A key
+word (a seed, a stream id, an integer label of derive_seed) outside
+[0, 2**64) raises ValueError rather than wrap around to another stream.
+The module holds no mutable state: each draw computes in arrays of its
+own, so threads drawing from separate RunStreams do not interact.
 
 The cosine factor cos(2 pi u2) is table-driven (Tang, ACM TOMS 15:144,
 1989): u2 = (j + x) / 4096 with j its top 12 bits, and cos(2 pi u2) =
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 
 import numpy as np
 
@@ -32,10 +35,8 @@ from .base import require
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 _INV_2_41 = 1.0 / 2199023255552.0  # 2**-41: a 53-bit word times it is 4096 u, exactly
 _SHIFT_11 = np.uint64(11)
-_MASK_64 = (1 << 64) - 1
 
 _TABLE_SIZE = 4096
-_COS_BLOCK = 8192  # words per pass of mul_cos_2pi: one chunk of a batch of two or more runs
 
 
 def _turn_tables(size: int):
@@ -65,52 +66,32 @@ _C2, _C4 = -_H * _H / 2.0, _H ** 4 / 24.0
 _S1, _S3 = _H, -_H ** 3 / 6.0
 
 
-class _CosScratch(threading.local):
-    """One thread's work arrays for mul_cos_2pi, so that a call allocates nothing."""
+def cos_2pi(words: np.ndarray) -> np.ndarray:
+    """cos(2 pi u), u = words * 2**-53, as a new array.
 
-    def __init__(self):
-        self.x, self.x2, self.terms = (np.empty(_COS_BLOCK) for _ in range(3))
-        self.index = np.empty(_COS_BLOCK, dtype=np.intp)
-
-
-_cos_scratch = _CosScratch()
-
-
-def mul_cos_2pi(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Multiply out in place by cos(2 pi u), u = words * 2**-53, and return it.
-
-    words holds integers below 2**53 (raw >> 11) as uint64, one per
-    element of out; it is only read, and may be strided.  Per element:
-    4096 u = j + x exactly (j = floor(4096 u) < 4096, x in [0, 1)), then
-    C[j] + (C[j] c(x) - S[j] s(x)) from the module's tables and
-    polynomials.  Only exact operations and IEEE + and * follow the
-    tables, so the bits do not depend on numpy's SIMD dispatch.  The work
-    goes through per-thread scratch arrays, _COS_BLOCK words at a time.
+    words holds integers below 2**53 (raw >> 11) as uint64, and may be
+    strided.  Per element: 4096 u = j + x exactly (j = floor(4096 u) <
+    4096, x in [0, 1)), then C[j] + (C[j] c(x) - S[j] s(x)) from the
+    module's tables and polynomials.  Only exact operations and IEEE +
+    and * follow the tables, so the bits do not depend on numpy's SIMD
+    dispatch.
     """
-    sc = _cos_scratch
-    for lo in range(0, len(out), _COS_BLOCK):
-        w, o = words[lo:lo + _COS_BLOCK], out[lo:lo + _COS_BLOCK]
-        n = len(o)
-        x, x2, terms, j = sc.x[:n], sc.x2[:n], sc.terms[:n], sc.index[:n]
-        np.multiply(w, _INV_2_41, x)  # 4096 u
-        np.floor(x, terms)
-        np.subtract(x, terms, x)  # x = 4096 u - j
-        np.copyto(j, terms, casting="unsafe")
-        np.multiply(x, x, x2)
-        np.multiply(x2, _C4, terms)
-        np.add(terms, _C2, terms)
-        np.multiply(terms, x2, terms)  # c(x)
-        np.multiply(x2, _S3, x2)
-        np.add(x2, _S1, x2)
-        np.multiply(x2, x, x2)  # s(x)
-        np.take(_SIN_TABLE, j, out=x, mode="clip")  # j < 4096: clip never clips
-        np.multiply(x2, x, x2)  # S[j] s(x)
-        np.take(_COS_TABLE, j, out=x, mode="clip")
-        np.multiply(terms, x, terms)  # C[j] c(x)
-        np.subtract(terms, x2, terms)
-        np.add(terms, x, terms)  # cos(2 pi u)
-        np.multiply(o, terms, o)
-    return out
+    x = words * _INV_2_41  # 4096 u
+    j = np.floor(x)
+    x -= j  # x = 4096 u - j
+    j = j.astype(np.intp)
+    x2 = x * x
+    c = (x2 * _C4 + _C2) * x2  # c(x)
+    s = (x2 * _S3 + _S1) * x  # s(x)
+    cos_j = _COS_TABLE[j]
+    return (cos_j * c - _SIN_TABLE[j] * s) + cos_j
+
+
+def _word(value, what: str) -> int:
+    """value as an int, which must fit 64 unsigned bits: a key never wraps around."""
+    value = int(value)
+    require(0 <= value < 2 ** 64, f"{what} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -120,13 +101,13 @@ def derive_seed(master_seed: int, *labels) -> int:
     components (runs, fold splits, permutations, ...) get unrelated
     streams that can be re-created in isolation.
     """
-    key = (int(master_seed) & _MASK_64).to_bytes(8, "little")
+    key = _word(master_seed, "master_seed").to_bytes(8, "little")
     h = hashlib.blake2b(digest_size=8, key=key)
     for label in labels:
         if isinstance(label, str):
             h.update(label.encode("utf-8"))
         else:
-            h.update((int(label) & _MASK_64).to_bytes(8, "little"))
+            h.update(_word(label, "an integer label").to_bytes(8, "little"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
 
@@ -141,7 +122,7 @@ class RunStream:
     """
 
     def __init__(self, seed: int):
-        key = np.array([int(seed) & _MASK_64, 0], dtype=np.uint64)
+        key = np.array([_word(seed, "seed"), 0], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
 
     def raws(self, n: int) -> np.ndarray:
@@ -150,34 +131,27 @@ class RunStream:
     def uniforms(self, n: int) -> np.ndarray:
         return (self.raws(n) >> _SHIFT_11) * _INV_2_53
 
-    def normals(self, n: int, out=None) -> np.ndarray:
+    def normals(self, n: int) -> np.ndarray:
         """Draw n standard normals, consuming 2n raws (Box-Muller, cosine branch).
 
         Normal i is sqrt(-2 log(1 - u1)) cos(2 pi u2) from the uniforms of
-        raws 2i and 2i + 1; the cosine factor comes from mul_cos_2pi's
-        tables, not np.cos.  They are computed in place in out when it is
-        given: a contiguous float64 array of length n, such as a row of a
-        2-D block.  np.log only ever sees a contiguous array, since numpy
-        may round strided inputs through another loop; apart from the raws
-        array, no temporary is allocated.
+        raws 2i and 2i + 1; the cosine factor comes from cos_2pi's tables,
+        not np.cos.  The radius is built in place in a new contiguous
+        array, so np.log never sees a strided input, which numpy may round
+        through another loop.
         """
-        if out is None:
-            out = np.empty(n)
-        require(out.shape == (n,) and out.dtype == np.float64 and out.flags.c_contiguous,
-                "out must be a contiguous float64 array of length n")
-        if n == 0:
-            return out
-        raw = self.raws(2 * n)
-        raw >>= _SHIFT_11
-        np.multiply(raw[0::2], _INV_2_53, out)
-        np.subtract(1.0, out, out)  # u1 in (0, 1]: log is finite
-        np.log(out, out)
-        np.multiply(out, -2.0, out)
-        np.sqrt(out, out)
-        return mul_cos_2pi(raw[1::2], out)
+        words = self.raws(2 * n)
+        words >>= _SHIFT_11
+        z = words[0::2] * _INV_2_53
+        np.subtract(1.0, z, z)  # u1 in (0, 1]: log is finite
+        np.log(z, z)
+        np.multiply(z, -2.0, z)
+        np.sqrt(z, z)  # the radius
+        z *= cos_2pi(words[1::2])
+        return z
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """numpy Generator over the same keyed Philox family (for shuffles)."""
-    key = np.array([int(seed) & _MASK_64, int(stream) & _MASK_64], dtype=np.uint64)
+    key = np.array([_word(seed, "seed"), _word(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

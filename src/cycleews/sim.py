@@ -13,8 +13,8 @@ chunk of steps at once, vectorised, and the state-dependent part
 the same scheme and moves a path by rounding only (tests/test_sim.py
 compares it with the textbook form).  g is assembled GROUP_RUNS runs at
 a time in a run-major block small enough to stay in cache: each run's
-normals are drawn into a contiguous row, a ramp's forcing for the group
-is one outer product of its rates with t_k cos(omega t_k), and one
+row adds the scaled normals its stream returns, a ramp's forcing for the
+group is one outer product of its rates with t_k cos(omega t_k), and one
 transposed write stores the group into the step-major path buffer.
 
 Reproducibility contract: a trajectory is a pure function of
@@ -222,10 +222,10 @@ def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
     Column j gets g_k = (d_max cos(wt_k) - rate_j * t_k cos(wt_k)) * dt
     + sigma sqrt(dt) xi_k for a linear ramp (rates holds each column's
     rate), D(t_k) cos(wt_k) * dt + sigma sqrt(dt) xi_k for any other
-    schedule (rates None); streams[j] supplies column j's normals.  The
-    columns are built GROUP_RUNS at a time in the run-major scratch
-    block (at least min(GROUP_RUNS, width) x len(g)), whose rows are
-    contiguous for the per-run draws, and each group is stored into g
+    schedule (rates None); streams[j] supplies column j's normals, which
+    are added to its row as the stream returns them.  The columns are
+    built GROUP_RUNS at a time in the run-major scratch block (at least
+    min(GROUP_RUNS, width) x len(g)), and each group is stored into g
     with one transposed write.
     """
     n, width = g.shape
@@ -239,7 +239,6 @@ def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
     else:
         t_cos, dmax_cos = t * cos_wt, sched.d_max * cos_wt
     sig_sqdt = config.sigma * math.sqrt(dt)
-    z = np.empty(n)
     for lo in range(0, width, GROUP_RUNS):
         terms = block[:min(GROUP_RUNS, width - lo), :n]
         if rates is None:
@@ -250,9 +249,7 @@ def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
             np.multiply(terms, dt, terms)
         if config.sigma > 0.0:
             for row, stream in zip(terms, streams[lo:]):
-                stream.normals(n, z)
-                np.multiply(z, sig_sqdt, z)
-                np.add(row, z, row)
+                row += stream.normals(n) * sig_sqdt
         g[:, lo:lo + len(terms)] = terms.T
 
 

@@ -101,6 +101,19 @@ def test_config_validates_on_construction(build, message):
         build()
 
 
+@pytest.mark.parametrize("text", [
+    "n_min_steps = 1", "buffer_fraction = 0.5", "phase_window = 1", "d_min_low = 0",
+    "d_min_high = 0.1", "figure_level_periods = 0", "figure_d_min = 0",
+])
+def test_config_error_names_its_key(text, tmp_path):
+    # each is checked by an object built from the config, under a name of its own
+    path = tmp_path / "exp.cfg"
+    path.write_text(text + "\n")
+    key = text.split(" = ")[0]
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
 def test_load_config_override_replaces_file_value_before_checks(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("n_runs = 0\nt_total = 450\n")

@@ -379,11 +379,14 @@ def test_cycle_skips_zero_variance():
     assert math.isnan(lag1_autocorrelation(np.zeros(50)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cycle_skips_underflowed_high_degree_detrend():
     # at degree 600 the squared norms of the detrend's Forsythe recursion
-    # underflow to 0 and a 700-sample segment's residual is NaN, so its cycle
-    # is skipped: no cycle carries a non-finite statistic into a valid run.
-    # Degree 400 stays finite on the same path and keeps all three cycles.
+    # underflow (below the smallest normal float from degree 495 on 700
+    # samples, to 0 at 519), so every segment is skipped before a division
+    # by one of them: no warning, and no cycle carries a non-finite
+    # statistic into a valid run.  Degree 400 stays finite on the same
+    # path and keeps all three cycles.
     x = np.repeat([(-1.0) ** k for k in range(6)], 700)
     x = x + 0.05 * generator(derive_seed(6, "degree")).standard_normal(len(x))
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=4, breakdown_factor=0.75)
@@ -391,8 +394,7 @@ def test_cycle_skips_underflowed_high_degree_detrend():
         fcfg = FeatureConfig(p_buf=0.0, detrend_degree=degree, window_w=2, min_cycles=2,
                              min_jumps=1)
         stream = FeatureStream(det, fcfg, 1000.0, 1.0, len(x) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # the underflowed recursion
-            assert stream.feed(x)
+        assert stream.feed(x)
         cycles = stream.result().cycles
         assert all(math.isfinite(c.var) and math.isfinite(c.ac1) for c in cycles)
         assert len(cycles) == n_cycles

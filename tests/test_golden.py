@@ -11,7 +11,7 @@ features.csv, cycles.csv, fig_level_cycle_stats.csv and
 fig_level_cycle_means.csv were re-recorded when the Euler-Maruyama step
 was regrouped as g + ((x x) c2 + c1) x, and again, with the RNG digest,
 when the Box-Muller cosine factor came to be computed from tables and
-polynomials (rng.mul_cos_2pi) instead of np.cos; each change moved the
+polynomials (rng.cos_2pi) instead of np.cos; each change moved the
 last bits of every path and so of every sample statistic.  phases.csv,
 fig_level_jump_phases.csv, fig_level_phase_stats.csv and
 fig_breakdown_events.csv kept theirs both times: they depend on paths
@@ -42,7 +42,7 @@ Bit-determinism of the streams and outputs holds for one numpy build on
 one CPU feature set: np.log, in the Box-Muller radius, remains the only
 call whose bits depend on the SIMD code numpy dispatches to on the host
 (numpy's AVX-512 float64 log rounds differently from its other loops).
-The cosine factor does not depend on it: after its tables, mul_cos_2pi
+The cosine factor does not depend on it: after its tables, cos_2pi
 uses exact operations and IEEE + and * only, and its digest is checked
 again in a process whose numpy dispatch leaves out AVX-512.  Neither do
 the noise-free diagnostics.json digests, which draw no normal; they are
@@ -61,7 +61,7 @@ import pytest
 import cycleews
 from cycleews.experiment import (ExperimentConfig, run_diagnose, run_experiment,
                                  run_features_command, run_figures, simulate_one)
-from cycleews.rng import RunStream, mul_cos_2pi
+from cycleews.rng import RunStream, cos_2pi
 
 NORMALS_SHA256 = "eb0e7517b14556b8f56e8fb4d5395a1b5eb39d67d334550d001d4b0c8cdbe263"
 
@@ -127,7 +127,7 @@ def _sha256(data: bytes) -> str:
 
 def cos_factor_digest() -> str:
     words = RunStream(2025).raws(2 * 10 ** 5)[1::2] >> np.uint64(11)
-    return _sha256(mul_cos_2pi(words, np.ones(10 ** 5)).tobytes())
+    return _sha256(cos_2pi(words).tobytes())
 
 
 def diagnostics_digest(out_dir, grid) -> str:

@@ -1,19 +1,23 @@
 """RunStream's normals against the textbook Box-Muller transform.
 
 RunStream.normals takes its cosine factor from tables and polynomials
-(rng.mul_cos_2pi) instead of np.cos.  The oracle below is the textbook
+(rng.cos_2pi) instead of np.cos.  The oracle below is the textbook
 form, sqrt(-2 log(1 - u1)) * np.cos(2 pi u2) on the same raws; the two
 agree to rounding.  The cosine factor is also checked on its own, on the
 table's nodes and their neighbours, against a quadrant-reduced math.cos
-and math.sin.
+and math.sin.  Keys outside [0, 2**64) are rejected at every entry
+point, and separate streams drawn from at once in several threads give
+the bits they give one after another.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from cycleews.rng import RunStream, derive_seed, mul_cos_2pi
+from cycleews.rng import RunStream, cos_2pi, derive_seed, generator
+from cycleews.sim import UniformSampler, draw_d_min
 
 _INV_2_53 = 2.0 ** -53
 
@@ -37,8 +41,7 @@ def _quadrant_cos(word: int) -> float:
 
 
 def _cos_factor(words) -> np.ndarray:
-    words = np.asarray(words, dtype=np.uint64)
-    return mul_cos_2pi(words, np.ones(len(words)))
+    return cos_2pi(np.asarray(words, dtype=np.uint64))
 
 
 def test_normals_match_textbook_box_muller():
@@ -61,9 +64,48 @@ def test_cos_factor_matches_quadrant_reference():
 
 
 def test_normals_do_not_depend_on_draw_sizes():
-    # the cosine factor goes through its scratch arrays 8,192 words at a time
     seed = derive_seed(7, "draw-sizes")
     whole = RunStream(seed).normals(20_000)
     stream = RunStream(seed)
     parts = [stream.normals(k) for k in (7, 8192, 8193, 3608)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("draw", [
+    RunStream, generator, lambda key: generator(0, key), derive_seed,
+    lambda key: derive_seed(0, "run", key), lambda key: draw_d_min(key, UniformSampler(0.25, 0.9)),
+], ids=["run_stream", "generator_seed", "generator_stream", "derive_seed_master",
+        "derive_seed_label", "draw_d_min"])
+def test_keys_outside_64_bits_are_rejected(draw):
+    # a key masked to its low 64 bits would run another key's stream:
+    # 2**64 seed 0's and -1 seed 2**64 - 1's
+    for key in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+            draw(key)
+    draw(2 ** 64 - 1)
+
+
+def test_normals_drawn_in_threads_match_serial_draws():
+    # four threads, each with its own stream, draw at once (numpy drops the
+    # GIL inside the ufuncs); every thread's normals equal a serial draw
+    seeds = [derive_seed(7, "threads", k) for k in range(4)]
+    sizes = [1, 8192, 3000, 8193, 20_000] * 4
+
+    def draws(seed):
+        stream = RunStream(seed)
+        return np.concatenate([stream.normals(n) for n in sizes])
+
+    serial = [draws(seed).tobytes() for seed in seeds]
+    concurrent = [None] * len(seeds)
+    start = threading.Barrier(len(seeds))
+
+    def work(k):
+        start.wait()
+        concurrent[k] = draws(seeds[k]).tobytes()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(seeds))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert concurrent == serial
