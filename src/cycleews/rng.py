@@ -74,17 +74,29 @@ def cos_2pi(words: np.ndarray) -> np.ndarray:
     4096, x in [0, 1)), then C[j] + (C[j] c(x) - S[j] s(x)) from the
     module's tables and polynomials.  Only exact operations and IEEE +
     and * follow the tables, so the bits do not depend on numpy's SIMD
-    dispatch.
+    dispatch.  The work is done in place in four new arrays: computed as
+    plain expressions, its dozen temporaries made glibc hand the heap top
+    back to the OS on each call, and the 256-run protocol took 13 % longer
+    (6.3x the page faults).
     """
     x = words * _INV_2_41  # 4096 u
     j = np.floor(x)
     x -= j  # x = 4096 u - j
-    j = j.astype(np.intp)
-    x2 = x * x
-    c = (x2 * _C4 + _C2) * x2  # c(x)
-    s = (x2 * _S3 + _S1) * x  # s(x)
-    cos_j = _COS_TABLE[j]
-    return (cos_j * c - _SIN_TABLE[j] * s) + cos_j
+    index = j.astype(np.intp)
+    x2 = np.multiply(x, x, j)
+    c = x2 * _C4
+    c += _C2
+    c *= x2  # c(x)
+    x2 *= _S3
+    x2 += _S1
+    x2 *= x  # s(x)
+    np.take(_SIN_TABLE, index, out=x)
+    x2 *= x  # S[j] s(x)
+    np.take(_COS_TABLE, index, out=x)
+    c *= x  # C[j] c(x)
+    c -= x2
+    c += x  # cos(2 pi u)
+    return c
 
 
 def _word(value, what: str) -> int:
