@@ -150,11 +150,8 @@ class ExperimentConfig:
                     f"state), more than the {memory} bytes of physical memory")
 
     def _built(self, build, keys: str):
-        """build(), re-raising its ValueError with the settings it is built from.
-
-        A derived object checks its own fields, under names (n_min, p_buf,
-        low, level_duration, ...) that are not the settings' keys.
-        """
+        """build(); its ValueError, which names the derived object's own fields
+        (n_min, p_buf, low, ...), is re-raised with the settings it is built from."""
         try:
             return build()
         except ValueError as exc:

@@ -74,10 +74,9 @@ def cos_2pi(words: np.ndarray) -> np.ndarray:
     4096, x in [0, 1)), then C[j] + (C[j] c(x) - S[j] s(x)) from the
     module's tables and polynomials.  Only exact operations and IEEE +
     and * follow the tables, so the bits do not depend on numpy's SIMD
-    dispatch.  The work is done in place in four new arrays: computed as
-    plain expressions, its dozen temporaries made glibc hand the heap top
-    back to the OS on each call, and the 256-run protocol took 13 % longer
-    (6.3x the page faults).
+    dispatch.  It computes in place in four new arrays: as plain
+    expressions, its temporaries made glibc return the heap top to the OS
+    on each call (the protocol command ran 13 % slower, 6x the page faults).
     """
     x = words * _INV_2_41  # 4096 u
     j = np.floor(x)
