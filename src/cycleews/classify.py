@@ -137,7 +137,7 @@ class LinearHingeSVM:
         y = np.asarray(y)
         require(y.dtype == bool, "labels must be boolean")
         ys = np.where(y, 1.0, -1.0)
-        require(len(np.unique(ys)) == 2, "training data must contain both classes")
+        require(y.any() and not y.all(), "training data must contain both classes")
         orient = ys[0]
         ys = ys * orient
         m = len(ys)

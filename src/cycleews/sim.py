@@ -11,11 +11,12 @@ D(t_k) cos(omega t_k) dt + sigma sqrt(dt) xi_k is built for a whole
 chunk of steps at once, vectorised, and the state-dependent part
 ((x_k x_k) c2 + c1) x_k is added to it in place.  The regrouping is
 the same scheme and moves a path by rounding only (tests/test_sim.py
-compares it with the textbook form).  g is assembled GROUP_RUNS runs at
-a time in a run-major block small enough to stay in cache: each run's
-row adds the scaled normals its stream returns, a ramp's forcing for the
-group is one outer product of its rates with t_k cos(omega t_k), and one
-transposed write stores the group into the step-major path buffer.
+compares it with the textbook form).  The kernel holds one run-major
+path buffer, a row per run, and g is written straight into the runs'
+rows GROUP_RUNS runs at a time, while they are in cache: a ramp's
+forcing for the group is one outer product of its rates with t_k
+cos(omega t_k), and each run's row adds the normals its stream returns,
+scaled in place.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed).  Noise comes from per-run Philox streams (see
@@ -24,22 +25,21 @@ no d_min sampler draws nothing, so it builds no stream at all.
 simulate and iter_ensemble both go through one batch kernel, which
 integrates in chunks, LONE_CHUNK_STEPS steps for a batch of one and
 CHUNK_STEPS for a wider batch, and hands each run's new samples to a
-per-run consumer, over GROUP_RUNS runs at a time from one run-major
-copy, so that every consumer is fed contiguous samples (a lone run's
-column already is, and is fed as it stands); a consumer copies what it
-keeps.  simulate returns the whole path a PathConsumer kept.  Every
-ensemble run streams into a consumer that reduces it as it goes and
-may end it early (a features.FeatureStream in the feature pipeline and
-the figure level protocol).  A batch of two or more runs steps with
-five ufunc calls per step on rows, elementwise per run; a batch of one
-steps on Python floats in the same operation order (g + s and s + g are
-the same IEEE sum), since numpy's per-call cost dominates on
-one-element rows, and so a short chunk costs it almost nothing.  Either
-fills a whole chunk blind to divergence, which one check finds at any
-width, run by run on the samples about to be fed while they are in
-cache.  That a run yields the same bits alone, inside a batch, or in a
-worker process, whatever the chunk, is pinned by the parity tests in
-tests/test_sim.py, not by construction.
+per-run consumer as a contiguous slice of the run's row; a consumer
+copies what it keeps.  simulate returns the whole path a PathConsumer
+kept.  Every ensemble run streams into a consumer that reduces it as it
+goes and may end it early (a features.FeatureStream in the feature
+pipeline and the figure level protocol).  A batch of two or more runs
+steps with five ufunc calls per step on strided columns of the buffer,
+elementwise per run; a batch of one steps its row on Python floats in
+the same operation order (g + s and s + g are the same IEEE sum), since
+numpy's per-call cost dominates on one-element columns, and so a short
+chunk costs it almost nothing.  Either fills a whole chunk blind to
+divergence, which one check finds at any width, run by run on the
+samples about to be fed while they are in cache.  That a run yields the
+same bits alone, inside a batch, or in a worker process, whatever the
+chunk, is pinned by the parity tests in tests/test_sim.py, not by
+construction.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ from .rng import RunStream, derive_seed
 STATE_GUARD = 1.0e6
 CHUNK_STEPS = 8192  # steps per chunk of a batch of two or more runs
 LONE_CHUNK_STEPS = 2048  # steps per chunk of a batch of one
-GROUP_RUNS = 16  # runs per group of the batch kernel: one group's scratch block fits L2
-HANDOFF_TILE = 512  # steps per tile of the run-major copy of a group's samples
+GROUP_RUNS = 16  # runs per group of the batch kernel: one group's rows of a chunk fit L2
 
 
 class DivergenceError(RuntimeError):
@@ -216,19 +215,18 @@ class Trajectory:
 # integration engine
 # --------------------------------------------------------------------------
 
-def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
-    """Write the state-independent term of steps c0 .. c0 + len(g) - 1 into g.
+def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
+    """Write the state-independent term of steps c0 .. c0 + g.shape[1] - 1 into g.
 
-    Column j gets g_k = (d_max cos(wt_k) - rate_j * t_k cos(wt_k)) * dt
-    + sigma sqrt(dt) xi_k for a linear ramp (rates holds each column's
+    Row j gets g_k = (d_max cos(wt_k) - rate_j * t_k cos(wt_k)) * dt
+    + sigma sqrt(dt) xi_k for a linear ramp (rates holds each row's
     rate), D(t_k) cos(wt_k) * dt + sigma sqrt(dt) xi_k for any other
-    schedule (rates None); streams[j] supplies column j's normals, which
-    are added to its row as the stream returns them.  The columns are
-    built GROUP_RUNS at a time in the run-major scratch block (at least
-    min(GROUP_RUNS, width) x len(g)), and each group is stored into g
-    with one transposed write.
+    schedule (rates None); streams[j] supplies row j's normals, which
+    are scaled in place and added to its row as the stream returns them.
+    The rows are built GROUP_RUNS at a time, so a group's forcing is
+    still in cache when its noise is added.
     """
-    n, width = g.shape
+    width, n = g.shape
     dt = config.dt
     t = np.arange(c0, c0 + n) * dt
     cos_wt = np.cos(config.omega * t)
@@ -240,7 +238,7 @@ def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
         t_cos, dmax_cos = t * cos_wt, sched.d_max * cos_wt
     sig_sqdt = config.sigma * math.sqrt(dt)
     for lo in range(0, width, GROUP_RUNS):
-        terms = block[:min(GROUP_RUNS, width - lo), :n]
+        terms = g[lo:lo + GROUP_RUNS]
         if rates is None:
             terms[:] = forcing
         else:
@@ -249,8 +247,9 @@ def _increments(g, config: SimConfig, c0: int, rates, streams, block) -> None:
             np.multiply(terms, dt, terms)
         if config.sigma > 0.0:
             for row, stream in zip(terms, streams[lo:]):
-                row += stream.normals(n) * sig_sqdt
-        g[:, lo:lo + len(terms)] = terms.T
+                z = stream.normals(n)
+                z *= sig_sqdt
+                row += z
 
 
 def chunk_steps(batch: int) -> int:
@@ -261,11 +260,9 @@ def chunk_steps(batch: int) -> int:
 def kernel_samples(batch: int, n_steps: int) -> int:
     """At most how many float64 values the kernel holds for a batch of `batch` runs.
 
-    The (chunk + 1) x batch path buffer and the handoff block of
-    _integrate, at most GROUP_RUNS runs of chunk + 1 samples, which is
-    also _increments' scratch block.
+    The batch x (chunk + 1) path buffer of _integrate.
     """
-    return (min(chunk_steps(batch), n_steps) + 1) * (batch + min(GROUP_RUNS, batch))
+    return (min(chunk_steps(batch), n_steps) + 1) * batch
 
 
 class PathConsumer:
@@ -290,23 +287,21 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
 
     Steps go in chunks of chunk_steps(batch) steps, LONE_CHUNK_STEPS for
     a lone run and CHUNK_STEPS for a wider batch, through one reused
-    (chunk + 1) x batch path buffer.  Each block first gets every step's
-    state-independent term g_k (forcing and noise, see _increments) in
-    rows 1.., vectorised over the block; stepping then overwrites every
-    row k + 1 in place with x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k,
-    where c1 = 1 + dt and c2 = -dt/3 (_step_floats for a batch of one,
-    _step_rows otherwise; neither looks for divergence).  The samples
-    then go over GROUP_RUNS runs at a time, from one run-major copy of
-    the group's columns in the handoff block (before stepping, the same
-    block is _increments' scratch), so each run's samples are
-    contiguous; a lone run's column already is and is used as it
-    stands.  On those rows, while they are in cache, the one divergence
+    batch x (chunk + 1) path buffer with a row per run.  Each chunk
+    first gets every step's state-independent term g_k (forcing and
+    noise, see _increments) in columns 1.. of the runs' rows; stepping
+    then overwrites every column k + 1 in place with x_{k+1} = g_k +
+    ((x_k x_k) c2 + c1) x_k, where c1 = 1 + dt and c2 = -dt/3
+    (_step_floats for a batch of one, _step_rows otherwise; neither
+    looks for divergence).  The samples then go over GROUP_RUNS runs at
+    a time: on those rows, while they are in cache, the one divergence
     check, _first_bad_steps, finds each run's first step whose state is
     non-finite or beyond STATE_GUARD.  Every run hands its new samples
-    before that step (the first block starts with x0) to its consumer:
-    consumer.feed returns True once the run needs no more, and the run
-    leaves the batch, as does a run at its first bad step.  A consumer
-    must copy what it keeps, since the buffers are reused.
+    before that step (the first chunk starts with x0), a contiguous
+    slice of its row, to its consumer: consumer.feed returns True once
+    the run needs no more, and the run leaves the batch, as does a run
+    at its first bad step.  A consumer must copy what it keeps, since
+    the buffer is reused.
     rates holds each ramped run's rate (None for other schedules) and
     streams each run's RunStream, positioned at its step normals (it may
     be None when sigma = 0, since no normal is drawn).
@@ -319,9 +314,8 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     n_steps, dt = config.n_steps, config.dt
     batch = len(consumers)
     chunk = chunk_steps(batch)
-    buf = np.empty((min(chunk, n_steps) + 1, batch))
-    buf[0] = config.x0
-    handoff = np.empty((min(GROUP_RUNS, batch), len(buf)))
+    buf = np.empty((batch, min(chunk, n_steps) + 1))
+    buf[:, 0] = config.x0
     c1, c2 = 1.0 + dt, -dt / 3.0
     active = list(range(batch))
     diverged = {}
@@ -330,21 +324,19 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
         for c0 in range(0, n_steps, chunk):
             c_end = min(c0 + chunk, n_steps)
             n, width = c_end - c0, len(active)
-            xs = buf[:n + 1, :width]
-            _increments(xs[1:], config, c0, None if rates is None else rates[active],
-                        [streams[r] for r in active], handoff)
+            xs = buf[:width, :n + 1]
+            _increments(xs[:, 1:], config, c0, None if rates is None else rates[active],
+                        [streams[r] for r in active])
             (_step_floats if width == 1 else _step_rows)(xs, c1, c2)
-            start = 0 if c0 == 0 else 1  # row 0 is x0 or the previous chunk's end
+            start = 0 if c0 == 0 else 1  # column 0 is x0 or the previous chunk's end
             keep = []
             for lo in range(0, width, GROUP_RUNS):
-                runs = xs[start:, lo:lo + GROUP_RUNS].T
-                if width > 1:  # one transposed copy makes each run's samples contiguous
-                    runs = _run_major(runs, handoff)
+                runs = xs[lo:lo + GROUP_RUNS, start:]
                 bad = _first_bad_steps(runs[:, 1 - start:], c0)  # steps c0 + 1 ..
                 for i, samples in enumerate(runs):
                     j = lo + i
                     r = active[j]
-                    stop = bad.get(i, c_end + 1) - c0  # rows before the first bad step
+                    stop = bad.get(i, c_end + 1) - c0  # columns before the first bad step
                     finished = stop > start and consumers[r].feed(samples[:stop - start])
                     if finished:
                         continue
@@ -354,59 +346,46 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
                         keep.append(j)
             if not keep:
                 break
-            xs[0, :len(keep)] = xs[n, keep]
+            buf[:len(keep), 0] = xs[keep, n]
             active = [active[j] for j in keep]
     return diverged
 
 
-def _run_major(runs, out):
-    """Copy runs (a transposed view of a group's columns) into rows of out.
-
-    The copy goes in tiles of HANDOFF_TILE steps: numpy walks a
-    transposed copy in the order of its destination, so one whole pass
-    would read each column of the buffer on its own across all its
-    pages.
-    """
-    out = out[:runs.shape[0], :runs.shape[1]]
-    for k in range(0, runs.shape[1], HANDOFF_TILE):
-        out[:, k:k + HANDOFF_TILE] = runs[:, k:k + HANDOFF_TILE]
-    return out
-
-
 def _step_rows(xs, c1: float, c2: float) -> None:
-    """Step rows 1.. of xs in place from row 0 with ufuncs (batch of two or more).
+    """Step columns 1.. of xs in place from column 0 with ufuncs (batch of two or more).
 
-    Row k + 1 holds g_k on entry and x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k
-    on return: five ufunc calls per step.  c1 and c2 go in as row-width
-    arrays and out as a positional argument, because numpy's per-call
-    cost, not the arithmetic, sets the time of a step on a short row.
+    Column k + 1 holds g_k on entry and x_{k+1} = g_k + ((x_k x_k) c2 + c1) x_k
+    on return: five ufunc calls per step, on strided column views.  c1
+    and c2 go in as column-length arrays and out as a positional
+    argument, because numpy's per-call cost, not the arithmetic, sets the
+    time of a step on a short column.
     """
-    rows, width = iter(xs), xs.shape[1]
+    cols, width = iter(xs.T), xs.shape[0]
     c1, c2, s = np.full(width, c1), np.full(width, c2), np.empty(width)
     multiply, add = np.multiply, np.add
-    row = next(rows)
-    for nxt in rows:
-        multiply(row, row, s)
+    col = next(cols)
+    for nxt in cols:
+        multiply(col, col, s)
         multiply(s, c2, s)
         add(s, c1, s)
-        multiply(s, row, s)
+        multiply(s, col, s)
         add(nxt, s, nxt)
-        row = nxt
+        col = nxt
 
 
 def _step_floats(xs, c1: float, c2: float) -> None:
-    """Step column 0 of xs on Python floats, in _step_rows' operation order.
+    """Step row 0 of xs on Python floats, in _step_rows' operation order.
 
-    The same contract as _step_rows: row k + 1 holds g_k on entry and
-    x_{k+1} on return, for every row (g + s and s + g are the same IEEE
-    sum).  Float * and + overflow to inf and NaN without raising, as the
-    ufuncs do, so a diverged state just propagates to the chunk's end.
+    The same contract as _step_rows: column k + 1 holds g_k on entry and
+    x_{k+1} on return, for every column (g + s and s + g are the same
+    IEEE sum).  Float * and + overflow to inf and NaN without raising, as
+    the ufuncs do, so a diverged state just propagates to the chunk's end.
     """
     x, path = float(xs[0, 0]), []
-    for g in xs[1:, 0].tolist():
+    for g in xs[0, 1:].tolist():
         x = g + ((x * x) * c2 + c1) * x
         path.append(x)
-    xs[1:, 0] = path
+    xs[0, 1:] = path
 
 
 def _first_bad_steps(runs, c0: int) -> dict:
@@ -516,6 +495,8 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     if d_min_sampler is not None:
         require(isinstance(config.amplitude_schedule, LinearRampAmplitude),
                 "a d_min sampler requires a linear ramp schedule")
+    if config.sigma > 0.0 or d_min_sampler is not None:
+        import numpy.random  # loaded once here, not in each forked worker
     seeds = [run_seed_for(config.master_seed, i) for i in range(n_runs)]
     bounds = [(lo, min(lo + batch_size, n_runs)) for lo in range(0, n_runs, batch_size)]
 

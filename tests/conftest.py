@@ -40,7 +40,7 @@ def lone_run_steps(monkeypatch):
     steps, step = [], sim._step_floats
 
     def counting(xs, c1, c2):
-        steps.append(len(xs) - 1)
+        steps.append(xs.shape[1] - 1)
         step(xs, c1, c2)
 
     monkeypatch.setattr(sim, "_step_floats", counting)

@@ -225,8 +225,9 @@ def test_svm_unscaled_input_stops_at_rounding_floor(seed):
 
 def test_svm_single_class_rejected():
     X = np.ones((5, 2))
-    with pytest.raises(ValueError):
-        LinearHingeSVM().fit(X, np.ones(5, dtype=bool))
+    for y in (np.ones(5, dtype=bool), np.zeros(5, dtype=bool)):
+        with pytest.raises(ValueError, match="must contain both classes"):
+            LinearHingeSVM().fit(X, y)
 
 
 def test_svm_deterministic():

@@ -320,14 +320,14 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "physical_memory", lambda: 40 * 2 ** 20)
-    # ensemble: (8,193-row chunk buffers of (128 + 16) runs + 128 runs x
-    # 33,832 samples of stream state + the fed run's 8,193-sample piece and
-    # 16,876-sample joined segment) x 8 bytes = 44.3 MB, above 40 MiB (41.9 MB)
+    # ensemble: (an 8,193-sample chunk buffer row for each of 128 runs + 128
+    # runs x 33,832 samples of stream state + the fed run's 8,193-sample piece
+    # and 16,876-sample joined segment) x 8 bytes = 43.2 MB, above 40 MiB (41.9 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
     # figure levels, streamed with no breakdown limit, so a run's state is
-    # capped by its whole path: (8,193 x (64 + 16) + 64 x 360,001 +
-    # 8,193 + 360,001) x 8 bytes = 193 MB
+    # capped by its whole path: (8,193 x 64 + 64 x 360,001 +
+    # 8,193 + 360,001) x 8 bytes = 191 MB
     with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
@@ -337,15 +337,15 @@ def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
 
 def test_config_accepts_ensemble_batch_within_its_stream_bound(monkeypatch):
     # a stream holds two segments of 16,876 samples and n_min = 80 steps
-    # between feeds, no chunk more, so the default ensemble batch's 44.3 MB
+    # between feeds, no chunk more, so the default ensemble batch's 43.2 MB
     # fits in 48 MiB (50.3 MB)
     monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
     assert load_config(None, {"figure_runs": 1}).n_runs == 1000
 
 
 def test_config_accepts_figure_batch_within_whole_path_bound(monkeypatch):
-    # a level run holds at most its whole path: (8,193 x (64 + 16) +
-    # 64 x 360,001 + 8,193 + 360,001) x 8 bytes = 193 MB for the default
+    # a level run holds at most its whole path: (8,193 x 64 +
+    # 64 x 360,001 + 8,193 + 360,001) x 8 bytes = 191 MB for the default
     # figure level batch
     monkeypatch.setattr(experiment, "physical_memory", lambda: 300 * 10 ** 6)
     assert load_config(None, {"n_runs": 1}).figure_runs == 64
@@ -578,6 +578,16 @@ def test_diagnose_does_not_import_numpy_random(tmp_path):
     assert done.stdout.split() == ["0", "False"], done.stderr
     rows = json.loads((tmp_path / "diagnostics.json").read_text())["rows"]
     assert sum(row["log_floquet"] is not None for row in rows) == 4
+
+
+def test_svm_fit_does_not_import_numpy_ma():
+    # numpy's unique loads numpy.ma on first use; the class check needs no unique
+    code = ("import sys; import numpy as np; from cycleews.classify import LinearHingeSVM; "
+            "X = np.arange(12.0).reshape(6, 2); y = np.array([0, 1, 0, 1, 1, 0], dtype=bool); "
+            "LinearHingeSVM().fit(X, y); print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["False"], done.stderr
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -11,7 +12,7 @@ from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
                       simulate)
 from cycleews import geometry, sim
 from cycleews.rng import RunStream, derive_seed
-from cycleews.sim import (GROUP_RUNS, LONE_CHUNK_STEPS, PathConsumer, _increments, _integrate,
+from cycleews.sim import (CHUNK_STEPS, LONE_CHUNK_STEPS, PathConsumer, _increments, _integrate,
                           _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
                           write_trajectory_csv)
 
@@ -172,7 +173,7 @@ def test_noise_increment_scaling():
 
 
 def _increments_by_column(config, c0, n, rates, streams):
-    """The state-independent terms one column at a time: _increments' oracle."""
+    """The state-independent terms one run at a time: _increments' oracle."""
     dt, sched = config.dt, config.amplitude_schedule
     t = np.arange(c0, c0 + n) * dt
     cos_wt = np.cos(config.omega * t)
@@ -185,7 +186,7 @@ def _increments_by_column(config, c0, n, rates, streams):
         if config.sigma > 0.0:
             col = col + stream.normals(n) * (config.sigma * math.sqrt(dt))
         cols.append(col)
-    return np.array(cols).T
+    return np.array(cols)
 
 
 @pytest.mark.parametrize("width", [1, 15, 16, 17, 33])
@@ -207,12 +208,11 @@ def test_increments_match_per_column_oracle(width, sigma, schedule):
     def fresh_streams():
         return [RunStream(derive_seed(8, "increments", j)) for j in range(width)]
 
-    buf = np.full((n + 1, width + 3), np.nan)  # a batch buffer wider than the runs
-    handoff = np.full((min(GROUP_RUNS, width), n + 1), np.nan)  # as _integrate's
-    _increments(buf[1:, :width], config, c0, rates, fresh_streams(), handoff)
+    buf = np.full((width + 3, n + 1), np.nan)  # a batch buffer with more rows than runs
+    _increments(buf[:width, 1:], config, c0, rates, fresh_streams())
     expected = _increments_by_column(config, c0, n, rates, fresh_streams())
-    assert buf[1:, :width].tobytes() == np.ascontiguousarray(expected).tobytes()
-    assert np.isnan(buf[0]).all() and np.isnan(buf[:, width:]).all()
+    assert buf[:width, 1:].tobytes() == expected.tobytes()
+    assert np.isnan(buf[:, 0]).all() and np.isnan(buf[width:]).all()
 
 
 def test_divergence_guard():
@@ -287,7 +287,7 @@ def test_divergence_after_batch_shrinks_to_one_run():
 def test_divergence_in_second_group_only():
     # a batch of 20 ramped runs spans two 16-run groups; only run 17, whose
     # rate of -40 drives the amplitude up, diverges, past the first
-    # 8,192-step chunk; the check runs on each group's run-major rows
+    # 8,192-step chunk; the check runs on each group's rows
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=2)
@@ -310,6 +310,30 @@ def test_divergence_in_second_group_only():
         assert alone == ({0: step} if i == 17 else {})
         assert path.tobytes() == alone_path.tobytes()
     assert np.all(np.isfinite(paths[17][:step])) and not paths[17][step:].any()
+
+
+class _KeepsNothing:
+    def feed(self, samples) -> bool:
+        return False
+
+
+def test_batch_kernel_holds_its_path_buffer_and_little_more():
+    # 32 noise-free runs, two 16-run groups, over an 8,192-step chunk and a
+    # shorter one: beside the 32 x 8,193 path buffer the kernel holds only
+    # chunk-length vectors (the time grid, the forcing) and the check's
+    # per-group reductions
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
+                       amplitude_schedule=ConstantAmplitude(0.8), sigma=0.0, x0=1.0)
+    consumers = [_KeepsNothing() for _ in range(32)]
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        assert _integrate(config, None, [None] * 32, consumers) == {}
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert config.n_steps > CHUNK_STEPS
+    assert peak <= 8 * 32 * (CHUNK_STEPS + 1) + 512 * 1024
 
 
 def _ramp_config(t_total=20.0, seed=7):
