@@ -267,20 +267,23 @@ class FeatureStream:
     with consecutive segments then paired into cycles
     (tests/test_features.py keeps that pipeline as its oracle), while
     holding only the path from the start of the first segment not yet
-    paired into a cycle.  Each fed chunk is kept as its own piece, so a
-    feed copies only the new samples, and once that start has moved the
-    first piece held is cut to begin at it, a copy of at most one chunk
-    per cycle; a segment is joined from its pieces only when it is
-    detrended.  A segment is final once its right boundary is (see
-    events.JumpStream.n_final); it is then checked against the breakdown
-    threshold, and once both segments of a cycle are final and not longer,
-    both are detrended and paired.  The
-    breakdown onset is the first segment longer than breakdown_factor * t_f.
-    It is known before the path ends once the open segment starts at a final
-    boundary and already holds more samples than that; since merges only
-    lengthen segments, no later sample can change it.  feed then returns
-    True: the run needs no more samples.  t_f is the forcing period, and
-    the jump phases use omega = 2 pi / t_f, as SimConfig.omega does.
+    detrended and at most one residual.  A segment is final once its right
+    boundary is (see events.JumpStream.n_final); it is then checked against
+    the breakdown threshold and, if not longer, detrended at once and its
+    samples released.  An even segment's residual is held until its odd
+    partner is detrended, and the two are paired into a cycle.  Each fed
+    chunk is kept as its own piece, so a feed copies only the new samples,
+    and once the first segment not yet detrended has moved on, the first
+    piece held is cut to begin at its start, a copy of at most one chunk
+    per segment; a segment is joined from its pieces only when it is
+    detrended.  The breakdown onset is the first segment longer than
+    breakdown_factor * t_f; an even segment whose partner is the onset is
+    left unpaired.  The onset is known before the path ends once the open
+    segment starts at a final boundary and already holds more samples than
+    that; since merges only lengthen segments, no later sample can change
+    it.  feed then returns True: the run needs no more samples.  t_f is
+    the forcing period, and the jump phases use omega = 2 pi / t_f, as
+    SimConfig.omega does.
     """
 
     def __init__(self, det: DetectorConfig, fcfg: FeatureConfig, t_f: float,
@@ -294,7 +297,8 @@ class FeatureStream:
         self.done = False
         self._pieces: List[np.ndarray] = []  # consecutive pieces of the path
         self._base = 0  # path index of the first sample of _pieces[0]
-        self._paired = 0  # segments paired into cycles so far, all final
+        self._detrended = 0  # segments detrended so far, all final
+        self._even = None  # residual of segment _detrended - 1 when that is even
         self._cycles: List[CycleStats] = []
 
     @staticmethod
@@ -303,10 +307,11 @@ class FeatureStream:
         """At most how many samples `streams` streams hold, fed chunks of `chunk`.
 
         Between feeds a stream holds exactly its path from the start of its
-        first unpaired segment on, which spans at most two segments that
-        are not too long and the top boundary's n_min steps, and at most
-        n_steps + 1 samples, since the pieces are disjoint parts of its
-        path.  The streams of a batch are fed one at a time, and the one
+        first segment not yet detrended on, at most one segment that is not
+        too long and the top boundary's n_min steps, and at most one even
+        segment's residual, no longer than that segment: 2 * longest + n_min
+        samples, and at most n_steps + 1, since both are disjoint parts of
+        its path.  The streams of a batch are fed one at a time, and the one
         being fed holds one more piece of at most one chunk until it drops
         the pieces it no longer needs, then a copy of at most one chunk
         while it cuts its first piece, and one segment joined from its
@@ -326,7 +331,7 @@ class FeatureStream:
         self.jumps.feed(piece)
         self._advance()
         if not self.done:
-            first = self.jumps.boundaries[self._paired]
+            first = self.jumps.boundaries[self._detrended]
             while self._base + len(self._pieces[0]) <= first:
                 self._base += len(self._pieces.pop(0))
             if first > self._base:  # a copy, so the samples before first are freed
@@ -337,13 +342,13 @@ class FeatureStream:
     def _advance(self) -> None:
         b = self.jumps.boundaries
         n_final = self.jumps.n_final()
-        for i in range(self._paired, len(b) - 1):
+        for i in range(self._detrended, len(b) - 1):
             # a segment can only grow, so one too long now stays too long
             if (b[i + 1] - b[i]) * self.dt > self.threshold:
                 self._stop(i)
                 return
-            if i % 2 and i + 1 < n_final:
-                self._pair(i - 1)
+            if i + 1 < n_final:
+                self._detrend(i)
         if self.jumps.finished:
             self._stop(None)
         elif n_final == len(b) and (self.jumps.seen - b[-1]) * self.dt > self.threshold:
@@ -359,20 +364,22 @@ class FeatureStream:
             start += len(piece)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def _pair(self, i: int) -> None:
-        """Detrend segments i and i + 1 and pair them into cycle i // 2."""
-        even, odd = (detrend_segment(self._segment(k), self.fcfg) for k in (i, i + 1))
-        cycle = _cycle(i // 2, even, odd)
-        if cycle is not None:
-            self._cycles.append(cycle)
-        self._paired = i + 2
+    def _detrend(self, k: int) -> None:
+        """Detrend final segment k; an odd one is paired with the held even residual."""
+        residual = detrend_segment(self._segment(k), self.fcfg)
+        if k % 2 == 0:
+            self._even = residual
+        else:
+            cycle = _cycle(k // 2, self._even, residual)
+            if cycle is not None:
+                self._cycles.append(cycle)
+            self._even = None
+        self._detrended = k + 1
 
     def _stop(self, onset: Optional[int]) -> None:
+        # every segment before the onset (or the path's end) is final and detrended
         self.onset = onset
-        kept = len(self.jumps.boundaries) - 1 if onset is None else onset
-        for i in range(self._paired, kept - 1, 2):
-            self._pair(i)
-        self._pieces = None
+        self._pieces = self._even = None
         self.done = True
 
     def result(self) -> FeatureVector:

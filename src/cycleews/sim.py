@@ -37,9 +37,12 @@ numpy's per-call cost dominates on one-element columns, and so a short
 chunk costs it almost nothing.  Either fills a whole chunk blind to
 divergence, which one check finds at any width, run by run on the
 samples about to be fed while they are in cache.  That a run yields the
-same bits alone, inside a batch, or in a worker process, whatever the
-chunk, is pinned by the parity tests in tests/test_sim.py, not by
-construction.
+same bits alone, inside a batch, or in a worker process is pinned by the
+parity tests in tests/test_sim.py, and that its path and features do not
+depend on CHUNK_STEPS by tests/test_features.py, not by construction.
+A wider batch's chunk is 4,096 steps: the path buffer and the fed chunk
+a consumer may still hold both scale with it, and a shorter chunk costs
+more calls per step.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .base import CSV_BLOCK_ROWS, fork_map, require, write_csv
 from .rng import RunStream, derive_seed
 
 STATE_GUARD = 1.0e6
-CHUNK_STEPS = 8192  # steps per chunk of a batch of two or more runs
+CHUNK_STEPS = 4096  # steps per chunk of a batch of two or more runs
 LONE_CHUNK_STEPS = 2048  # steps per chunk of a batch of one
 GROUP_RUNS = 16  # runs per group of the batch kernel: one group's rows of a chunk fit L2
 

@@ -319,15 +319,15 @@ def test_cli_rejects_bad_model_setting(tmp_path, key, value):
 
 
 def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
-    monkeypatch.setattr(experiment, "physical_memory", lambda: 40 * 2 ** 20)
-    # ensemble: (an 8,193-sample chunk buffer row for each of 128 runs + 128
-    # runs x 33,832 samples of stream state + the fed run's 8,193-sample piece
-    # and 16,876-sample joined segment) x 8 bytes = 43.2 MB, above 40 MiB (41.9 MB)
+    monkeypatch.setattr(experiment, "physical_memory", lambda: 37 * 2 ** 20)
+    # ensemble: (a 4,097-sample chunk buffer row for each of 128 runs + 128
+    # runs x 33,832 samples of stream state + the fed run's 4,097-sample piece
+    # and 16,876-sample joined segment) x 8 bytes = 39.0 MB, above 37 MiB (38.8 MB)
     with pytest.raises(ConfigError, match="ensemble batch of 128 runs"):
         load_config(None)
     # figure levels, streamed with no breakdown limit, so a run's state is
-    # capped by its whole path: (8,193 x 64 + 64 x 360,001 +
-    # 8,193 + 360,001) x 8 bytes = 191 MB
+    # capped by its whole path: (4,097 x 64 + 64 x 360,001 +
+    # 4,097 + 360,001) x 8 bytes = 189 MB
     with pytest.raises(ConfigError, match="figure level batch of 64 runs"):
         load_config(None, {"n_runs": 1})
     assert load_config(None, {"n_runs": 1, "figure_runs": 1}).figure_runs == 1
@@ -336,16 +336,16 @@ def test_config_rejects_batch_path_above_memory(monkeypatch, tmp_path):
 
 
 def test_config_accepts_ensemble_batch_within_its_stream_bound(monkeypatch):
-    # a stream holds two segments of 16,876 samples and n_min = 80 steps
-    # between feeds, no chunk more, so the default ensemble batch's 43.2 MB
-    # fits in 48 MiB (50.3 MB)
+    # a stream holds one segment of 16,876 samples, n_min = 80 steps and one
+    # residual of at most 16,876 samples between feeds, no chunk more, so the
+    # default ensemble batch's 39.0 MB fits in 48 MiB (50.3 MB)
     monkeypatch.setattr(experiment, "physical_memory", lambda: 48 * 2 ** 20)
     assert load_config(None, {"figure_runs": 1}).n_runs == 1000
 
 
 def test_config_accepts_figure_batch_within_whole_path_bound(monkeypatch):
-    # a level run holds at most its whole path: (8,193 x 64 +
-    # 64 x 360,001 + 8,193 + 360,001) x 8 bytes = 191 MB for the default
+    # a level run holds at most its whole path: (4,097 x 64 +
+    # 64 x 360,001 + 4,097 + 360,001) x 8 bytes = 189 MB for the default
     # figure level batch
     monkeypatch.setattr(experiment, "physical_memory", lambda: 300 * 10 ** 6)
     assert load_config(None, {"n_runs": 1}).figure_runs == 64
@@ -796,6 +796,36 @@ def test_whole_run_paths_peak_at_their_admitted_size(tmp_path):
         assert delay is not None and peak < path // 2
     finally:
         tracemalloc.stop()
+
+
+def test_streamed_batch_peaks_within_its_admitted_size():
+    # 16 ramped runs in one batch stream into FeatureStreams over more than
+    # three chunks: every run starts at x0 = 1 under the same forcing, so
+    # their jumps stay in phase and the streams hold their most at once, and
+    # the traced peak stays within the bytes ExperimentConfig admits a batch
+    import numpy.random  # noqa: F401  (loaded by iter_ensemble, not traced here)
+
+    config = ExperimentConfig(n_runs=16, master_seed=31)
+    sim_cfg, det = config.sim_config(), config.detector()
+    n_steps = sim_cfg.n_steps
+    made = []
+
+    def consumer():
+        made.append(FeatureStream(det, config.feature_config(), config.forcing_period,
+                                  sim_cfg.dt, n_steps))
+        return made[-1]
+
+    bound = 8 * (kernel_samples(16, n_steps) + FeatureStream.held_samples(
+        det, config.forcing_period, config.dt, n_steps, CHUNK_STEPS, 16))
+    tracemalloc.start()
+    try:
+        runs, peak = _traced_peak(list, sim.iter_ensemble(
+            sim_cfg, 16, config.d_min_sampler(), consumer=consumer, batch_size=16))
+    finally:
+        tracemalloc.stop()
+    assert all(res.error is None for res in runs)
+    assert max(stream.jumps.seen for stream in made) > 3 * CHUNK_STEPS
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -16,6 +16,7 @@ from cycleews.features import (FEATURE_NAMES, CycleStats, FeatureStream, _cycle,
                                assign_extremum, circular_mean, detrend_segment,
                                trend_features)
 from cycleews.experiment import ExperimentConfig
+from cycleews import sim
 from cycleews.rng import RunStream, derive_seed, generator
 from cycleews.sim import (DivergenceError, PathConsumer, PiecewiseConstantAmplitude,
                           _simulate_batch, iter_ensemble, run_seed_for)
@@ -529,8 +530,8 @@ def test_feature_stream_matches_whole_path(dwells, n_min, limit, chunks, seed):
 
 def test_feature_stream_holds_within_its_bound():
     # 300 dwells of 40 samples, no breakdown at a 100-sample limit, fed in
-    # 64-sample chunks: between feeds a stream keeps at most two segments
-    # and n_min steps of its path, far less than the whole path
+    # 64-sample chunks: between feeds a stream keeps at most one segment and
+    # n_min steps of its path and one residual, far less than the whole path
     x = np.repeat([(-1.0) ** k for k in range(300)], 40)
     x = x + 0.05 * generator(derive_seed(4, "held")).standard_normal(len(x))
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
@@ -544,16 +545,19 @@ def test_feature_stream_holds_within_its_bound():
     for pos in range(0, len(x), chunk):
         stream.feed(x[pos:pos + chunk])
         if not stream.done:
-            held.append(sum(map(len, stream._pieces)))
+            residual = 0 if stream._even is None else len(stream._even)
+            held.append(sum(map(len, stream._pieces)) + residual)
     assert stream.done and stream.onset is None and len(stream.result().cycles) == 150
     assert max(held) <= 2 * longest + det.n_min <= bound < n_steps // 10
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 1000])
-def test_feature_stream_holds_its_path_from_the_first_unpaired_segment(chunk):
-    # between feeds the first piece held starts at the first unpaired segment
-    # and every piece owns its memory, so a stream holds exactly its path from
-    # there, and its features match the whole-path oracle's
+def test_feature_stream_holds_no_sample_before_its_first_segment_not_detrended(chunk):
+    # a final segment is detrended as soon as the stream sees it is final,
+    # so between feeds the first piece held starts at the segment after the
+    # last final one, every piece owns its memory, and the one residual held
+    # is that of an even segment waiting for its odd partner; the features
+    # match the whole-path oracle's
     x = np.repeat([(-1.0) ** k for k in range(60)], 40)
     x = x + 0.05 * generator(derive_seed(4, "trim")).standard_normal(len(x))
     det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
@@ -561,13 +565,22 @@ def test_feature_stream_holds_its_path_from_the_first_unpaired_segment(chunk):
                          min_jumps=2)
     t_f = 200.0
     stream = FeatureStream(det, fcfg, t_f, 1.0, len(x) - 1)
+    waiting = 0
     for pos in range(0, len(x), chunk):
         stream.feed(x[pos:pos + chunk])
         if not stream.done:
-            assert stream._base == stream.jumps.boundaries[stream._paired]
-            assert sum(map(len, stream._pieces)) == stream.jumps.seen - stream._base
+            b = stream.jumps.boundaries
+            first = stream.jumps.n_final() - 1  # the first segment not yet final
+            assert stream._base == b[first]
+            assert sum(map(len, stream._pieces)) == stream.jumps.seen - b[first]
             assert all(piece.base is None for piece in stream._pieces)
-    assert stream.done
+            if first % 2:
+                even = detrend_segment(x[b[first - 1]:b[first]], fcfg)
+                assert stream._even.tobytes() == even.tobytes()
+                waiting += 1
+            else:
+                assert stream._even is None
+    assert stream.done and waiting > 0
     _same_features(stream.result(), whole_path_features(make_trajectory(x), det, fcfg, t_f))
 
 
@@ -616,6 +629,29 @@ def test_streamed_ensemble_matches_whole_paths():
         assert (stream.jumps.seen < sim_cfg.n_steps + 1) == b.label
         labels.append(b.label)
     assert 0 < sum(labels) < 6
+
+
+def test_ensemble_bits_do_not_depend_on_the_chunk(monkeypatch):
+    # 8 ramped sigma = 0.3 runs in one batch: their paths and features are
+    # the same bytes in 1,000-, 4,096- and 8,192-step chunks
+    config = ExperimentConfig(n_runs=8, master_seed=11)
+    sim_cfg = config.sim_config()
+
+    def ensemble(consumer):
+        return [res.value for res in iter_ensemble(sim_cfg, 8, config.d_min_sampler(),
+                                                   consumer=consumer)]
+
+    outputs = []
+    for chunk in (1_000, 4_096, 8_192):
+        monkeypatch.setattr(sim, "CHUNK_STEPS", chunk)
+        outputs.append((ensemble(_stream_factory(config, sim_cfg, [])),
+                        ensemble(partial(PathConsumer, sim_cfg.n_steps))))
+    (features, paths), *others = outputs
+    for other_features, other_paths in others:
+        for a, b in zip(other_features, features):
+            _same_features(a, b)
+        assert [p.tobytes() for p in other_paths] == [p.tobytes() for p in paths]
+    assert 0 < sum(fv.label for fv in features) < 8
 
 
 def test_divergence_after_the_onset_keeps_the_run():

@@ -224,7 +224,7 @@ def test_divergence_guard():
 
 
 def test_divergence_step_alone_matches_batch_past_first_chunk():
-    # the 1e9 level starts at step 9,000, past the first 8,192-step chunk
+    # the 1e9 level starts at step 9,000, past the first two 4,096-step chunks
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=PiecewiseConstantAmplitude((1.0, 1e9), 90.0),
                        sigma=0.3, x0=1.0, master_seed=2)
@@ -239,8 +239,8 @@ def test_divergence_step_alone_matches_batch_past_first_chunk():
 
 def test_diverged_run_leaves_the_batch_at_its_step():
     # a 1e9 level over steps 9,000-9,999 only; a batch of two once zeroed
-    # a diverged run just to the end of its 8,192-step chunk and restarted
-    # it from 0 in the next one
+    # a diverged run just to the end of its chunk and restarted it from 0
+    # in the next one
     levels = (1.0,) * 9 + (1e9,) + (1.0,) * 10
     config = SimConfig(dt=0.01, t_total=200.0, forcing_period=225.0,
                        amplitude_schedule=PiecewiseConstantAmplitude(levels, 10.0),
@@ -261,8 +261,8 @@ class _DoneAtOnce:
 
 
 def test_divergence_after_batch_shrinks_to_one_run():
-    # run 1 diverges on the 1e9 level from step 9,000, past the first
-    # 8,192-step chunk; in the first batch run 0 leaves after its first
+    # run 1 diverges on the 1e9 level from step 9,000, past the first two
+    # 4,096-step chunks; in the first batch run 0 leaves after its first
     # chunk, so run 1 steps alone on Python floats from then on
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=PiecewiseConstantAmplitude((1.0, 1e9), 90.0),
@@ -286,8 +286,8 @@ def test_divergence_after_batch_shrinks_to_one_run():
 
 def test_divergence_in_second_group_only():
     # a batch of 20 ramped runs spans two 16-run groups; only run 17, whose
-    # rate of -40 drives the amplitude up, diverges, past the first
-    # 8,192-step chunk; the check runs on each group's rows
+    # rate of -40 drives the amplitude up, diverges, past the first two
+    # 4,096-step chunks; the check runs on each group's rows
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=2)
@@ -318,8 +318,8 @@ class _KeepsNothing:
 
 
 def test_batch_kernel_holds_its_path_buffer_and_little_more():
-    # 32 noise-free runs, two 16-run groups, over an 8,192-step chunk and a
-    # shorter one: beside the 32 x 8,193 path buffer the kernel holds only
+    # 32 noise-free runs, two 16-run groups, over two 4,096-step chunks and
+    # a shorter one: beside the 32 x 4,097 path buffer the kernel holds only
     # chunk-length vectors (the time grid, the forcing) and the check's
     # per-group reductions
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
@@ -526,7 +526,8 @@ _SCHEDULES = pytest.mark.parametrize("schedule,sigma", [
 
 
 def _long_config(schedule, sigma):
-    # 10,000 steps cross the integrator's 8,192-step noise chunk
+    # 10,000 steps cross the ends of a lone run's 2,048-step chunks and of a
+    # batch's 4,096-step ones
     return SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0, amplitude_schedule=schedule,
                      sigma=sigma, x0=1.0, master_seed=4)
 
