@@ -310,8 +310,8 @@ class FeatureStream:
         first segment not yet detrended on, at most one segment that is not
         too long and the top boundary's n_min steps, and at most one even
         segment's residual, no longer than that segment: 2 * longest + n_min
-        samples, and at most n_steps + 1, since both are disjoint parts of
-        its path.  The streams of a batch are fed one at a time, and the one
+        samples, and at most n_steps + 1, since the residual's segment and
+        the samples held are disjoint parts of its path.  The streams of a batch are fed one at a time, and the one
         being fed holds one more piece of at most one chunk until it drops
         the pieces it no longer needs, then a copy of at most one chunk
         while it cuts its first piece, and one segment joined from its
