@@ -103,28 +103,22 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float):
                 require(math.isfinite(value), f"{f.name} must be finite")
-        require(all(math.isfinite(v) for v in self.figure_levels),
-                "figure_levels must be finite")
         require(self.n_runs >= 1, "n_runs must be >= 1")
-        require(self.forcing_period > 0.0, "forcing_period must be > 0")
         require(self.d_min_high <= self.d_max, "d_min_high must be <= d_max")
         require(self.threads >= 1, "threads must be >= 1")
         require(self.batch_size >= 1, "batch_size must be >= 1")
         require(self.k_folds >= 2, "k_folds must be >= 2")
-        require(self.svm_class_weight in (None, "balanced"),
-                "svm_class_weight must be none or 'balanced'")
-        require(self.svm_iterations >= 1, "svm_iterations must be >= 1")
-        require(self.svm_tolerance > 0.0, "svm_tolerance must be finite and > 0")
-        require(self.svm_lambda is None or self.svm_lambda > 0.0,
-                "svm_lambda must be auto or finite and > 0")
         require(self.permutation_repeats >= 1, "permutation_repeats must be >= 1")
         require(self.figure_runs >= 1, "figure_runs must be >= 1")
+        # every other rule belongs to an object built from the settings
+        self._built(self.svm_hyperparams(),
+                    "svm_lambda svm_iterations svm_tolerance svm_class_weight")
         det = self._built(self.detector, "x_up x_low n_min_steps breakdown_factor")
         self._built(self.feature_config,
                     "buffer_fraction detrend_degree phase_window min_cycles min_jumps")
         self._built(self.d_min_sampler, "d_min_low d_min_high")
+        sim_cfg = self._built(self.sim_config, "dt t_total forcing_period sigma x0 master_seed")
         memory = physical_memory()
-        sim_cfg = self.sim_config()
         # simulate and the figure ramp hold one whole path as long as an ensemble run
         n_points = sim_cfg.n_steps + 1
         require(8 * n_points <= memory,
@@ -249,13 +243,6 @@ def _config_values(text: str) -> dict:
     return values
 
 
-def _build(values: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Config from file values (or defaults), then non-None overrides, then validation.
 
@@ -269,7 +256,10 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    return _build(values)
+    try:
+        return ExperimentConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _log(message: str) -> None:
@@ -653,8 +643,6 @@ def run_diagnose(config: ExperimentConfig, d_a_values: Sequence[float],
         for period in periods:
             try:
                 require(math.isfinite(d_a) and d_a > 0.0, "d_a must be finite and > 0")
-                require(math.isfinite(period) and period > 0.0,
-                        "period must be finite and > 0")
                 grid.append(SimConfig(dt=config.dt, t_total=period, forcing_period=period,
                                       amplitude_schedule=ConstantAmplitude(d_a),
                                       sigma=0.0, x0=config.x0))

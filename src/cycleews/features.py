@@ -311,12 +311,12 @@ class FeatureStream:
         too long and the top boundary's n_min steps, and at most one even
         segment's residual, no longer than that segment: 2 * longest + n_min
         samples, and at most n_steps + 1, since the residual's segment and
-        the samples held are disjoint parts of its path.  The streams of a batch are fed one at a time, and the one
-        being fed holds one more piece of at most one chunk until it drops
-        the pieces it no longer needs, then a copy of at most one chunk
-        while it cuts its first piece, and one segment joined from its
-        pieces while it is detrended (segments are joined one at a time);
-        those count once.
+        the samples held are disjoint parts of its path.  The streams of a
+        batch are fed one at a time, and the one being fed holds one more
+        piece of at most one chunk until it drops the pieces it no longer
+        needs, then a copy of at most one chunk while it cuts its first
+        piece, and one segment joined from its pieces while it is detrended
+        (segments are joined one at a time); those count once.
         """
         ratio = det.breakdown_factor * t_f / dt
         longest = n_steps + 1 if ratio >= n_steps else math.floor(ratio) + 1
@@ -325,8 +325,10 @@ class FeatureStream:
 
     def feed(self, x) -> bool:
         """Take the next samples of the path; True once the run needs no more."""
-        require(not self.done, "the run's features are complete")
         piece = np.array(x, dtype=float)  # owned: the caller may reuse x's memory
+        if len(piece) == 0:  # a no-op, as in JumpStream.feed; the trim below needs no empty piece
+            return self.done
+        require(not self.done, "the run's features are complete")
         self._pieces.append(piece)
         self.jumps.feed(piece)
         self._advance()

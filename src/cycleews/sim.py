@@ -182,9 +182,9 @@ class SimConfig:
 
     def __post_init__(self):
         require(self.dt > 0.0, "dt must be > 0")
-        require(self.t_total > 0.0, "t_total must be > 0")
         require(math.isfinite(self.forcing_period) and self.forcing_period > 0.0,
                 "forcing_period must be finite and > 0")
+        require(self.t_total > 0.0, "t_total must be > 0")
         require(math.isfinite(self.sigma) and self.sigma >= 0.0,
                 "sigma must be finite and >= 0")
         require(abs(self.x0) <= STATE_GUARD,
@@ -495,6 +495,7 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     diverged run comes back with value None and its DivergenceError set.
     """
     require(n_runs >= 1, "n_runs must be >= 1")
+    require(batch_size >= 1, "batch_size must be >= 1")
     if d_min_sampler is not None:
         require(isinstance(config.amplitude_schedule, LinearRampAmplitude),
                 "a d_min sampler requires a linear ramp schedule")

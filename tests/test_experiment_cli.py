@@ -104,6 +104,8 @@ def test_config_validates_on_construction(build, message):
 @pytest.mark.parametrize("text", [
     "n_min_steps = 1", "buffer_fraction = 0.5", "phase_window = 1", "d_min_low = 0",
     "d_min_high = 0.1", "figure_level_periods = 0", "figure_d_min = 0",
+    "svm_lambda = -1", "svm_iterations = 0", "svm_tolerance = 0",
+    "svm_class_weight = bogus", "forcing_period = 0", "figure_levels = 1.0,inf",
 ])
 def test_config_error_names_its_key(text, tmp_path):
     # each is checked by an object built from the config, under a name of its own
@@ -828,13 +830,24 @@ def test_streamed_batch_peaks_within_its_admitted_size():
     assert peak <= bound
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--da", "abc"), ("--da", "nan"), ("--da", "-1"), ("--da", "0"), ("--da", "1.2,"),
-    ("--periods", "0"), ("--periods", "-50"), ("--periods", "inf"),
-    ("--periods", "50,0.005"), ("--periods", "1e12"), ("--periods", "0.01"),
-])
-def test_cli_diagnose_rejects_bad_grid(tmp_path, flag, value):
+BAD_D_A = "d_a must be finite and > 0"
+BAD_PERIOD = "forcing_period must be finite and > 0"
+BAD_GRIDS = [
+    ("--da", "abc", "--da: could not convert"), ("--da", "nan", BAD_D_A),
+    ("--da", "-1", BAD_D_A), ("--da", "0", BAD_D_A), ("--da", "1.2,", "--da: could not convert"),
+    ("--periods", "0", BAD_PERIOD), ("--periods", "-50", BAD_PERIOD),
+    ("--periods", "inf", BAD_PERIOD), ("--periods", "50,0.005", "not a whole number of steps"),
+    ("--periods", "1e12", "exceed physical memory"), ("--periods", "0.01", "at least 2 steps"),
+]
+
+
+@pytest.mark.parametrize("flag,value,reason", BAD_GRIDS,
+                         ids=[f"{flag}-{value}" for flag, value, _ in BAD_GRIDS])
+def test_cli_diagnose_rejects_bad_grid(tmp_path, capsys, flag, value, reason):
+    # a bad period is rejected by the grid point's SimConfig, which checks
+    # forcing_period before t_total (the same value here)
     assert run_cli("diagnose", flag, value, "--out", str(tmp_path)) == 2
+    assert reason in capsys.readouterr().err
     assert not (tmp_path / "diagnostics.json").exists()
 
 

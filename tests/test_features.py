@@ -584,6 +584,24 @@ def test_feature_stream_holds_no_sample_before_its_first_segment_not_detrended(c
     _same_features(stream.result(), whole_path_features(make_trajectory(x), det, fcfg, t_f))
 
 
+def test_feature_stream_takes_empty_chunks():
+    # an empty chunk, first (it raised IndexError) or between two others,
+    # leaves the stream as it was: the features are the whole-path oracle's
+    x = np.repeat([(-1.0) ** k for k in range(60)], 40)
+    x = x + 0.05 * generator(derive_seed(4, "empty")).standard_normal(len(x))
+    det = DetectorConfig(x_up=0.4, x_low=-0.4, n_min=10, breakdown_factor=0.5)
+    fcfg = FeatureConfig(p_buf=0.05, detrend_degree=1, window_w=2, min_cycles=2,
+                         min_jumps=2)
+    t_f, empty = 200.0, np.empty(0)
+    stream = FeatureStream(det, fcfg, t_f, 1.0, len(x) - 1)
+    assert not stream.feed(empty)
+    for pos in range(0, len(x), 64):
+        stream.feed(x[pos:pos + 64])
+        assert stream.feed(empty) == stream.done
+    assert stream.done
+    _same_features(stream.result(), whole_path_features(make_trajectory(x), det, fcfg, t_f))
+
+
 def test_one_cycle_run_is_excluded_not_fatal():
     # three jumps and then a dwell past the breakdown limit leave one cycle;
     # a slope needs two, so min_cycles = 1 is rejected (it let such a run

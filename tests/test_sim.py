@@ -430,6 +430,15 @@ def test_ensemble_divergence_flags_independent_of_workers():
     assert [e[2] for e in errors[0]] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_ensemble_rejects_nonpositive_batch_size(batch_size):
+    # -1 made no batches, so the ensemble yielded no runs and returned silently
+    config = _diverging_config()
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        list(iter_ensemble(config, 4, batch_size=batch_size,
+                           consumer=partial(PathConsumer, config.n_steps)))
+
+
 def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
     config = _ramp_config()
     sampler = UniformSampler(0.25, 0.9)
