@@ -38,8 +38,8 @@ from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
 from .rng import derive_seed
 from .sim import (ConstantAmplitude, LinearRampAmplitude, PiecewiseConstantAmplitude,
                   RunResult, SimConfig, Trajectory, UniformSampler, chunk_steps,
-                  draw_d_min, iter_ensemble, kernel_samples,
-                  run_seed_for, simulate, write_trajectory_csv)
+                  iter_ensemble, kernel_samples, run_seed_for, simulate,
+                  write_trajectory_csv)
 
 
 class ConfigError(ValueError):
@@ -143,13 +143,18 @@ class ExperimentConfig:
                     f"{batches} up to {float(held):.6g} bytes (chunk buffers and per-run "
                     f"state), more than the {memory} bytes of physical memory")
 
+    def _spelled(self, key: str):
+        """The value of key, None spelled as in a config file."""
+        value = getattr(self, key)
+        return {"svm_lambda": "auto", "svm_class_weight": "none"}[key] if value is None else value
+
     def _built(self, build, keys: str):
         """build(); its ValueError, which names the derived object's own fields
         (n_min, p_buf, low, ...), is re-raised with the settings it is built from."""
         try:
             return build()
         except ValueError as exc:
-            settings = ", ".join(f"{key} = {getattr(self, key)}" for key in keys.split())
+            settings = ", ".join(f"{key} = {self._spelled(key)}" for key in keys.split())
             raise ValueError(f"{settings}: {exc}") from exc
 
     def sim_config(self, schedule=None) -> SimConfig:
@@ -204,7 +209,7 @@ class ExperimentConfig:
             elif isinstance(value, float):
                 value = f"{value:.17g}"
             elif value is None:
-                value = "auto"
+                value = self._spelled(f.name)
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
@@ -304,8 +309,7 @@ def feature_rows(results: Iterable[RunResult]) -> List[dict]:
     return rows
 
 
-# d_min is %.17g, or empty for an ensemble drawn without a d_min sampler
-FEATURES_CSV = (("run_id", "%d"), ("d_min", "%s"), *((n, "%.17g") for n in FEATURE_NAMES),
+FEATURES_CSV = (("run_id", "%d"), ("d_min", "%.17g"), *((n, "%.17g") for n in FEATURE_NAMES),
                 ("label", "%d"), ("valid", "%d"))
 FEATURES_COLUMNS = tuple(name for name, _ in FEATURES_CSV)
 FEATURES_HEADER = ",".join(FEATURES_COLUMNS)
@@ -313,8 +317,8 @@ FEATURES_HEADER = ",".join(FEATURES_COLUMNS)
 
 def write_features_csv(rows: Sequence[dict], path) -> None:
     write_csv(path, FEATURES_CSV, (
-        (row["run_id"], "" if row["d_min"] is None else "%.17g" % row["d_min"],
-         *row["slopes"], row["label"], row["valid"]) for row in rows))
+        (row["run_id"], row["d_min"], *row["slopes"], row["label"], row["valid"])
+        for row in rows))
 
 
 def read_features_csv(path):
@@ -343,7 +347,7 @@ def read_features_csv(path):
         try:
             row = {
                 "run_id": int(parts[0]),
-                "d_min": float(parts[1]) if parts[1] else None,
+                "d_min": float(parts[1]),
                 "slopes": [float(v) for v in parts[2:-2]],
                 "label": parts[-2] == "1",
                 "valid": parts[-1] == "1",
@@ -691,11 +695,9 @@ def simulate_one(config: ExperimentConfig, run_index: int = 0,
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = run_seed if run_seed is not None else run_seed_for(config.master_seed, run_index)
-    d_min = draw_d_min(seed, config.d_min_sampler())
-    sched = LinearRampAmplitude(config.d_max, d_min)
-    sim_cfg = config.sim_config(schedule=sched)
-    traj = simulate(sim_cfg, seed)
-    write_trajectory_csv(traj, sim_cfg, out_dir / "trajectory.csv")
+    traj = simulate(config.sim_config(), seed, config.d_min_sampler())
+    ramp = config.sim_config(LinearRampAmplitude(config.d_max, traj.d_min))
+    write_trajectory_csv(traj, ramp, out_dir / "trajectory.csv")
     write_events_csv(detect_jumps(traj, config.detector()), out_dir / "events.csv")
-    _log(f"wrote {out_dir / 'trajectory.csv'} (seed {seed}, d_min {d_min:.6g})")
+    _log(f"wrote {out_dir / 'trajectory.csv'} (seed {seed}, d_min {traj.d_min:.6g})")
     return traj

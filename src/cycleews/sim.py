@@ -19,9 +19,9 @@ cos(omega t_k), and each run's row adds the normals its stream returns,
 scaled in place.
 
 Reproducibility contract: a trajectory is a pure function of
-(config, run_seed).  Noise comes from per-run Philox streams (see
-rng.py), so ensembles are order-independent; a run with sigma = 0 and
-no d_min sampler draws nothing, so it builds no stream at all.
+(config, run_seed, d_min sampler).  Noise comes from per-run Philox
+streams (see rng.py), so ensembles are order-independent; a run with
+sigma = 0 and no d_min sampler draws nothing and builds no stream.
 simulate and iter_ensemble both go through one batch kernel, which
 integrates in chunks, LONE_CHUNK_STEPS steps for a batch of one and
 CHUNK_STEPS for a wider batch, and hands each run's new samples to a
@@ -160,11 +160,11 @@ class UniformSampler:
 
 def _whole_steps(t_total: float, dt: float) -> int:
     ratio = t_total / dt
-    require(math.isfinite(ratio), f"t_total/dt = {ratio} is not a whole number of steps")
+    bad = f"{t_total} / {dt} = {ratio} is not a whole number of steps"
+    require(math.isfinite(ratio), bad)
     n = int(round(ratio))
     tol = 8.0 * np.spacing(max(abs(ratio), 1.0))
-    require(n >= 1 and abs(ratio - n) <= tol,
-            f"t_total/dt = {ratio} is not a whole number of steps")
+    require(n >= 1 and abs(ratio - n) <= tol, bad)
     return n
 
 
@@ -203,15 +203,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A run's states x[i] at t = i dt and the seed of its noise stream.
+    """A run's states x[i] at t = i dt, its stream's seed and drawn d_min (or None).
 
-    Its time grid and amplitude are functions of the run's SimConfig
-    (see write_trajectory_csv), so it holds only its samples.
+    Its time grid and amplitude follow from its SimConfig and d_min (see
+    write_trajectory_csv), so it holds only its samples.
     """
 
     x: np.ndarray
     dt: float
     seed: int
+    d_min: Optional[float] = None
 
 
 # --------------------------------------------------------------------------
@@ -420,28 +421,24 @@ def run_seed_for(master_seed: int, run_index: int) -> int:
     return derive_seed(master_seed, "run", run_index)
 
 
-def draw_d_min(run_seed: int, sampler) -> float:
-    """The d_min a given run would use (first auxiliary uniform of its stream)."""
-    u = RunStream(run_seed).uniforms(2)[0]
-    return float(sampler.from_uniform(u))
-
-
 def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None, *,
                     consumer: Callable[[], object]) -> List[RunResult]:
     """Integrate the runs with the given seeds together; one RunResult each.
 
     The one integration path of the package: simulate is its one-run
-    case and iter_ensemble hands it one batch at a time.  A run gets its
-    RunStream only when it draws from it: when sigma > 0 or a d_min
-    sampler is given.  Every stream first draws its 2-uniform auxiliary
-    block; with a d_min sampler the first uniform sets the run's ramp
-    floor.  Without either, each stream is None and nothing is drawn, so
-    a noise-free run does not load numpy.random.  Each run streams into
-    consumer() (see _integrate) and its value is that consumer's
-    result().  A diverged run comes back with value None and its
-    DivergenceError set.
+    case, sampler and all, and iter_ensemble hands it one batch at a
+    time.  A run gets its RunStream only when it draws from it: when
+    sigma > 0 or a d_min sampler is given.  Every stream first draws its
+    2-uniform auxiliary block; a d_min sampler's first uniform sets the
+    run's linear ramp floor.  Without either, each stream is None and
+    nothing is drawn, so a noise-free run does not load numpy.random.
+    Each run streams into consumer() (see _integrate) and its value is
+    that consumer's result().  A diverged run comes back with value None
+    and its DivergenceError set.
     """
     sched = config.amplitude_schedule
+    require(d_min_sampler is None or isinstance(sched, LinearRampAmplitude),
+            "a d_min sampler requires a linear ramp schedule")
     streams, d_mins = [None] * len(seeds), [None] * len(seeds)
     if config.sigma > 0.0 or d_min_sampler is not None:
         streams = [RunStream(seed) for seed in seeds]
@@ -466,14 +463,15 @@ def _simulate_batch(config: SimConfig, indices, seeds, d_min_sampler=None, *,
     return out
 
 
-def simulate(config: SimConfig, run_seed: int) -> Trajectory:
-    """Simulate one path, bit-identical for identical (config, run_seed), or raise."""
+def simulate(config: SimConfig, run_seed: int, d_min_sampler=None) -> Trajectory:
+    """One path, bit-identical for identical arguments, or raise; with a d_min
+    sampler, iter_ensemble's run of this seed, its drawn floor in d_min."""
     require(0 <= run_seed < 2 ** 64, f"run_seed must lie in [0, 2**64), got {run_seed}")
-    res = _simulate_batch(config, [None], [run_seed],
+    res = _simulate_batch(config, [None], [run_seed], d_min_sampler,
                           consumer=partial(PathConsumer, config.n_steps))[0]
     if res.error is not None:
         raise res.error
-    return Trajectory(res.value, config.dt, int(run_seed))
+    return Trajectory(res.value, config.dt, int(run_seed), res.d_min)
 
 
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
@@ -496,9 +494,6 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     """
     require(n_runs >= 1, "n_runs must be >= 1")
     require(batch_size >= 1, "batch_size must be >= 1")
-    if d_min_sampler is not None:
-        require(isinstance(config.amplitude_schedule, LinearRampAmplitude),
-                "a d_min sampler requires a linear ramp schedule")
     if config.sigma > 0.0 or d_min_sampler is not None:
         import numpy.random  # loaded once here, not in each forked worker
     seeds = [run_seed_for(config.master_seed, i) for i in range(n_runs)]

@@ -141,6 +141,22 @@ def test_load_config_builds_one_config(tmp_path, monkeypatch):
     assert built == [load_config(None)]
 
 
+@pytest.mark.parametrize("settings", [{}, {"svm_class_weight": None, "svm_lambda": 0.01}],
+                         ids=["defaults", "no_class_weight"])
+def test_canonical_text_loads_back_to_itself(tmp_path, settings):
+    text = ExperimentConfig(**settings).canonical_text()
+    path = tmp_path / "canonical.cfg"
+    path.write_text(text)
+    assert load_config(path).canonical_text() == text
+
+
+def test_config_error_spells_none_as_the_config_does():
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(svm_iterations=0, svm_class_weight=None)
+    assert "svm_lambda = auto" in str(exc.value) and "svm_class_weight = none" in str(exc.value)
+    assert "None" not in str(exc.value)
+
+
 def test_config_hash_stable():
     assert ExperimentConfig().config_hash() == ExperimentConfig().config_hash()
     assert (ExperimentConfig(n_runs=5).config_hash()
@@ -411,13 +427,26 @@ def test_cli_classify_rejects_truncated_row(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cli_classify_rejects_empty_d_min(tmp_path, capsys):
+    # every row the pipeline writes has a drawn d_min
+    features = tmp_path / "features.csv"
+    features.write_text("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,"
+                        "slope_phase_std,label,valid\n"
+                        "0,0.5,0.1,0.2,0.3,0.4,1,1\n"
+                        "1,,0.1,0.2,0.3,0.4,0,1\n")
+    assert run_cli("classify", "--features", str(features), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert str(features) in err and "line 3" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 FEATURES_HEADER = ("run_id,d_min,slope_var,slope_ac1,slope_jump_phase,slope_phase_std,"
                    "label,valid\n")
 
 
 def test_features_csv_round_trip(tmp_path):
-    # a diverged run as feature_rows gives it: NaN slopes, d_min None (no sampler)
-    diverged, = feature_rows([RunResult(run_index=2, seed=0, d_min=None, value=None)])
+    # a diverged run as feature_rows gives it: NaN slopes, the d_min it drew
+    diverged, = feature_rows([RunResult(run_index=2, seed=0, d_min=0.7, value=None)])
     rows = [
         {"run_id": 0, "d_min": 0.58372910564811462,
          "slopes": [-0.0, 5e-324, 1.7976931348623157e308, -2.0 / 3.0],
@@ -428,14 +457,14 @@ def test_features_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "features.csv"
     write_features_csv(rows, path)
-    assert path.read_text().splitlines()[3] == "2,,nan,nan,nan,nan,0,0"
+    assert path.read_text().splitlines()[3] == "2,0.69999999999999996,nan,nan,nan,nan,0,0"
     back = read_features_csv(path)
 
     def bits(row):
         return dict(row, slopes=np.array(row["slopes"], dtype=float).tobytes())
 
     assert [bits(row) for row in back] == [bits(row) for row in rows]
-    assert back[2]["d_min"] is None and back[2]["label"] is False
+    assert back[2]["d_min"] == 0.7 and back[2]["label"] is False
 
 
 @pytest.mark.parametrize("body,n_valid", [
@@ -847,7 +876,10 @@ def test_cli_diagnose_rejects_bad_grid(tmp_path, capsys, flag, value, reason):
     # a bad period is rejected by the grid point's SimConfig, which checks
     # forcing_period before t_total (the same value here)
     assert run_cli("diagnose", flag, value, "--out", str(tmp_path)) == 2
-    assert reason in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert reason in err
+    if value == "50,0.005":  # worded by the values it divides, not a key never set
+        assert "t_total" not in err and "0.005 / 0.01 = 0.5" in err
     assert not (tmp_path / "diagnostics.json").exists()
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cycleews.rng import RunStream, cos_2pi, derive_seed, generator
-from cycleews.sim import UniformSampler, draw_d_min
+from cycleews.sim import LinearRampAmplitude, SimConfig, UniformSampler, simulate
 
 _INV_2_53 = 2.0 ** -53
 
@@ -71,11 +71,17 @@ def test_normals_do_not_depend_on_draw_sizes():
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
+# a run that draws its d_min from its stream, over one step
+_SHORT_RAMP = SimConfig(dt=0.01, t_total=0.01, forcing_period=225.0,
+                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25), sigma=0.0, x0=1.0)
+
+
 @pytest.mark.parametrize("draw", [
     RunStream, generator, lambda key: generator(0, key), derive_seed,
-    lambda key: derive_seed(0, "run", key), lambda key: draw_d_min(key, UniformSampler(0.25, 0.9)),
+    lambda key: derive_seed(0, "run", key),
+    lambda key: simulate(_SHORT_RAMP, key, UniformSampler(0.25, 0.9)),
 ], ids=["run_stream", "generator_seed", "generator_stream", "derive_seed_master",
-        "derive_seed_label", "draw_d_min"])
+        "derive_seed_label", "simulate_d_min"])
 def test_keys_outside_64_bits_are_rejected(draw):
     # a key masked to its low 64 bits would run another key's stream:
     # 2**64 seed 0's and -1 seed 2**64 - 1's

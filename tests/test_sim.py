@@ -13,7 +13,7 @@ from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
 from cycleews import geometry, sim
 from cycleews.rng import RunStream, derive_seed
 from cycleews.sim import (CHUNK_STEPS, LONE_CHUNK_STEPS, PathConsumer, _increments, _integrate,
-                          _simulate_batch, draw_d_min, iter_ensemble, run_seed_for,
+                          _simulate_batch, iter_ensemble, run_seed_for,
                           write_trajectory_csv)
 
 OMEGA = 2.0 * math.pi / 225.0
@@ -389,9 +389,35 @@ def test_point_mass_keeps_amplitude_floor():
         assert LinearRampAmplitude(1.2, d_min).array(grid, config.t_total).min() >= 0.9 - 1e-12
 
 
-def test_d_min_law_of_large_numbers():
+def test_simulate_draws_the_d_min_of_ensemble_run_i():
+    # a drawn floor, not a point mass: a lone run with the sampler is the
+    # ensemble's run of its seed, in path bytes and in d_min
+    config = _ramp_config(t_total=450.0)
     sampler = UniformSampler(0.25, 0.9)
-    draws = [draw_d_min(run_seed_for(2025, i), sampler) for i in range(1000)]
+    runs = _paths(config, 6, sampler, batch_size=3)
+    assert len({d_min for _, d_min in runs}) == 6
+    for i in (0, 3, 5):
+        path, d_min = runs[i]
+        solo = simulate(config, run_seed_for(config.master_seed, i), sampler)
+        assert solo.d_min == d_min and 0.25 <= d_min <= 0.9
+        assert solo.x.tobytes() == path.tobytes()
+    assert simulate(config, run_seed_for(config.master_seed, 0)).d_min is None
+
+
+def test_d_min_sampler_requires_a_linear_ramp():
+    config = SimConfig(dt=0.01, t_total=1.0, forcing_period=225.0,
+                       amplitude_schedule=ConstantAmplitude(1.0), sigma=0.3, x0=1.0)
+    sampler = UniformSampler(0.25, 0.9)
+    with pytest.raises(ValueError, match="a d_min sampler requires a linear ramp schedule"):
+        simulate(config, 0, sampler)
+    with pytest.raises(ValueError, match="a d_min sampler requires a linear ramp schedule"):
+        list(iter_ensemble(config, 2, sampler, consumer=partial(PathConsumer, config.n_steps)))
+
+
+def test_d_min_law_of_large_numbers():
+    config = replace(_ramp_config(seed=2025), t_total=0.01)  # one step a run
+    draws = [res.d_min for res in iter_ensemble(
+        config, 1000, UniformSampler(0.25, 0.9), consumer=partial(PathConsumer, 1))]
     assert abs(np.mean(draws) - 0.575) < 0.02
 
 
