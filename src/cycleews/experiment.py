@@ -37,7 +37,7 @@ from .geometry import (ConvergenceError, FOLD_FORCING_VALUE, FloquetEstimate,
                        diagnostics_record, floquet_multiplier, jump_phase_decomposition)
 from .rng import derive_seed
 from .sim import (ConstantAmplitude, LinearRampAmplitude, PiecewiseConstantAmplitude,
-                  RunResult, SimConfig, Trajectory, UniformSampler, chunk_steps,
+                  RunResult, SimConfig, Trajectory, UniformSampler, batch_plan, chunk_steps,
                   iter_ensemble, kernel_samples, run_seed_for, simulate,
                   write_trajectory_csv)
 
@@ -105,8 +105,6 @@ class ExperimentConfig:
                 require(math.isfinite(value), f"{f.name} must be finite")
         require(self.n_runs >= 1, "n_runs must be >= 1")
         require(self.d_min_high <= self.d_max, "d_min_high must be <= d_max")
-        require(self.threads >= 1, "threads must be >= 1")
-        require(self.batch_size >= 1, "batch_size must be >= 1")
         require(self.k_folds >= 2, "k_folds must be >= 2")
         require(self.permutation_repeats >= 1, "permutation_repeats must be >= 1")
         require(self.figure_runs >= 1, "figure_runs must be >= 1")
@@ -125,14 +123,14 @@ class ExperimentConfig:
                 f"one run path of {float(n_points):.6g} points (8 bytes each) exceeds the "
                 f"{memory} bytes of physical memory")
         # a streamed batch holds the kernel's buffers plus each run's FeatureStream,
-        # and fork_map runs one batch per worker, min(threads, batches) at once
+        # and each of batch_plan's workers runs one batch at a time
         _, piece = self._built(self.figure_sim_configs,
                                "d_max figure_d_min figure_levels figure_level_periods")
         for what, cfg, run_det, n_runs in (
                 ("ensemble", sim_cfg, det, self.n_runs),
                 ("figure level", piece, self.level_detector(), self.figure_runs)):
-            batch = min(self.batch_size, n_runs)
-            at_once = min(self.threads, -(-n_runs // batch))
+            batch, at_once = self._built(partial(batch_plan, n_runs, self.batch_size,
+                                                 self.threads), "batch_size threads")
             chunk = min(chunk_steps(batch), cfg.n_steps)
             held = 8 * at_once * (
                 kernel_samples(batch, cfg.n_steps) + FeatureStream.held_samples(

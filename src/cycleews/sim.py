@@ -13,10 +13,9 @@ chunk of steps at once, vectorised, and the state-dependent part
 the same scheme and moves a path by rounding only (tests/test_sim.py
 compares it with the textbook form).  The kernel holds one run-major
 path buffer, a row per run, and g is written straight into the runs'
-rows GROUP_RUNS runs at a time, while they are in cache: a ramp's
-forcing for the group is one outer product of its rates with t_k
-cos(omega t_k), and each run's row adds the normals its stream returns,
-scaled in place.
+rows: a ramp's forcing for the batch is one outer product of its rates
+with t_k cos(omega t_k), and each run's row adds the normals its stream
+returns, scaled in place.
 
 Reproducibility contract: a trajectory is a pure function of
 (config, run_seed, d_min sampler).  Noise comes from per-run Philox
@@ -35,11 +34,11 @@ elementwise per run; a batch of one steps its row on Python floats in
 the same operation order (g + s and s + g are the same IEEE sum), since
 numpy's per-call cost dominates on one-element columns, and so a short
 chunk costs it almost nothing.  Either fills a whole chunk blind to
-divergence, which one check finds at any width, run by run on the
-samples about to be fed while they are in cache.  That a run yields the
-same bits alone, inside a batch, or in a worker process is pinned by the
-parity tests in tests/test_sim.py, and that its path and features do not
-depend on CHUNK_STEPS by tests/test_features.py, not by construction.
+divergence, which one check over the batch's rows finds at any width
+before the samples are fed.  That a run yields the same bits alone,
+inside a batch, or in a worker process is pinned by the parity tests in
+tests/test_sim.py, and that its path and features do not depend on
+CHUNK_STEPS by tests/test_features.py, not by construction.
 A wider batch's chunk is 4,096 steps: the path buffer and the fed chunk
 a consumer may still hold both scale with it, and a shorter chunk costs
 more calls per step.
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from .rng import RunStream, derive_seed
 STATE_GUARD = 1.0e6
 CHUNK_STEPS = 4096  # steps per chunk of a batch of two or more runs
 LONE_CHUNK_STEPS = 2048  # steps per chunk of a batch of one
-GROUP_RUNS = 16  # runs per group of the batch kernel: one group's rows of a chunk fit L2
 
 
 class DivergenceError(RuntimeError):
@@ -227,33 +225,24 @@ def _increments(g, config: SimConfig, c0: int, rates, streams) -> None:
     rate), D(t_k) cos(wt_k) * dt + sigma sqrt(dt) xi_k for any other
     schedule (rates None); streams[j] supplies row j's normals, which
     are scaled in place and added to its row as the stream returns them.
-    The rows are built GROUP_RUNS at a time, so a group's forcing is
-    still in cache when its noise is added.
     """
-    width, n = g.shape
+    n = g.shape[1]
     dt = config.dt
     t = np.arange(c0, c0 + n) * dt
     cos_wt = np.cos(config.omega * t)
     sched = config.amplitude_schedule
     if rates is None:
-        forcing = sched.array(t, config.t_total) * cos_wt
-        forcing *= dt
+        np.multiply(sched.array(t, config.t_total) * cos_wt, dt, out=g)
     else:
-        t_cos, dmax_cos = t * cos_wt, sched.d_max * cos_wt
-    sig_sqdt = config.sigma * math.sqrt(dt)
-    for lo in range(0, width, GROUP_RUNS):
-        terms = g[lo:lo + GROUP_RUNS]
-        if rates is None:
-            terms[:] = forcing
-        else:
-            np.multiply.outer(rates[lo:lo + len(terms)], t_cos, out=terms)
-            np.subtract(dmax_cos, terms, terms)
-            np.multiply(terms, dt, terms)
-        if config.sigma > 0.0:
-            for row, stream in zip(terms, streams[lo:]):
-                z = stream.normals(n)
-                z *= sig_sqdt
-                row += z
+        np.multiply.outer(rates, t * cos_wt, out=g)
+        np.subtract(sched.d_max * cos_wt, g, g)
+        np.multiply(g, dt, g)
+    if config.sigma > 0.0:
+        sig_sqdt = config.sigma * math.sqrt(dt)
+        for row, stream in zip(g, streams):
+            z = stream.normals(n)
+            z *= sig_sqdt
+            row += z
 
 
 def chunk_steps(batch: int) -> int:
@@ -297,14 +286,12 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
     then overwrites every column k + 1 in place with x_{k+1} = g_k +
     ((x_k x_k) c2 + c1) x_k, where c1 = 1 + dt and c2 = -dt/3
     (_step_floats for a batch of one, _step_rows otherwise; neither
-    looks for divergence).  The samples then go over GROUP_RUNS runs at
-    a time: on those rows, while they are in cache, the one divergence
-    check, _first_bad_steps, finds each run's first step whose state is
-    non-finite or beyond STATE_GUARD.  Every run hands its new samples
-    before that step (the first chunk starts with x0), a contiguous
-    slice of its row, to its consumer: consumer.feed returns True once
-    the run needs no more, and the run leaves the batch, as does a run
-    at its first bad step.  A consumer must copy what it keeps, since
+    looks for divergence).  The one divergence check, _first_bad_steps,
+    then finds each run's first step whose state is non-finite or beyond
+    STATE_GUARD.  Every run hands its new samples before that step (the
+    first chunk starts with x0), a contiguous slice of its row, to its
+    consumer: consumer.feed returns True once the run needs no more, and
+    the run leaves the batch, as does a run at its first bad step.  A consumer must copy what it keeps, since
     the buffer is reused.
     rates holds each ramped run's rate (None for other schedules) and
     streams each run's RunStream, positioned at its step normals (it may
@@ -333,21 +320,17 @@ def _integrate(config: SimConfig, rates, streams, consumers) -> dict:
                         [streams[r] for r in active])
             (_step_floats if width == 1 else _step_rows)(xs, c1, c2)
             start = 0 if c0 == 0 else 1  # column 0 is x0 or the previous chunk's end
+            bad = _first_bad_steps(xs[:, 1:], c0)  # steps c0 + 1 ..
             keep = []
-            for lo in range(0, width, GROUP_RUNS):
-                runs = xs[lo:lo + GROUP_RUNS, start:]
-                bad = _first_bad_steps(runs[:, 1 - start:], c0)  # steps c0 + 1 ..
-                for i, samples in enumerate(runs):
-                    j = lo + i
-                    r = active[j]
-                    stop = bad.get(i, c_end + 1) - c0  # columns before the first bad step
-                    finished = stop > start and consumers[r].feed(samples[:stop - start])
-                    if finished:
-                        continue
-                    if i in bad:
-                        diverged[r] = bad[i]
-                    else:
-                        keep.append(j)
+            for j, samples in enumerate(xs[:, start:]):
+                r = active[j]
+                stop = bad.get(j, c_end + 1) - c0  # columns before the first bad step
+                if stop > start and consumers[r].feed(samples[:stop - start]):
+                    continue
+                if j in bad:
+                    diverged[r] = bad[j]
+                else:
+                    keep.append(j)
             if not keep:
                 break
             buf[:len(keep), 0] = xs[keep, n]
@@ -474,6 +457,19 @@ def simulate(config: SimConfig, run_seed: int, d_min_sampler=None) -> Trajectory
     return Trajectory(res.value, config.dt, int(run_seed), res.d_min)
 
 
+def batch_plan(n_runs: int, batch_size: int, threads: int) -> Tuple[int, int]:
+    """(runs per batch, workers) of iter_ensemble's n_runs over `threads` workers.
+
+    A batch holds at most batch_size runs, and at most n_runs / threads
+    rounded up, so that every worker gets a batch; fork_map then starts
+    one worker per batch, up to `threads`.
+    """
+    require(batch_size >= 1, "batch_size must be >= 1")
+    require(threads >= 1, "threads must be >= 1")
+    width = min(batch_size, -(-n_runs // threads))
+    return width, min(threads, -(-n_runs // width))
+
+
 def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
                   consumer: Callable[[], object], batch_size: int = 128,
                   threads: int = 1) -> Iterator[RunResult]:
@@ -482,7 +478,7 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     Each run i uses the seed derived from (master_seed, i).  When a
     d_min sampler is given the schedule must be a linear ramp whose
     d_min is replaced per run by a draw from the run's own stream.
-    Batches of batch_size runs are spread over up to `threads` forked
+    The runs go in batches of batch_plan's width, spread over its forked
     worker processes (see base.fork_map), and a worker integrates its
     batch in chunks (see _integrate).  Every run streams into
     consumer(), and its value is the consumer's result(): a worker holds
@@ -493,18 +489,18 @@ def iter_ensemble(config: SimConfig, n_runs: int, d_min_sampler=None, *,
     diverged run comes back with value None and its DivergenceError set.
     """
     require(n_runs >= 1, "n_runs must be >= 1")
-    require(batch_size >= 1, "batch_size must be >= 1")
+    width, workers = batch_plan(n_runs, batch_size, threads)
     if config.sigma > 0.0 or d_min_sampler is not None:
         import numpy.random  # loaded once here, not in each forked worker
     seeds = [run_seed_for(config.master_seed, i) for i in range(n_runs)]
-    bounds = [(lo, min(lo + batch_size, n_runs)) for lo in range(0, n_runs, batch_size)]
+    bounds = [(lo, min(lo + width, n_runs)) for lo in range(0, n_runs, width)]
 
     def do_batch(b: int) -> List[RunResult]:
         lo, hi = bounds[b]
         return _simulate_batch(config, range(lo, hi), seeds[lo:hi], d_min_sampler,
                                consumer=consumer)
 
-    for batch_out in fork_map(do_batch, len(bounds), threads):
+    for batch_out in fork_map(do_batch, len(bounds), workers):
         yield from batch_out
 
 

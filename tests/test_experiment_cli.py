@@ -384,6 +384,14 @@ def test_config_bound_counts_batches_running_at_once(monkeypatch, tmp_path):
         load_config(None, {**settings, "threads": 2})
     assert load_config(None, settings).threads == 1
     assert load_config(None, {**settings, "threads": 2, "n_runs": 8}).threads == 2
+    # at 2 threads the 8 runs go in two 4-run batches, one per worker, and the
+    # bound counts those two, as iter_ensemble cuts them
+    two = 2 * 8 * (kernel_samples(4, n_steps) + FeatureStream.held_samples(
+        config.detector(), config.forcing_period, config.dt, n_steps, CHUNK_STEPS, 4))
+    monkeypatch.setattr(experiment, "physical_memory", lambda: two - 1)
+    with pytest.raises(ConfigError, match="2 ensemble batches of 4 runs at once"):
+        load_config(None, {**settings, "threads": 2, "n_runs": 8})
+    assert load_config(None, {**settings, "n_runs": 8}).threads == 1
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert run_cli("experiment", "--config", str(cfg), "--threads", "2",

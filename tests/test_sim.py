@@ -13,7 +13,7 @@ from cycleews import (ConstantAmplitude, DivergenceError, LinearRampAmplitude,
 from cycleews import geometry, sim
 from cycleews.rng import RunStream, derive_seed
 from cycleews.sim import (CHUNK_STEPS, LONE_CHUNK_STEPS, PathConsumer, _increments, _integrate,
-                          _simulate_batch, iter_ensemble, run_seed_for,
+                          _simulate_batch, batch_plan, iter_ensemble, run_seed_for,
                           write_trajectory_csv)
 
 OMEGA = 2.0 * math.pi / 225.0
@@ -196,7 +196,7 @@ def _increments_by_column(config, c0, n, rates, streams):
     PiecewiseConstantAmplitude((1.0, 0.7, 0.9), 40.0),
 ], ids=["ramp", "constant", "piecewise"])
 def test_increments_match_per_column_oracle(width, sigma, schedule):
-    # 16-run groups: widths below, at and across one and two group bounds;
+    # widths from a lone row to 33 rows of one whole-batch pass;
     # steps 3,900-4,199 cross the piecewise schedule's level change at 4,000
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0, amplitude_schedule=schedule,
                        sigma=sigma, x0=1.0)
@@ -285,9 +285,9 @@ def test_divergence_after_batch_shrinks_to_one_run():
 
 
 def test_divergence_in_second_group_only():
-    # a batch of 20 ramped runs spans two 16-run groups; only run 17, whose
-    # rate of -40 drives the amplitude up, diverges, past the first two
-    # 4,096-step chunks; the check runs on each group's rows
+    # in a batch of 20 ramped runs only run 17, whose rate of -40 drives the
+    # amplitude up, diverges, past the first two 4,096-step chunks; the one
+    # check over the batch's rows finds it and no other run
     config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
                        amplitude_schedule=LinearRampAmplitude(1.2, 0.25),
                        sigma=0.3, x0=1.0, master_seed=2)
@@ -317,23 +317,39 @@ class _KeepsNothing:
         return False
 
 
-def test_batch_kernel_holds_its_path_buffer_and_little_more():
-    # 32 noise-free runs, two 16-run groups, over two 4,096-step chunks and
-    # a shorter one: beside the 32 x 4,097 path buffer the kernel holds only
-    # chunk-length vectors (the time grid, the forcing) and the check's
-    # per-group reductions
-    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
-                       amplitude_schedule=ConstantAmplitude(0.8), sigma=0.0, x0=1.0)
-    consumers = [_KeepsNothing() for _ in range(32)]
+def _kernel_peak(config, rates, streams) -> int:
+    """Peak bytes traced while _integrate runs the batch into consumers that keep nothing."""
+    consumers = [_KeepsNothing() for _ in streams]
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        assert _integrate(config, None, [None] * 32, consumers) == {}
-        peak = tracemalloc.get_traced_memory()[1] - live
+        assert _integrate(config, rates, streams, consumers) == {}
+        return tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
+
+
+def test_batch_kernel_holds_its_path_buffer_and_little_more():
+    # 32 noise-free runs over two 4,096-step chunks and a shorter one:
+    # beside the 32 x 4,097 path buffer the kernel holds only chunk-length
+    # vectors (the time grid, the forcing) and the check's per-run reductions
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
+                       amplitude_schedule=ConstantAmplitude(0.8), sigma=0.0, x0=1.0)
     assert config.n_steps > CHUNK_STEPS
-    assert peak <= 8 * 32 * (CHUNK_STEPS + 1) + 512 * 1024
+    assert _kernel_peak(config, None, [None] * 32) <= 8 * 32 * (CHUNK_STEPS + 1) + 512 * 1024
+
+
+def test_batch_kernel_memory_with_noise_and_a_ramp():
+    # the same bound with sigma = 0.3 on a ramp: the ramp's forcing is one
+    # outer product written into the path buffer itself, and a stream's
+    # normals and their temporaries are chunk-length vectors
+    schedule = LinearRampAmplitude(1.2, 0.25)
+    config = SimConfig(dt=0.01, t_total=100.0, forcing_period=225.0,
+                       amplitude_schedule=schedule, sigma=0.3, x0=1.0, master_seed=2)
+    rates = np.linspace(0.8, 1.2, 32) * schedule.rate(config.t_total)
+    streams = [RunStream(run_seed_for(2, i)) for i in range(32)]
+    assert config.n_steps > CHUNK_STEPS
+    assert _kernel_peak(config, rates, streams) <= 8 * 32 * (CHUNK_STEPS + 1) + 512 * 1024
 
 
 def _ramp_config(t_total=20.0, seed=7):
@@ -466,15 +482,42 @@ def test_ensemble_rejects_nonpositive_batch_size(batch_size):
 
 
 def test_ensemble_worker_count_bounded_by_batches(pool_sizes):
+    # 4 runs at 64 threads make 4 one-run batches, so 4 workers; 5 runs in
+    # batches of 2 at 2 threads make 3 batches for 2 workers
     config = _ramp_config()
     sampler = UniformSampler(0.25, 0.9)
-    serial = _paths(config, 4, sampler, batch_size=2)
+    serial = _paths(config, 5, sampler, batch_size=2)
     assert pool_sizes == []
     wide = _paths(config, 4, sampler, batch_size=2, threads=64)
+    assert pool_sizes == [4]
+    queued = _paths(config, 5, sampler, batch_size=2, threads=2)
+    assert pool_sizes == [4, 2]
+    for runs in (wide, queued):
+        for (a, da), (b, db) in zip(serial, runs):
+            assert da == db  # a run's d_a is its ramp down to d_min
+            assert a.tobytes() == b.tobytes()
+
+
+def test_ensemble_gives_every_worker_a_batch(pool_sizes):
+    # 6 runs fit one default batch; at 2 threads they are cut into two
+    # batches of 3, one per worker
+    config = _ramp_config()
+    sampler = UniformSampler(0.25, 0.9)
+    serial = _paths(config, 6, sampler, batch_size=128)
+    assert pool_sizes == []
+    spread = _paths(config, 6, sampler, batch_size=128, threads=2)
     assert pool_sizes == [2]
-    for (a, da), (b, db) in zip(serial, wide):
-        assert da == db  # a run's d_a is its ramp down to d_min
+    for (a, da), (b, db) in zip(serial, spread):
+        assert da == db
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_runs, batch_size, threads, plan", [
+    (1000, 128, 1, (128, 1)), (1000, 128, 2, (128, 2)), (256, 128, 2, (128, 2)),
+    (100, 128, 2, (50, 2)), (64, 128, 2, (32, 2)), (4, 2, 64, (1, 4)), (1, 128, 2, (1, 1)),
+])
+def test_batch_plan(n_runs, batch_size, threads, plan):
+    assert batch_plan(n_runs, batch_size, threads) == plan
 
 
 def _scalar_euler(config, seed, schedule):
